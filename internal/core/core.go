@@ -51,8 +51,10 @@ func (m Mode) String() string { return modeNames[m] }
 
 // Config tunes an analysis run.
 type Config struct {
-	// Mode selects the clustering cascade stage (default ModeAndersen:
-	// the full bootstrap).
+	// Mode selects the clustering cascade stage. The zero value is
+	// ModeNone: one cluster over the whole program, the paper's "without
+	// clustering" column. ModeAndersen is the full bootstrap, and the
+	// CLIs' -mode flag defaults to it ("andersen").
 	Mode Mode
 	// AndersenThreshold is the partition size above which Andersen
 	// clustering kicks in (paper: 60). Zero selects the default.

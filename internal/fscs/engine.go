@@ -140,10 +140,6 @@ type Engine struct {
 	ptsVR     map[uint64]*valueResult
 	ptsInProg map[uint64]bool
 
-	// Free list of walkBack traversal scratches (see walk.go). Walks nest
-	// through summary lookups, so each live walk checks one out.
-	scratch []*walkScratch
-
 	// hasAssumes is set when the cluster's slice contains path-sensitivity
 	// assume nodes; terminated walk tokens then keep walking backwards to
 	// collect the branch constraints guarding their path (Section 3's
@@ -529,14 +525,13 @@ func (e *Engine) tupleList(m tupSet) []SumTuple {
 // extend the Loc space), the call graph, the Steensgaard analysis (the
 // slice's classes are isomorphic or the cluster would be dirty), the
 // Andersen fallback (widened answers must match a fresh run on the new
-// program), and the cluster object carrying the new cover's ID. The
-// walk scratch free list is dropped because its per-location buckets are
-// sized to len(prog.Nodes); it re-grows lazily.
+// program), and the cluster object carrying the new cover's ID. Walk
+// scratch needs no swap: each walk checks one out of the shared pool,
+// and getScratch replaces any that is shorter than the program.
 func (e *Engine) Rebind(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *cluster.Cluster, fallback *andersen.Analysis) {
 	e.prog = p
 	e.cg = cg
 	e.sa = sa
 	e.cl = cl
 	e.fallback = fallback
-	e.scratch = nil
 }

@@ -478,7 +478,7 @@ func (e *Engine) run() error {
 			return vars[i] < vars[j]
 		})
 		for _, v := range vars {
-			e.Summary(f, v)
+			e.summaryLookup(f, v)
 			if e.over {
 				return e.cause
 			}

@@ -1,6 +1,8 @@
 package fscs
 
 import (
+	"sync"
+
 	"bootstrap/internal/ir"
 )
 
@@ -15,7 +17,7 @@ import (
 //
 // Conditions travel as interned CondIDs and worklist deduplication is an
 // epoch-stamped per-location bucket reused across walks — no string keys
-// and no per-walk map allocation anywhere on this path.
+// and no per-walk map or slice allocation anywhere on this path.
 //
 // lookup supplies callee exit summaries; during the recursion fixpoint it
 // returns the current (possibly still growing) tuple sets.
@@ -33,7 +35,7 @@ func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup f
 	entry := e.prog.Func(f).Entry
 
 	s := e.getScratch()
-	defer e.putScratch(s)
+	defer putScratch(s)
 
 	record := func(t Token, c CondID) {
 		out.add(tup{tok: t, cond: c})
@@ -75,9 +77,9 @@ func (e *Engine) walkBack(f ir.FuncID, start Token, startLocs []ir.Loc, lookup f
 		it := s.work[len(s.work)-1]
 		s.work = s.work[:len(s.work)-1]
 
-		outcomes := e.transfer(it.loc, it.tok, it.cond, lookup)
+		s.outs = e.transfer(s.outs[:0], it.loc, it.tok, it.cond, lookup)
 		n := e.prog.Node(it.loc)
-		for _, oc := range outcomes {
+		for _, oc := range s.outs {
 			if oc.tok.Kind != TVar && !e.hasAssumes {
 				record(oc.tok, oc.cond)
 				continue
@@ -120,19 +122,22 @@ type walkScratch struct {
 	stamp []uint32
 	bkt   [][]wbEntry
 	work  []wbItem
+	outs  []outcome // transfer's results for the item being expanded
 }
 
-// getScratch pops a scratch off the engine's free list. walkBack re-enters
-// itself through summary lookups and FSCI value resolution, so each live
-// walk owns a scratch; the list depth matches the maximum nesting, which
-// stays small.
+// scratchPool holds the idle walk scratches of every engine in the
+// process, so the program-sized scratch retained tracks the walks live at
+// once (workers × nesting depth) instead of clusters × program size.
+var scratchPool sync.Pool
+
+// getScratch checks a scratch out of the pool. walkBack re-enters itself
+// through summary lookups and FSCI value resolution, so each live walk
+// owns a scratch. One shorter than the engine's program (left by a smaller
+// program, or from before ApplyEdit inserted nodes) is replaced.
 func (e *Engine) getScratch() *walkScratch {
-	var s *walkScratch
-	if n := len(e.scratch); n > 0 {
-		s = e.scratch[n-1]
-		e.scratch = e.scratch[:n-1]
-	} else {
-		n := len(e.prog.Nodes)
+	n := len(e.prog.Nodes)
+	s, _ := scratchPool.Get().(*walkScratch)
+	if s == nil || len(s.stamp) < n {
 		s = &walkScratch{stamp: make([]uint32, n), bkt: make([][]wbEntry, n)}
 	}
 	s.epoch++
@@ -147,9 +152,9 @@ func (e *Engine) getScratch() *walkScratch {
 	return s
 }
 
-func (e *Engine) putScratch(s *walkScratch) {
+func putScratch(s *walkScratch) {
 	s.work = s.work[:0]
-	e.scratch = append(e.scratch, s)
+	scratchPool.Put(s)
 }
 
 // outcome is one (token, condition) result of pushing a token backwards
@@ -160,14 +165,14 @@ type outcome struct {
 }
 
 // transfer implements Algorithm 4: the effect of the statement at loc on a
-// tracked token, backwards. It returns the possible outcomes (several when
+// tracked token, backwards. It appends the possible outcomes (several when
 // a points-to relation cannot be resolved and both cases are tracked under
-// constraints).
-func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.FuncID, ir.VarID) tupSet) []outcome {
+// constraints) to outs, the calling walk's own buffer, and returns it.
+func (e *Engine) transfer(outs []outcome, loc ir.Loc, tok Token, cond CondID, lookup func(ir.FuncID, ir.VarID) tupSet) []outcome {
 	n := e.prog.Node(loc)
 	st := n.Stmt
 	q := tok.V
-	pass := []outcome{{tok: tok, cond: cond}}
+	pass := append(outs, outcome{tok: tok, cond: cond}) // tok unchanged; other branches append over it
 
 	// A terminated token (null / &obj / unknown) is walked further only
 	// to pick up the branch constraints guarding its path: assume nodes
@@ -181,7 +186,7 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 			if st.Op == ir.OpAssumeNeq {
 				op = OpDiffTarget
 			}
-			return []outcome{{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: op, X: st.Dst, Y: st.Src})}}
+			return append(outs, outcome{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: op, X: st.Dst, Y: st.Src})})
 		}
 		return pass
 	}
@@ -214,23 +219,23 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 		if st.Op == ir.OpAssumeNeq {
 			op = OpDiffTarget
 		}
-		return []outcome{{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: op, X: st.Dst, Y: st.Src})}}
+		return append(outs, outcome{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: op, X: st.Dst, Y: st.Src})})
 
 	case ir.OpCopy:
 		if st.Dst == q {
-			return []outcome{{tok: VarTok(st.Src), cond: cond}}
+			return append(outs, outcome{tok: VarTok(st.Src), cond: cond})
 		}
 		return pass
 
 	case ir.OpAddr:
 		if st.Dst == q {
-			return []outcome{{tok: AddrTok(st.Src), cond: cond}}
+			return append(outs, outcome{tok: AddrTok(st.Src), cond: cond})
 		}
 		return pass
 
 	case ir.OpNullify:
 		if st.Dst == q {
-			return []outcome{{tok: NullTok(), cond: cond}}
+			return append(outs, outcome{tok: NullTok(), cond: cond})
 		}
 		return pass
 
@@ -239,11 +244,11 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 			return pass
 		}
 		s := st.Src
+		base := len(outs)
 		if e.sa.SamePartition(s, q) {
 			// Cyclic case: s and the tracked pointer share a partition, so
 			// the FSCI points-to set of s is not available yet; enumerate
 			// the possible objects under constraints (Definition 8).
-			var outs []outcome
 			for _, o := range e.cl.Vars {
 				if e.sa.LocClass(o) == e.sa.ContentClass(s) {
 					outs = append(outs, outcome{
@@ -252,8 +257,8 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 					})
 				}
 			}
-			if len(outs) == 0 {
-				return []outcome{{tok: UnknownTok(), cond: cond}}
+			if len(outs) == base {
+				return append(outs, outcome{tok: UnknownTok(), cond: cond})
 			}
 			return outs
 		}
@@ -261,9 +266,8 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 		// its FSCI points-to set is computable first (Algorithm 2).
 		pt, known := e.PointsToAt(s, loc)
 		if !known {
-			return []outcome{{tok: UnknownTok(), cond: cond}}
+			return append(outs, outcome{tok: UnknownTok(), cond: cond})
 		}
-		var outs []outcome
 		for _, o := range pt {
 			if !e.cl.HasVar(o) {
 				continue
@@ -273,10 +277,10 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 				cond: e.tab.with(cond, Atom{Loc: loc, Op: OpPointsTo, X: s, Y: o}),
 			})
 		}
-		if len(outs) == 0 {
+		if len(outs) == base {
 			// s points nowhere the analysis tracks: the load yields an
 			// unconstrained value.
-			return []outcome{{tok: UnknownTok(), cond: cond}}
+			return append(outs, outcome{tok: UnknownTok(), cond: cond})
 		}
 		return outs
 
@@ -288,10 +292,10 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 			return pass
 		}
 		both := func() []outcome {
-			return []outcome{
-				{tok: VarTok(r), cond: e.tab.with(cond, Atom{Loc: loc, Op: OpPointsTo, X: d, Y: q})},
-				{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: OpNotPointsTo, X: d, Y: q})},
-			}
+			return append(outs,
+				outcome{tok: VarTok(r), cond: e.tab.with(cond, Atom{Loc: loc, Op: OpPointsTo, X: d, Y: q})},
+				outcome{tok: tok, cond: e.tab.with(cond, Atom{Loc: loc, Op: OpNotPointsTo, X: d, Y: q})},
+			)
 		}
 		if e.sa.SamePartition(d, q) {
 			return both() // cyclic case: track constraints
@@ -313,7 +317,7 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 			// Undevirtualized indirect call: conservatively unknown for
 			// any pointer it might modify.
 			if e.cl.HasVar(q) {
-				return []outcome{{tok: UnknownTok(), cond: cond}}
+				return append(outs, outcome{tok: UnknownTok(), cond: cond})
 			}
 			return pass
 		}
@@ -325,7 +329,6 @@ func (e *Engine) transfer(loc ir.Loc, tok Token, cond CondID, lookup func(ir.Fun
 		// Splice g's exit summary for q (Algorithm 5, lines 10-13): each
 		// source continues in the caller just before the call node, where
 		// the parameter-binding copies rebind formals to actuals.
-		var outs []outcome
 		for t := range lookup(g, q) {
 			outs = append(outs, outcome{tok: t.tok, cond: e.tab.and(cond, t.cond)})
 		}
