@@ -26,7 +26,7 @@ SERVE_BENCH = sock
 SHARD_ROWS  = autofs
 SHARD_SCALE = 0.5
 
-.PHONY: all build test race vet fmt staticcheck lint check bench bench-baseline serve-bench shard-bench shard-baseline checker-bench checker-baseline incremental-bench incremental-baseline examples
+.PHONY: all build test race vet fmt staticcheck lint check perfbench-test bench bench-baseline serve-bench shard-bench shard-baseline checker-bench checker-baseline incremental-bench incremental-baseline examples
 
 all: check
 
@@ -55,6 +55,14 @@ lint: fmt vet staticcheck
 # check is what CI runs: lint, build, and the full suite under the race
 # detector.
 check: lint build race
+
+# perfbench-test vets and tests the nested perfbench module, which has
+# its own go.mod, so the root ./... patterns skip it. It is the build
+# check for every program name the benchmark calls, and its TestGolden
+# pins the seed-0 answers.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # bench smoke-runs every benchmark once (catching bit-rot without the
 # cost of real measurement), measures the FSCS perf trajectory into

@@ -192,17 +192,7 @@ func run(path string) (err error) {
 		fmt.Printf("clusters: n=%d p50=%d p90=%d max=%d\n",
 			len(clusterSizes), cp50, cp90, cmax)
 		if a.Andersen != nil {
-			ss := a.Andersen.SolverStats()
-			fmt.Printf("andersen solver: passes=%d collapses=%d merged=%d cycle-elim=%v\n",
-				ss.Passes, ss.Collapses, ss.Merged, analysisFlags.CycleElim)
-			if ss.Waves > 0 {
-				occ := 0.0
-				if ss.ParFronts > 0 {
-					occ = float64(ss.ParNodes) / float64(ss.ParFronts)
-				}
-				fmt.Printf("delta solve: waves=%d edges-fired=%d merges=%d par-fronts=%d par-occupancy=%.1f\n",
-					ss.Waves, ss.DeltaEdgesFired, ss.DeltaMerges, ss.ParFronts, occ)
-			}
+			fmt.Printf("andersen solver: passes=%d\n", a.Andersen.SolverStats().Passes)
 		}
 		if cfg.Cache != nil {
 			cs := a.CacheStats

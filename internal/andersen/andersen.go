@@ -34,8 +34,6 @@ type config struct {
 	delta        bool
 	parWorkers   int
 	parThreshold int
-	tracer       *obs.Tracer
-	traceTID     int
 }
 
 // WithStmtFilter restricts the analysis to statements for which keep
@@ -100,12 +98,6 @@ func WithParallelSolve(workers, threshold int) Option {
 // given (tuned on the bench workloads: below a few hundred nodes the
 // barrier per front dominates).
 const DefaultParSolveThreshold = 512
-
-// WithTracer emits one span per solve wave on the given track of tr
-// (nil-safe). Only the delta solver produces waves.
-func WithTracer(tr *obs.Tracer, tid int) Option {
-	return func(c *config) { c.tracer = tr; c.traceTID = tid }
-}
 
 // SolverStats reports how much work the constraint solver did — the
 // instrumentation window behind the `-stats` flag and the bench cache
@@ -204,8 +196,6 @@ type solver struct {
 
 	parWorkers   int
 	parThreshold int
-	tracer       *obs.Tracer
-	traceTID     int
 }
 
 // Analyze runs Andersen's analysis over p (optionally restricted).
@@ -243,8 +233,6 @@ func Analyze(p *ir.Program, opts ...Option) *Analysis {
 		}
 		s.parWorkers = cfg.parWorkers
 		s.parThreshold = cfg.parThreshold
-		s.tracer = cfg.tracer
-		s.traceTID = cfg.traceTID
 	} else {
 		s.prev = make([]*bitset.Set, nv)
 		for i := range s.prev {

@@ -71,12 +71,7 @@ func (s *solver) solveDelta() {
 	for {
 		s.stats.Waves++
 		fronts := s.condenseDelta(index, low, level, onStack, mark)
-		span := s.tracer.Start("andersen", "wave", s.traceTID).
-			Arg("wave", int(s.stats.Waves)).
-			Arg("fronts", len(fronts)).
-			Arg("nodes", len(s.active))
 		s.runWave(fronts, parallel)
-		span.End()
 		s.dirty = false
 		s.complexDelta()
 		if !s.dirty {

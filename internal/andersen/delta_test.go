@@ -48,9 +48,9 @@ func TestDeltaSolveBasics(t *testing.T) {
 	}
 }
 
-// TestDeltaSolveRandom asserts the delta solver is bit-identical to the
-// serial full-propagation baseline on random programs — the ISSUE's
-// differential guarantee for -no-delta.
+// TestDeltaSolveRandom asserts the delta solver is bit-identical on
+// random programs to the plain full-propagation solver, the one package
+// core runs.
 func TestDeltaSolveRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test skipped in -short mode")

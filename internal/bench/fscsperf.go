@@ -37,8 +37,8 @@ type FSCSPerfPoint struct {
 	Clusters int    `json:"clusters"`
 	// Workers is this row's parallelism: each workload is measured at
 	// Workers=1 (the serial trajectory older baselines recorded) and
-	// Workers=8 (where the parallel wave-front solve and the pipelined
-	// cascade earn their keep). Zero in a pre-PR-7 baseline file means
+	// Workers=8 (where the pipelined cascade and the parallel FSCS
+	// workers earn their keep). Zero in a pre-PR-7 baseline file means
 	// "whatever GOMAXPROCS was"; AssertFSCS matches those rows against
 	// the fresh Workers=8 measurements.
 	Workers int `json:"workers,omitempty"`
@@ -134,8 +134,8 @@ func LegacyAnalyzeProgram(prog *ir.Program, threshold, workers int) {
 }
 
 // fscsWorkersAxis is the parallelism dimension of the report: the serial
-// trajectory older baselines recorded, and the width where the parallel
-// wave-front solve and the pipelined cascade earn their keep.
+// trajectory older baselines recorded, and the width where the pipelined
+// cascade and the parallel FSCS workers earn their keep.
 var fscsWorkersAxis = [2]int{1, 8}
 
 // SizeHist summarizes a size distribution with the three quantiles the
@@ -161,9 +161,9 @@ func SizeHist(sizes []int) (p50, p90, max int) {
 // fixed cover order so successive BENCH_fscs.json files diff cleanly),
 // at each parallelism of fscsWorkersAxis. reps < 1 defaults to 3.
 //
-// The optimized (pipelined) side runs the default PR-7 configuration —
-// delta propagation and the parallel wave-front solve above its default
-// threshold; the baseline side is the frozen legacy cascade. The
+// The optimized (pipelined) side runs the default core configuration,
+// which solves Andersen with the plain worklist solver; the baseline side
+// is the frozen legacy cascade. The
 // oversharing-resistant precise partitioner is measured separately (the
 // precise_partition_max column): its overlapping cover shrinks the worst
 // partition but enlarges the cluster cover, so it is a precision knob,

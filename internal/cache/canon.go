@@ -43,9 +43,9 @@ type Key [sha256.Size]byte
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Params are the precision knobs that shape an engine's results and are
-// therefore part of the cache key. Result-neutral knobs — interning,
-// pipelining, cycle elimination — are deliberately excluded, so one
-// cache entry serves every combination of them.
+// therefore part of the cache key. Settings that cannot change a result,
+// such as the worker count or fscs.WithInterning, are deliberately
+// excluded, so one cache entry serves every value of them.
 type Params struct {
 	MaxCond int   // condition-width bound (fscs.WithMaxCond)
 	Budget  int64 // worklist tuple budget (fscs.WithBudget)

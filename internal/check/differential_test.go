@@ -61,7 +61,6 @@ func TestDifferentialKnobs(t *testing.T) {
 		mut  func(*core.Config)
 	}{
 		{"default", func(*core.Config) {}},
-		{"no-delta", func(c *core.Config) { c.DisableDeltaProp = true }},
 		{"steens-precise", func(c *core.Config) { c.SteensPrecise = true }},
 		{"workers-1", func(c *core.Config) { c.Workers = 1 }},
 		{"workers-8", func(c *core.Config) { c.Workers = 8 }},

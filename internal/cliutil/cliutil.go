@@ -29,15 +29,8 @@ type AnalysisFlags struct {
 	ClusterTimeout time.Duration
 	Retries        int
 
-	NoIntern   bool
-	NoPipeline bool
-	CycleElim  bool
-	CacheDir   string
-
-	NoDelta           bool
-	NoParSolve        bool
-	ParSolveThreshold int
-	SteensPrecise     bool
+	CacheDir      string
+	SteensPrecise bool
 }
 
 // Register installs the analysis flags on fs.
@@ -52,14 +45,7 @@ func (f *AnalysisFlags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&f.ClusterTimeout, "cluster-timeout", 0, "per-cluster wall-clock deadline, the paper's 15-minute analogue (0 = none)")
 	fs.IntVar(&f.Retries, "retries", 1, "degradation-ladder retries per failed cluster, each halving budget and condition width (0 = demote immediately)")
 
-	fs.BoolVar(&f.NoIntern, "no-intern", false, "disable condition-interning memo tables (slower; results identical)")
-	fs.BoolVar(&f.NoPipeline, "no-pipeline", false, "run the clustering cascade serially before FSCS instead of pipelined (slower; results identical)")
-	fs.BoolVar(&f.CycleElim, "cycle-elim", true, "online cycle elimination in the Andersen solver (results identical either way)")
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "directory for the persistent per-cluster result cache; warm re-runs import unchanged clusters instead of re-solving (results identical)")
-
-	fs.BoolVar(&f.NoDelta, "no-delta", false, "disable difference propagation in the Andersen solver, reverting to the legacy full-propagation worklist (slower; results identical)")
-	fs.BoolVar(&f.NoParSolve, "no-par-solve", false, "keep Andersen delta solves serial even on oversized partitions (slower; results identical)")
-	fs.IntVar(&f.ParSolveThreshold, "par-solve-threshold", 0, "constrained-node count above which an Andersen solve fans wave fronts across the worker pool (0 = default 512)")
 	fs.BoolVar(&f.SteensPrecise, "steens-precise", false, "oversharing-resistant Steensgaard: write-only sinks join source partitions via an overlay instead of unifying them (smaller max partition; sound, may be more precise)")
 }
 
@@ -129,6 +115,9 @@ func (f *AnalysisFlags) Config() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
+	if f.Workers < 0 {
+		return core.Config{}, fmt.Errorf("-workers %d: want 0 (GOMAXPROCS) or more", f.Workers)
+	}
 	cfg := core.Config{
 		Mode:              m,
 		AndersenThreshold: f.Threshold,
@@ -138,12 +127,6 @@ func (f *AnalysisFlags) Config() (core.Config, error) {
 		ClusterTimeout:    f.ClusterTimeout,
 		RunTimeout:        f.RunTimeout,
 		Retries:           LadderRetries(f.Retries),
-		DisableInterning:  f.NoIntern,
-		DisablePipelining: f.NoPipeline,
-		DisableCycleElim:  !f.CycleElim,
-		DisableDeltaProp:  f.NoDelta,
-		DisableParSolve:   f.NoParSolve,
-		ParSolveThreshold: f.ParSolveThreshold,
 		SteensPrecise:     f.SteensPrecise,
 	}
 	if f.CacheDir != "" {

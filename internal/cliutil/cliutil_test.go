@@ -44,7 +44,7 @@ func TestAnalysisFlagsConfig(t *testing.T) {
 	dir := t.TempDir()
 	err := fs.Parse([]string{
 		"-mode", "steensgaard", "-threshold", "12", "-workers", "3",
-		"-budget", "500", "-retries", "0", "-no-intern", "-cycle-elim=false",
+		"-budget", "500", "-retries", "0", "-steens-precise",
 		"-cache-dir", dir,
 	})
 	if err != nil {
@@ -61,11 +61,20 @@ func TestAnalysisFlagsConfig(t *testing.T) {
 	if cfg.Retries != -1 {
 		t.Errorf("Retries = %d, want -1 (flag 0 means demote immediately)", cfg.Retries)
 	}
-	if !cfg.DisableInterning || !cfg.DisableCycleElim {
+	if !cfg.SteensPrecise {
 		t.Errorf("toggles not mapped: %+v", cfg)
 	}
 	if cfg.Cache == nil {
 		t.Error("cache-dir should create a cache")
+	}
+
+	af.Workers = -1
+	if _, err := af.Config(); err == nil {
+		t.Error("negative -workers should error")
+	}
+	af.Workers = 0
+	if _, err := af.Config(); err != nil {
+		t.Errorf("-workers 0 means GOMAXPROCS: %v", err)
 	}
 
 	af.Mode = "bogus"

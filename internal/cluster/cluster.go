@@ -318,17 +318,6 @@ func BuildSteensgaard(p *ir.Program, sa *steens.Analysis) []*Cluster {
 // benchmark suite.
 const DefaultAndersenThreshold = 60
 
-// buildPartition computes one Steensgaard partition's contribution to the
-// Andersen cover: the partition kept whole when small or structure-free,
-// or its Andersen refinement otherwise. Cluster IDs are left at 0 for the
-// caller to renumber; the per-partition output order is deterministic
-// (sorted member keys). Safe to call concurrently — the Index is read-only
-// after construction and each call runs its own Andersen solver.
-func buildPartition(ix *Index, part []ir.VarID, threshold int, aopts []andersen.Option) []*Cluster {
-	_, cs := BuildPartitionWithBase(ix, part, threshold, aopts)
-	return cs
-}
-
 // NewWithIndex assembles one cluster over a prebuilt shared Index — the
 // bulk-construction seam New wraps for single callers. Incremental
 // reanalysis uses it to recompute a partition's Algorithm-1 base slice
@@ -338,13 +327,16 @@ func NewWithIndex(ix *Index, id int, kind Kind, pointers []ir.VarID) *Cluster {
 }
 
 // BuildPartitionWithBase computes one Steensgaard partition's
-// contribution to the Andersen-refined cover (IDs left 0 for the caller
-// to assign) along with the partition's base Steensgaard cluster — the
-// Algorithm-1 slice over the whole partition that the refinement was
-// restricted to. A nil base means the partition is alias-free and
-// contributes nothing. Deterministic and safe for concurrent calls over
-// a shared Index.
-func BuildPartitionWithBase(ix *Index, part []ir.VarID, threshold int, aopts []andersen.Option) (*Cluster, []*Cluster) {
+// contribution to the Andersen-refined cover — the partition kept whole
+// when small or structure-free, its Andersen refinement otherwise — along
+// with the partition's base Steensgaard cluster: the Algorithm-1 slice
+// over the whole partition that the refinement was restricted to. A nil
+// base means the partition is alias-free and contributes nothing.
+// Cluster IDs are left at 0 for the caller to assign; the per-partition
+// output order is deterministic (sorted member keys). Safe for concurrent
+// calls over a shared Index: it is read-only after construction and each
+// call runs its own Andersen solve, with aopts (see BuildAndersen).
+func BuildPartitionWithBase(ix *Index, part []ir.VarID, threshold int, aopts ...andersen.Option) (*Cluster, []*Cluster) {
 	base := newCluster(ix, 0, KindSteensgaard, part)
 	base.Part = part
 	if len(base.Stmts) == 0 {
@@ -354,8 +346,8 @@ func BuildPartitionWithBase(ix *Index, part []ir.VarID, threshold int, aopts []a
 		return base, []*Cluster{base}
 	}
 	// Oversized: Andersen restricted to the partition's slice. Copy the
-	// caller's options before appending — concurrent buildPartition calls
-	// share the aopts backing array.
+	// caller's options before appending — concurrent calls share the
+	// aopts backing array.
 	opts := make([]andersen.Option, 0, len(aopts)+1)
 	opts = append(opts, aopts...)
 	opts = append(opts, andersen.WithStmtFilter(base.HasStmt))
@@ -408,7 +400,8 @@ func BuildPartitionWithBase(ix *Index, part []ir.VarID, threshold int, aopts []a
 // of per-cluster aliases complete.
 //
 // aopts are passed to every per-partition Andersen solve (e.g.
-// andersen.WithCycleElimination); they never change the computed cover.
+// andersen.WithDeltaPropagation); they never change the computed cover.
+// Package core passes none.
 func BuildAndersen(p *ir.Program, sa *steens.Analysis, threshold int, aopts ...andersen.Option) []*Cluster {
 	if threshold <= 0 {
 		threshold = DefaultAndersenThreshold
@@ -416,7 +409,8 @@ func BuildAndersen(p *ir.Program, sa *steens.Analysis, threshold int, aopts ...a
 	ix := NewIndex(p, sa)
 	var out []*Cluster
 	for _, part := range sa.Partitions() {
-		for _, c := range buildPartition(ix, part, threshold, aopts) {
+		_, cs := BuildPartitionWithBase(ix, part, threshold, aopts...)
+		for _, c := range cs {
 			c.ID = len(out)
 			out = append(out, c)
 		}
@@ -433,7 +427,7 @@ func BuildAndersen(p *ir.Program, sa *steens.Analysis, threshold int, aopts ...a
 // analysis on early clusters while later partitions are still being
 // refined. The channel is closed when the cover is complete or ctx is
 // cancelled (possibly mid-cover).
-func StreamAndersen(ctx context.Context, p *ir.Program, sa *steens.Analysis, threshold, workers int, aopts ...andersen.Option) <-chan *Cluster {
+func StreamAndersen(ctx context.Context, p *ir.Program, sa *steens.Analysis, threshold, workers int) <-chan *Cluster {
 	if threshold <= 0 {
 		threshold = DefaultAndersenThreshold
 	}
@@ -467,19 +461,14 @@ func StreamAndersen(ctx context.Context, p *ir.Program, sa *steens.Analysis, thr
 		go func() {
 			for i := range jobs {
 				part := parts[i]
-				if tr != nil && len(part) > threshold {
-					sp := tr.Start("cluster", "refine", tid).
+				var sp *obs.Span
+				if len(part) > threshold {
+					sp = tr.Start("cluster", "refine", tid).
 						Arg("partition", i).Arg("size", len(part))
-					// Wave spans of the per-partition Andersen solve land
-					// on this worker's track, nested under the refine span.
-					topts := append(append([]andersen.Option{}, aopts...),
-						andersen.WithTracer(tr, tid))
-					cs := buildPartition(ix, part, threshold, topts)
-					sp.Arg("clusters", len(cs)).End()
-					results[i] <- cs
-					continue
 				}
-				results[i] <- buildPartition(ix, part, threshold, aopts)
+				_, cs := BuildPartitionWithBase(ix, part, threshold)
+				sp.Arg("clusters", len(cs)).End()
+				results[i] <- cs
 			}
 		}()
 	}

@@ -14,7 +14,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -63,8 +62,8 @@ type Config struct {
 	// Steensgaard and Andersen, refining which partitions are considered
 	// oversized (the cascade extension the paper suggests in Section 4).
 	UseOneFlow bool
-	// Workers bounds the per-cluster parallelism. Zero means GOMAXPROCS;
-	// 1 forces sequential execution.
+	// Workers bounds the per-cluster parallelism. Zero or negative means
+	// GOMAXPROCS; 1 forces sequential execution.
 	Workers int
 	// ClusterBudget caps the worklist tuples each per-cluster engine may
 	// process — the analogue of the paper's 15-minute timeout. Zero means
@@ -113,38 +112,6 @@ type Config struct {
 	// different pointer analysis methods to analyze different clusters
 	// based on their sizes and access densities").
 	HybridSizeLimit int
-	// DisableInterning turns off the FSCS engines' memoized hash-consed
-	// condition operators; every conjunction is recomputed structurally.
-	// Alias results are bit-for-bit identical either way — the knob trades
-	// speed only, and exists for benchmarking and as an escape hatch.
-	DisableInterning bool
-	// DisablePipelining forces the serial front-end: the complete Andersen
-	// cover is built before any FSCS engine starts. By default (false) the
-	// eager ModeAndersen cascade streams clusters from the cover builder
-	// into the FSCS workers as partitions finish, overlapping the two
-	// stages. Results are identical; the knob trades speed only.
-	DisablePipelining bool
-	// DisableCycleElim turns off the Andersen solver's online cycle
-	// elimination (SCC collapsing) in both the whole-program fallback and
-	// the per-partition clustering solves. Points-to results are identical
-	// either way — the knob trades speed only.
-	DisableCycleElim bool
-	// DisableDeltaProp turns off the Andersen solver's difference
-	// propagation (per-node delta sets drained in wave order over the
-	// collapsed SCC DAG) in both the fallback and the clustering solves,
-	// reverting to the legacy full-propagation worklist. Points-to results
-	// are bit-for-bit identical either way — the knob keeps the old path
-	// alive as a differential baseline.
-	DisableDeltaProp bool
-	// DisableParSolve keeps the delta solver serial even on partitions
-	// above ParSolveThreshold. The parallel solve fans each wave front
-	// across a bounded worker pool; results are identical, the knob trades
-	// speed only. Implied by DisableDeltaProp and by Workers == 1.
-	DisableParSolve bool
-	// ParSolveThreshold is the constrained-node count above which an
-	// Andersen solve switches from the serial to the parallel wave-front
-	// path. Zero selects andersen.DefaultParSolveThreshold.
-	ParSolveThreshold int
 	// SteensPrecise enables the oversharing-resistant Steensgaard
 	// variant: write-only sink variables no longer eagerly unify the
 	// partitions copied into them; instead the sink joins each source's
@@ -174,26 +141,6 @@ type Config struct {
 	// registry may be shared across runs — counters only ever add. Nil
 	// disables; engines then skip even the end-of-run flush.
 	Metrics *obs.Metrics
-}
-
-// andersenOpts translates the config's solver knobs into Andersen
-// options, shared by the fallback analysis and the clustering solves.
-func (cfg Config) andersenOpts() []andersen.Option {
-	var opts []andersen.Option
-	if !cfg.DisableCycleElim {
-		opts = append(opts, andersen.WithCycleElimination())
-	}
-	if !cfg.DisableDeltaProp {
-		opts = append(opts, andersen.WithDeltaPropagation())
-		if !cfg.DisableParSolve && cfg.Workers != 1 {
-			w := cfg.Workers
-			if w <= 0 {
-				w = runtime.GOMAXPROCS(0)
-			}
-			opts = append(opts, andersen.WithParallelSolve(w, cfg.ParSolveThreshold))
-		}
-	}
-	return opts
 }
 
 // steensOpts translates the config's partitioning knobs into Steensgaard
@@ -307,13 +254,12 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*
 	}
 	planDefaults(&cfg)
 
-	// The eager full-bootstrap cascade runs pipelined by default: clusters
-	// stream from the cover builder straight into the FSCS workers instead
-	// of waiting for the whole cover, and the fallback runs concurrently.
+	// The eager full-bootstrap cascade runs pipelined: clusters stream
+	// from cover construction straight into the FSCS workers instead of
+	// waiting for the whole cover, and the fallback runs concurrently.
 	// Every other configuration (other modes, One-Flow refinement, lazy
-	// mode, DisablePipelining) takes the serial BuildPlan +
-	// AnalyzeFromPlan path below.
-	if cfg.Mode == ModeAndersen && !cfg.UseOneFlow && !cfg.DisablePipelining && !cfg.Lazy {
+	// mode) takes the serial BuildPlan + AnalyzeFromPlan path below.
+	if cfg.Mode == ModeAndersen && !cfg.UseOneFlow && !cfg.Lazy {
 		a := newAnalysis(prog, cfg)
 		var cacheBefore cache.Stats
 		if cfg.Cache != nil {
@@ -338,7 +284,7 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: analysis cancelled: %w", err)
 		}
-		if _, err := a.runPipelined(ctx, prog, sa, cfg); err != nil {
+		if err := a.runPipelined(ctx, sa, cfg); err != nil {
 			return nil, err
 		}
 		if cfg.Cache != nil {
@@ -361,116 +307,53 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*
 // (FSCS workers block on their readiness before the first engine runs).
 //
 // Output is identical to the serial path: the stream delivers clusters in
-// BuildAndersen order with BuildAndersen IDs, per-cluster results land in
-// indexed slots (never raced), and Health is sorted by cluster ID. The
-// cover is built under the caller's ctx, not the RunTimeout context —
-// RunTimeout degrades FSCS precision per cluster but must never truncate
-// the cover itself, or queries on missing clusters would be unsound.
-func (a *Analysis) runPipelined(ctx context.Context, prog *ir.Program, sa *steens.Analysis, cfg Config) (*Analysis, error) {
-	tr := cfg.Tracer
+// BuildAndersen order with BuildAndersen IDs, and the shared scheduler
+// installs results by cluster ID and reports health sorted by it. The
+// cover is built under the caller's ctx, not the RunTimeout context (see
+// stageContext).
+func (a *Analysis) runPipelined(ctx context.Context, sa *steens.Analysis, cfg Config) error {
+	prog, tr := a.Prog, cfg.Tracer
 	tr.NameThread(obs.TIDFallback, "fallback")
 	fallbackReady := make(chan struct{})
 	go func() {
 		defer close(fallbackReady)
 		sp := tr.Start("phase", "fallback", obs.TIDFallback)
-		a.Andersen = andersen.Analyze(prog,
-			append(cfg.andersenOpts(), andersen.WithTracer(tr, obs.TIDFallback))...)
+		a.Andersen = andersen.Analyze(prog)
 		a.CallGraph = callgraph.Build(prog)
 		sp.End()
 	}()
-
-	runCtx := ctx
-	if cfg.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, cfg.RunTimeout)
-		defer cancel()
-	}
 
 	t1 := time.Now()
 	fsp := tr.Start("phase", "fscs", obs.TIDMain).Arg("workers", cfg.Workers)
 	csp := tr.Start("phase", "clustering", obs.TIDMain).Arg("mode", cfg.Mode.String())
 	stream := cluster.StreamAndersen(obs.ContextWithTracer(ctx, tr), prog, sa,
-		cfg.AndersenThreshold, cfg.Workers, cfg.andersenOpts()...)
-
-	type slot struct {
-		c   *cluster.Cluster
-		eng *fscs.Engine
-		h   ClusterHealth
-	}
-	jobs := make(chan *slot, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		tr.NameThread(obs.WorkerTID(w), fmt.Sprintf("fscs-worker-%d", w))
-		go func(w int) {
-			defer wg.Done()
-			<-fallbackReady
-			wctx := obs.ContextWithWorker(runCtx, w)
-			for s := range jobs {
-				s.eng, s.h = RunCluster(wctx, prog, a.CallGraph, sa, s.c, a.Andersen, cfg)
-			}
-		}(w)
-	}
-
-	// Demand-driven selection and the hybrid size cut-off apply per
-	// streamed cluster — both are local predicates, so filtering needs no
-	// cover-completion barrier.
-	selects := func(c *cluster.Cluster) bool {
-		if cfg.HybridSizeLimit > 0 && c.Size() > cfg.HybridSizeLimit {
-			return false
-		}
-		if cfg.Demand == nil {
-			return true
-		}
-		for _, v := range c.Pointers {
-			if cfg.Demand(prog.Var(v)) {
-				return true
+		cfg.AndersenThreshold, cfg.Workers)
+	work := make(chan *cluster.Cluster)
+	go func() {
+		defer close(work)
+		for c := range stream {
+			a.Clusters = append(a.Clusters, c)
+			if a.admit(c) {
+				work <- c
 			}
 		}
-		return false
-	}
-
-	var slots []*slot
-	for c := range stream {
-		a.Clusters = append(a.Clusters, c)
-		if !selects(c) {
-			continue
-		}
-		s := &slot{c: c}
-		slots = append(slots, s)
-		jobs <- s
-	}
-	// Under pipelining the clustering span overlaps the FSCS wall clock; it
-	// ends when the last partition's refinement has been delivered.
-	a.Timing.Clustering = time.Since(t1)
-	csp.Arg("clusters", len(a.Clusters)).End()
-	close(jobs)
-	wg.Wait()
+		// Under pipelining the clustering span overlaps the FSCS wall
+		// clock; it ends when the last partition's refinement has been
+		// delivered.
+		a.Timing.Clustering = time.Since(t1)
+		csp.Arg("clusters", len(a.Clusters)).End()
+	}()
+	runCtx, cancel := stageContext(ctx, cfg)
+	defer cancel()
+	hs := a.runEager(runCtx, work, fallbackReady, cfg)
 	a.Timing.Wall = time.Since(t1)
-	fsp.Arg("clusters", len(slots)).End()
+	fsp.Arg("clusters", len(hs)).End()
 	a.Andersen.SolverStats().Record(cfg.Metrics)
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: analysis cancelled: %w", err)
+		return fmt.Errorf("core: analysis cancelled: %w", err)
 	}
-
-	a.Timing.PerCluster = make([]time.Duration, len(slots))
-	for i, s := range slots {
-		a.selected[s.c.ID] = s.c
-		for _, p := range s.c.Pointers {
-			a.byPointer[p] = append(a.byPointer[p], s.c.ID)
-		}
-		if s.eng != nil {
-			a.engines[s.c.ID] = s.eng
-		} else {
-			// Permanently demoted (see the serial path).
-			delete(a.selected, s.c.ID)
-		}
-		a.Timing.PerCluster[i] = s.h.Elapsed
-		a.Timing.FSCS += s.h.Elapsed
-		a.Health = append(a.Health, s.h)
-	}
-	sort.Slice(a.Health, func(i, j int) bool { return a.Health[i].ClusterID < a.Health[j].ClusterID })
-	return a, nil
+	a.recordEager(hs)
+	return nil
 }
 
 func maxCondOrDefault(n int) int {
@@ -484,9 +367,9 @@ func maxCondOrDefault(n int) int {
 // oversized Steensgaard partition whose largest One-Flow refinement is
 // within the threshold is split along the One-Flow refinement instead of
 // paying for an Andersen run.
-func buildWithOneFlow(prog *ir.Program, sa *steens.Analysis, of *oneflow.Analysis, threshold int, aopts []andersen.Option) []*cluster.Cluster {
+func buildWithOneFlow(prog *ir.Program, sa *steens.Analysis, of *oneflow.Analysis, threshold int) []*cluster.Cluster {
 	var out []*cluster.Cluster
-	andersenCover := cluster.BuildAndersen(prog, sa, threshold, aopts...)
+	andersenCover := cluster.BuildAndersen(prog, sa, threshold)
 	// BuildAndersen already keeps small partitions; reuse it, but first
 	// check the One-Flow split for the oversized ones. For simplicity the
 	// One-Flow stage only changes which partitions get the expensive
@@ -562,7 +445,6 @@ func (a *Analysis) getEngine(clusterID int) *fscs.Engine {
 		fscs.WithFallback(a.Andersen),
 		fscs.WithBudget(a.cfg.ClusterBudget),
 		fscs.WithMaxCond(maxCondOrDefault(a.cfg.MaxCond)),
-		fscs.WithInterning(!a.cfg.DisableInterning),
 		fscs.WithMetrics(a.cfg.Metrics))
 	a.engines[clusterID] = e
 	return e

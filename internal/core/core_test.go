@@ -314,23 +314,38 @@ func TestClusterTimeoutDegradesEverything(t *testing.T) {
 	assertSound(t, healthy, a)
 }
 
+// TestRunTimeoutDegradesEverything: an expired run deadline demotes
+// every cluster, on the serial path (ModeSteensgaard) and on the
+// pipelined one (eager ModeAndersen), whose cover is built under the
+// caller's context: the deadline must never truncate it.
 func TestRunTimeoutDegradesEverything(t *testing.T) {
-	healthy, err := AnalyzeSource(testProgram, Config{Mode: ModeSteensgaard, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := AnalyzeSource(testProgram, Config{
-		Mode: ModeSteensgaard, Workers: 4, RunTimeout: time.Nanosecond,
-	})
-	if err != nil {
-		t.Fatalf("an expired run deadline must degrade, not fail: %v", err)
-	}
-	for _, h := range a.Health {
-		if h.Status != HealthTimedOut || !h.Demoted {
-			t.Errorf("cluster %d: %+v, want timed-out+demoted under an expired run deadline", h.ClusterID, h)
+	for _, cfg := range []Config{
+		{Mode: ModeSteensgaard, Workers: 4},
+		{Mode: ModeAndersen, AndersenThreshold: 2, Workers: 4},
+	} {
+		healthy, err := AnalyzeSource(testProgram, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(healthy.Health) == 0 {
+			t.Fatalf("%s: no cluster scheduled; the check would be vacuous", cfg.Mode)
+		}
+		cfg.RunTimeout = time.Nanosecond
+		a, err := AnalyzeSource(testProgram, cfg)
+		if err != nil {
+			t.Fatalf("%s: an expired run deadline must degrade, not fail: %v", cfg.Mode, err)
+		}
+		if len(a.Clusters) != len(healthy.Clusters) || len(a.Health) != len(healthy.Health) {
+			t.Errorf("%s: %d clusters, %d scheduled under the deadline; healthy run has %d, %d",
+				cfg.Mode, len(a.Clusters), len(a.Health), len(healthy.Clusters), len(healthy.Health))
+		}
+		for _, h := range a.Health {
+			if h.Status != HealthTimedOut || !h.Demoted {
+				t.Errorf("%s: cluster %d: %+v, want timed-out+demoted under an expired run deadline", cfg.Mode, h.ClusterID, h)
+			}
+		}
+		assertSound(t, healthy, a)
 	}
-	assertSound(t, healthy, a)
 }
 
 func TestCallerCancellation(t *testing.T) {

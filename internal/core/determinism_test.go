@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"bootstrap/internal/cache"
+	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
 )
 
@@ -36,50 +38,35 @@ func aliasDump(a *Analysis) string {
 	return b.String()
 }
 
-// TestDeterministicAcrossWorkersAndKnobs is the PR's determinism
-// acceptance check: alias results must be bit-for-bit identical across
-// worker counts and with the interning, pipelining and cycle-elimination
-// optimizations toggled off — the knobs and the parallelism trade work,
-// never answers.
-func TestDeterministicAcrossWorkersAndKnobs(t *testing.T) {
+// TestDeterministicAcrossWorkers is the determinism acceptance check:
+// alias results must be bit-for-bit identical across worker counts —
+// parallelism trades work, never answers. A negative count means
+// GOMAXPROCS, like zero.
+func TestDeterministicAcrossWorkers(t *testing.T) {
 	var want string
-	first := true
-	for _, workers := range []int{1, 8} {
-		for _, noIntern := range []bool{false, true} {
-			for _, noPipe := range []bool{false, true} {
-				for _, noCycle := range []bool{false, true} {
-					cfg := Config{
-						Mode:              ModeAndersen,
-						Workers:           workers,
-						AndersenThreshold: 2, // force Andersen refinement
-						DisableInterning:  noIntern,
-						DisablePipelining: noPipe,
-						DisableCycleElim:  noCycle,
-					}
-					a, err := AnalyzeSource(testProgram, cfg)
-					if err != nil {
-						t.Fatalf("workers=%d noIntern=%v noPipe=%v noCycle=%v: %v",
-							workers, noIntern, noPipe, noCycle, err)
-					}
-					dump := aliasDump(a)
-					if first {
-						want, first = dump, false
-						continue
-					}
-					if dump != want {
-						t.Errorf("workers=%d noIntern=%v noPipe=%v noCycle=%v: results diverge\n--- want\n%s--- got\n%s",
-							workers, noIntern, noPipe, noCycle, want, dump)
-					}
-				}
-			}
+	for _, workers := range []int{1, 2, 8, -1} {
+		a, err := AnalyzeSource(testProgram, Config{
+			Mode:              ModeAndersen,
+			Workers:           workers,
+			AndersenThreshold: 2, // force Andersen refinement
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		dump := aliasDump(a)
+		if want == "" {
+			want = dump
+			continue
+		}
+		if dump != want {
+			t.Errorf("workers=%d: results diverge\n--- want\n%s--- got\n%s", workers, want, dump)
 		}
 	}
 }
 
 // TestDeterministicWithWarmCache extends the determinism check to the
-// result cache: with one cache shared across every knob combination, each
-// run after the first must serve entirely from it (the fingerprint
-// excludes the result-neutral knobs) and still produce the same
+// result cache: with one cache shared across worker counts, each run
+// after the first must serve entirely from it and still produce the same
 // bit-for-bit dump as a cache-free analysis. Caching trades time, never
 // answers.
 func TestDeterministicWithWarmCache(t *testing.T) {
@@ -92,44 +79,49 @@ func TestDeterministicWithWarmCache(t *testing.T) {
 	want := aliasDump(fresh)
 
 	shared := cache.New(cache.Options{})
-	first := true
-	for _, workers := range []int{1, 8} {
-		for _, noIntern := range []bool{false, true} {
-			for _, noPipe := range []bool{false, true} {
-				for _, noCycle := range []bool{false, true} {
-					cfg := Config{
-						Mode:              ModeAndersen,
-						Workers:           workers,
-						AndersenThreshold: 2,
-						DisableInterning:  noIntern,
-						DisablePipelining: noPipe,
-						DisableCycleElim:  noCycle,
-						Cache:             shared,
-					}
-					a, err := AnalyzeSource(testProgram, cfg)
-					if err != nil {
-						t.Fatalf("workers=%d noIntern=%v noPipe=%v noCycle=%v: %v",
-							workers, noIntern, noPipe, noCycle, err)
-					}
-					if dump := aliasDump(a); dump != want {
-						t.Errorf("workers=%d noIntern=%v noPipe=%v noCycle=%v: cached results diverge from fresh\n--- fresh\n%s--- got\n%s",
-							workers, noIntern, noPipe, noCycle, want, dump)
-					}
-					if first {
-						first = false
-						if a.CacheStats.Misses != int64(len(a.Health)) {
-							t.Errorf("first run stats = %+v, want all misses", a.CacheStats)
-						}
-						continue
-					}
-					if a.CacheStats.Misses != 0 {
-						t.Errorf("workers=%d noIntern=%v noPipe=%v noCycle=%v: warm run missed %d times, want pure hits",
-							workers, noIntern, noPipe, noCycle, a.CacheStats.Misses)
-					}
-				}
+	for i, workers := range []int{1, 2, 8} {
+		a, err := AnalyzeSource(testProgram, Config{
+			Mode:              ModeAndersen,
+			Workers:           workers,
+			AndersenThreshold: 2,
+			Cache:             shared,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if dump := aliasDump(a); dump != want {
+			t.Errorf("workers=%d: cached results diverge from fresh\n--- fresh\n%s--- got\n%s", workers, want, dump)
+		}
+		if i == 0 {
+			if a.CacheStats.Misses != int64(len(a.Health)) {
+				t.Errorf("first run stats = %+v, want all misses", a.CacheStats)
 			}
+			continue
+		}
+		if a.CacheStats.Misses != 0 {
+			t.Errorf("workers=%d: warm run missed %d times, want pure hits", workers, a.CacheStats.Misses)
 		}
 	}
+}
+
+// analyzeSerial runs src through the serial cascade, BuildPlan then
+// AnalyzeFromPlan, which an eager ModeAndersen analysis otherwise
+// pipelines.
+func analyzeSerial(t *testing.T, src string, cfg Config) *Analysis {
+	t.Helper()
+	prog, err := frontend.LowerSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := BuildPlan(context.Background(), prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := AnalyzeFromPlan(context.Background(), pl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 // TestPipelinedMatchesSerialCover: the streamed cover must be the
@@ -150,12 +142,7 @@ func TestPipelinedMatchesSerialCover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serialCfg := tc.cfg
-			serialCfg.DisablePipelining = true
-			serial, err := AnalyzeSource(testProgram, serialCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			serial := analyzeSerial(t, testProgram, tc.cfg)
 			if got, want := aliasDump(piped), aliasDump(serial); got != want {
 				t.Errorf("pipelined cover/results diverge from serial\n--- serial\n%s--- pipelined\n%s", want, got)
 			}

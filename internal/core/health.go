@@ -210,7 +210,6 @@ func runLadder(ctx context.Context, prog *ir.Program, cg *callgraph.Graph, sa *s
 				fscs.WithFallback(fallback),
 				fscs.WithBudget(budget),
 				fscs.WithMaxCond(maxCond),
-				fscs.WithInterning(!cfg.DisableInterning),
 				fscs.WithMetrics(cfg.Metrics))
 			isp.Arg("ok", err == nil).End()
 			if err == nil {
@@ -242,7 +241,6 @@ func runLadder(ctx context.Context, prog *ir.Program, cg *callgraph.Graph, sa *s
 			fscs.WithBudget(budget),
 			fscs.WithMaxCond(maxCond),
 			fscs.WithContext(attemptCtx),
-			fscs.WithInterning(!cfg.DisableInterning),
 			fscs.WithMetrics(cfg.Metrics),
 		}
 		if cfg.Faults != nil {

@@ -39,7 +39,6 @@ import (
 	"bootstrap/internal/callgraph"
 	"bootstrap/internal/cluster"
 	"bootstrap/internal/frontend"
-	"bootstrap/internal/fscs"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/obs"
 	"bootstrap/internal/steens"
@@ -165,7 +164,7 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	auxDone := make(chan struct{})
 	go func() {
 		defer close(auxDone)
-		aa = andersen.Analyze(newProg, cfg.andersenOpts()...)
+		aa = andersen.Analyze(newProg)
 		cg = callgraph.Build(newProg)
 	}()
 
@@ -201,7 +200,6 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	ix := cluster.NewIndex(newProg, sa2)
 	parts2 := sa2.Partitions()
 	threshold := cfg.AndersenThreshold
-	aopts := cfg.andersenOpts()
 	newBases := make(map[string]*cluster.Cluster, len(parts2))
 
 	type transplant struct {
@@ -245,7 +243,7 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 			}
 			continue
 		}
-		b2, cs := cluster.BuildPartitionWithBase(ix, part, threshold, aopts)
+		b2, cs := cluster.BuildPartitionWithBase(ix, part, threshold)
 		if b2 != nil {
 			newBases[key] = b2
 		}
@@ -268,23 +266,6 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	a2.Timing.Steensgaard = steensElapsed
 	a2.Timing.Clustering = clusteringElapsed
 
-	// Selection: reused clusters inherit the previous decision (the
-	// predicate inputs are unchanged); recomputed clusters re-apply the
-	// demand/hybrid predicates exactly as AnalyzeFromPlan does.
-	selects := func(c *cluster.Cluster) bool {
-		if cfg.HybridSizeLimit > 0 && c.Size() > cfg.HybridSizeLimit {
-			return false
-		}
-		if cfg.Demand == nil {
-			return true
-		}
-		for _, v := range c.Pointers {
-			if cfg.Demand(newProg.Var(v)) {
-				return true
-			}
-		}
-		return false
-	}
 	oldHealth := make(map[int]ClusterHealth, len(prev.Health))
 	for _, h := range prev.Health {
 		oldHealth[h.ClusterID] = h
@@ -298,19 +279,23 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 		DirtyIDs:    dirtyIDs,
 	}
 
+	// Selection and the pointer index follow the cascade's rule, in cover
+	// order. Reused clusters get the previous decision back (the predicate
+	// inputs are unchanged, and a demoted cluster is never reused: it
+	// dirties its partition).
+	for _, c := range cover {
+		a2.admit(c)
+	}
+
 	// Transplants: engine moves and rebinds under the shared query lock
 	// so in-flight queries on prev never observe a half-rebound engine.
-	groupHadEngine := false
 	a2.mu.Lock()
+	warm := len(prev.engines) > 0
 	for _, mv := range moves {
 		nc := cover[mv.newID]
-		if _, sel := prev.selected[mv.oldID]; sel {
-			a2.selected[mv.newID] = nc
-		}
 		if eng := prev.engines[mv.oldID]; eng != nil {
 			eng.Rebind(newProg, cg, sa2, nc, aa)
 			a2.engines[mv.newID] = eng
-			groupHadEngine = true
 		}
 		if h, ok := oldHealth[mv.oldID]; ok {
 			h.ClusterID = mv.newID
@@ -322,27 +307,19 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	}
 	a2.mu.Unlock()
 
+	// Eager analyses re-solve every selected dirty cluster now. Lazy ones
+	// (the daemon) re-solve only when some engine was already warm — a
+	// cold lazy cover stays lazy.
 	var solve []*cluster.Cluster
-	for _, id := range dirtyIDs {
-		c := cover[id]
-		if !selects(c) {
-			continue
-		}
-		a2.selected[id] = c
-		// Eager analyses re-solve every dirty cluster now. Lazy ones
-		// (the daemon) re-solve only when some engine was already warm —
-		// a cold lazy cover stays lazy.
-		if !cfg.Lazy || groupHadEngine || len(prev.engines) > 0 {
-			solve = append(solve, c)
-		}
-	}
-	for id, c := range a2.selected {
-		for _, p := range c.Pointers {
-			a2.byPointer[p] = append(a2.byPointer[p], id)
+	if !cfg.Lazy || warm {
+		for _, id := range dirtyIDs {
+			if c, ok := a2.selected[id]; ok {
+				solve = append(solve, c)
+			}
 		}
 	}
 
-	healths := runClusters(ctx, a2, solve, cfg)
+	healths := a2.runEager(ctx, feed(solve), nil, cfg)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("core: applyedit cancelled: %w", err)
 	}
@@ -366,65 +343,6 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 		a2.CacheStats = cfg.Cache.Stats()
 	}
 	return a2, rep, nil
-}
-
-// runClusters solves the given clusters through the fault-tolerant
-// ladder with the configured worker parallelism, recording engines into
-// a2 and returning per-cluster health in input order.
-func runClusters(ctx context.Context, a2 *Analysis, work []*cluster.Cluster, cfg Config) []ClusterHealth {
-	healths := make([]ClusterHealth, len(work))
-	if len(work) == 0 {
-		return healths
-	}
-	engines := make([]*fscs.Engine, len(work))
-	if cfg.Workers <= 1 {
-		for i, c := range work {
-			engines[i], healths[i] = RunCluster(ctx, a2.Prog, a2.CallGraph, a2.Steens, c, a2.Andersen, cfg)
-		}
-	} else {
-		sem := make(chan struct{}, cfg.Workers)
-		done := make(chan int)
-		for i, c := range work {
-			go func(i int, c *cluster.Cluster) {
-				sem <- struct{}{}
-				defer func() { <-sem; done <- i }()
-				engines[i], healths[i] = RunCluster(ctx, a2.Prog, a2.CallGraph, a2.Steens, c, a2.Andersen, cfg)
-			}(i, c)
-		}
-		for range work {
-			<-done
-		}
-	}
-	a2.mu.Lock()
-	for i, c := range work {
-		if engines[i] != nil {
-			a2.engines[c.ID] = engines[i]
-		} else {
-			// Demoted through the ladder: deselect, exactly as the eager
-			// scheduler does, so queries answer from the fallback.
-			delete(a2.selected, c.ID)
-			dropPointerIndex(a2, c)
-		}
-	}
-	a2.mu.Unlock()
-	return healths
-}
-
-func dropPointerIndex(a *Analysis, c *cluster.Cluster) {
-	for _, p := range c.Pointers {
-		ids := a.byPointer[p]
-		kept := ids[:0]
-		for _, id := range ids {
-			if id != c.ID {
-				kept = append(kept, id)
-			}
-		}
-		if len(kept) == 0 {
-			delete(a.byPointer, p)
-		} else {
-			a.byPointer[p] = kept
-		}
-	}
 }
 
 // editSignals is the dirty set an edit batch induces, in slice terms.

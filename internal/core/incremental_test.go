@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -126,7 +127,6 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 		{"default", core.Config{Mode: core.ModeAndersen}},
 		{"workers1", core.Config{Mode: core.ModeAndersen, Workers: 1}},
 		{"workers8", core.Config{Mode: core.ModeAndersen, Workers: 8}},
-		{"no-delta", core.Config{Mode: core.ModeAndersen, DisableDeltaProp: true}},
 		{"steens-precise", core.Config{Mode: core.ModeAndersen, SteensPrecise: true}},
 		{"warm-cache", core.Config{Mode: core.ModeAndersen, Cache: cache.New(cache.Options{})}},
 	}
@@ -177,6 +177,63 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 				a = a2
 			}
 		})
+	}
+}
+
+// TestApplyEditKeepsDemotedIndexed: a cluster the ladder demotes stays
+// in the pointer index after an edit, as it does in a fresh analysis, so
+// queries on its pointers still find it and report the fallback answer
+// as imprecise.
+func TestApplyEditKeepsDemotedIndexed(t *testing.T) {
+	// A one-tuple budget without retries demotes every cluster.
+	cfg := core.Config{Mode: core.ModeAndersen, Workers: 1, ClusterBudget: 1, Retries: -1}
+	a, err := core.AnalyzeProgram(incrProg(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range a.Health {
+		if !h.Demoted {
+			t.Fatalf("cluster %d not demoted: %+v", h.ClusterID, h)
+		}
+	}
+	a2, rep, err := core.ApplyEdit(a, randomStmtEdits(a.Prog, rand.New(rand.NewSource(7)), 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FellBack || rep.Resolved == 0 {
+		t.Fatalf("want an incremental edit that re-solves clusters: %+v", rep)
+	}
+	fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptrs := fresh.CoveredPointers()
+	if len(ptrs) == 0 {
+		t.Fatal("fresh analysis covers no pointer")
+	}
+	if got := a2.CoveredPointers(); !reflect.DeepEqual(got, ptrs) {
+		t.Errorf("edited analysis covers %d pointers, fresh %d", len(got), len(ptrs))
+	}
+	for _, p := range ptrs {
+		if got, want := a2.ClustersOf(p), fresh.ClustersOf(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("ClustersOf(%s) = %v, fresh %v", fresh.Prog.Var(p).Name, got, want)
+		}
+	}
+	ctx := context.Background()
+	exit := fresh.Prog.Func(fresh.Prog.Entry).Exit
+	for i, p := range ptrs {
+		for _, q := range ptrs[i+1:] {
+			gm, gp := a2.MayAliasContext(ctx, p, q, exit)
+			wm, wp := fresh.MayAliasContext(ctx, p, q, exit)
+			if gm != wm || gp != wp {
+				t.Errorf("MayAliasContext(%d, %d) = %v/%v, fresh %v/%v", p, q, gm, gp, wm, wp)
+			}
+			gm, gp = a2.MustAliasContext(ctx, p, q, exit)
+			wm, wp = fresh.MustAliasContext(ctx, p, q, exit)
+			if gm != wm || gp != wp {
+				t.Errorf("MustAliasContext(%d, %d) = %v/%v, fresh %v/%v", p, q, gm, gp, wm, wp)
+			}
+		}
 	}
 }
 

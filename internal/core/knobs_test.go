@@ -11,39 +11,6 @@ import (
 	"bootstrap/internal/synth"
 )
 
-// TestSolverKnobsAgree pins the PR-7 differential contract at the facade:
-// the delta-propagation and parallel-solve knobs change speed only, so
-// every configuration must answer the alias queries identically.
-func TestSolverKnobsAgree(t *testing.T) {
-	configs := map[string]Config{
-		"default":    {Mode: ModeAndersen, Workers: 2, AndersenThreshold: 2},
-		"no-delta":   {Mode: ModeAndersen, Workers: 2, AndersenThreshold: 2, DisableDeltaProp: true},
-		"no-par":     {Mode: ModeAndersen, Workers: 2, AndersenThreshold: 2, DisableParSolve: true},
-		"par-always": {Mode: ModeAndersen, Workers: 4, AndersenThreshold: 2, ParSolveThreshold: 1},
-	}
-	results := map[string]*Analysis{}
-	for name, cfg := range configs {
-		a, err := AnalyzeSource(testProgram, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		results[name] = a
-	}
-	base := results["default"]
-	exit := exitLoc(base)
-	pairs := [][2]string{
-		{"x", "y"}, {"x", "p"}, {"y", "p"}, {"l1", "l2"}, {"x", "l1"}, {"px", "y"},
-	}
-	for name, a := range results {
-		for _, pair := range pairs {
-			want := base.MayAlias(v(t, base, pair[0]), v(t, base, pair[1]), exit)
-			if got := a.MayAlias(v(t, a, pair[0]), v(t, a, pair[1]), exit); got != want {
-				t.Errorf("%s: MayAlias(%s,%s) = %v, default = %v", name, pair[0], pair[1], got, want)
-			}
-		}
-	}
-}
-
 // TestPreciseCascadeSoundRandom runs the whole cascade under the
 // oversharing-resistant partitioner (with and without the One-Flow
 // stage, whose partition dedup must be overlap-safe) on random programs

@@ -29,10 +29,11 @@ func normalizeTrace(t *testing.T, tr *obs.Tracer) string {
 
 // TestTraceDeterministicWorkers1 is the tracing acceptance check: two
 // Workers=1 runs of the same configuration must produce identical event
-// streams up to timestamps — on the serial path (inline cluster loop)
-// and on the pipelined path (single-writer tracks, canonical order).
+// streams up to timestamps — on the serial path (BuildPlan +
+// AnalyzeFromPlan) and on the pipelined path (single-writer tracks,
+// canonical order).
 func TestTraceDeterministicWorkers1(t *testing.T) {
-	for _, noPipe := range []bool{true, false} {
+	for _, serial := range []bool{true, false} {
 		var want string
 		for run := 0; run < 2; run++ {
 			tr := obs.NewTracer()
@@ -40,18 +41,19 @@ func TestTraceDeterministicWorkers1(t *testing.T) {
 				Mode:              ModeAndersen,
 				Workers:           1,
 				AndersenThreshold: 2,
-				DisablePipelining: noPipe,
 				Tracer:            tr,
 			}
-			if _, err := AnalyzeSource(testProgram, cfg); err != nil {
+			if serial {
+				analyzeSerial(t, testProgram, cfg)
+			} else if _, err := AnalyzeSource(testProgram, cfg); err != nil {
 				t.Fatal(err)
 			}
 			got := normalizeTrace(t, tr)
 			if run == 0 {
 				want = got
 			} else if got != want {
-				t.Errorf("pipelining=%v: run 1 and run 2 traces differ:\n--- run 1:\n%s\n--- run 2:\n%s",
-					!noPipe, want, got)
+				t.Errorf("serial=%v: run 1 and run 2 traces differ:\n--- run 1:\n%s\n--- run 2:\n%s",
+					serial, want, got)
 			}
 		}
 	}
@@ -85,7 +87,6 @@ func TestTracePhaseAndOutcomeSpans(t *testing.T) {
 		Mode:              ModeAndersen,
 		Workers:           1,
 		AndersenThreshold: 2,
-		DisablePipelining: true,
 		Cache:             cc,
 	}
 
@@ -131,7 +132,6 @@ func TestTracePhaseAndOutcomeSpans(t *testing.T) {
 		Mode:              ModeAndersen,
 		Workers:           1,
 		AndersenThreshold: 2,
-		DisablePipelining: true,
 		ClusterBudget:     1,
 		Retries:           -1,
 		Tracer:            starved,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -63,7 +62,7 @@ func (pl *Plan) Cluster(id int) *cluster.Cluster {
 // planDefaults normalizes the config knobs both BuildPlan and the
 // analyze entry points depend on.
 func planDefaults(cfg *Config) {
-	if cfg.Workers == 0 {
+	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.AndersenThreshold == 0 {
@@ -150,9 +149,9 @@ func BuildPlan(ctx context.Context, prog *ir.Program, cfg Config) (*Plan, error)
 	case ModeAndersen:
 		threshold := cfg.AndersenThreshold
 		if of != nil {
-			pl.Clusters = buildWithOneFlow(prog, sa, of, threshold, cfg.andersenOpts())
+			pl.Clusters = buildWithOneFlow(prog, sa, of, threshold)
 		} else {
-			pl.Clusters = cluster.BuildAndersen(prog, sa, threshold, cfg.andersenOpts()...)
+			pl.Clusters = cluster.BuildAndersen(prog, sa, threshold)
 		}
 	case ModeSyntactic:
 		pl.Clusters = cluster.BuildSyntactic(prog, sa)
@@ -167,8 +166,7 @@ func BuildPlan(ctx context.Context, prog *ir.Program, cfg Config) (*Plan, error)
 	}
 
 	sp = tr.Start("phase", "fallback", obs.TIDMain)
-	pl.Andersen = andersen.Analyze(prog,
-		append(cfg.andersenOpts(), andersen.WithTracer(tr, obs.TIDMain))...)
+	pl.Andersen = andersen.Analyze(prog)
 	pl.CallGraph = callgraph.Build(prog)
 	sp.End()
 	pl.Andersen.SolverStats().Record(cfg.Metrics)
@@ -205,31 +203,14 @@ func AnalyzeFromPlan(ctx context.Context, pl *Plan, cfg Config) (*Analysis, erro
 		}
 		return a
 	}
-	tr := cfg.Tracer
-	prog, sa := pl.Prog, pl.Steens
-
 	// Demand-driven selection, then the hybrid size cut-off: oversized
 	// clusters keep the cheap flow-insensitive answer.
-	work := a.Clusters
-	if cfg.Demand != nil {
-		work = cluster.SelectClusters(a.Clusters, prog, cfg.Demand)
-	}
-	if cfg.HybridSizeLimit > 0 {
-		kept := work[:0:0]
-		for _, c := range work {
-			if c.Size() <= cfg.HybridSizeLimit {
-				kept = append(kept, c)
-			}
-		}
-		work = kept
-	}
-	for _, c := range work {
-		a.selected[c.ID] = c
-		for _, p := range c.Pointers {
-			a.byPointer[p] = append(a.byPointer[p], c.ID)
+	var work []*cluster.Cluster
+	for _, c := range a.Clusters {
+		if a.admit(c) {
+			work = append(work, c)
 		}
 	}
-
 	if cfg.Lazy {
 		// Engines are created (and compute) on first query.
 		return finish(), nil
@@ -240,52 +221,12 @@ func AnalyzeFromPlan(ctx context.Context, pl *Plan, cfg Config) (*Analysis, erro
 	// deadline and panic isolation, and on failure walks the degradation
 	// ladder (retry with halved knobs, then demote to the fallback) so
 	// one hard or broken cluster degrades only itself, never the run.
-	runCtx := ctx
-	if cfg.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, cfg.RunTimeout)
-		defer cancel()
-	}
-	a.Timing.PerCluster = make([]time.Duration, len(work))
-	engines := make([]*fscs.Engine, len(work))
-	healths := make([]ClusterHealth, len(work))
-
+	runCtx, cancel := stageContext(ctx, cfg)
+	defer cancel()
 	tw := time.Now()
-	fsp := tr.Start("phase", "fscs", obs.TIDMain).
+	fsp := cfg.Tracer.Start("phase", "fscs", obs.TIDMain).
 		Arg("clusters", len(work)).Arg("workers", cfg.Workers)
-	if cfg.Workers == 1 {
-		// Single-worker runs execute inline in cover order — no goroutine
-		// scheduling, so a Workers=1 run (and its trace) is deterministic.
-		tr.NameThread(obs.WorkerTID(0), "fscs-worker-0")
-		wctx := obs.ContextWithWorker(runCtx, 0)
-		for i, c := range work {
-			engines[i], healths[i] = RunCluster(wctx, prog, a.CallGraph, sa, c, a.Andersen, cfg)
-			a.Timing.PerCluster[i] = healths[i].Elapsed
-		}
-	} else {
-		// Workers are identities, not just permits: each goroutine borrows
-		// a worker id from the pool so its spans land on that worker's
-		// trace track, and the pool's capacity bounds the parallelism the
-		// way the former semaphore did.
-		var wg sync.WaitGroup
-		ids := make(chan int, cfg.Workers)
-		for w := 0; w < cfg.Workers; w++ {
-			ids <- w
-			tr.NameThread(obs.WorkerTID(w), fmt.Sprintf("fscs-worker-%d", w))
-		}
-		for i, c := range work {
-			wg.Add(1)
-			go func(i int, c *cluster.Cluster) {
-				defer wg.Done()
-				w := <-ids
-				defer func() { ids <- w }()
-				wctx := obs.ContextWithWorker(runCtx, w)
-				engines[i], healths[i] = RunCluster(wctx, prog, a.CallGraph, sa, c, a.Andersen, cfg)
-				a.Timing.PerCluster[i] = healths[i].Elapsed
-			}(i, c)
-		}
-		wg.Wait()
-	}
+	hs := a.runEager(runCtx, feed(work), nil, cfg)
 	a.Timing.Wall = time.Since(tw)
 	fsp.End()
 	if err := ctx.Err(); err != nil {
@@ -293,19 +234,6 @@ func AnalyzeFromPlan(ctx context.Context, pl *Plan, cfg Config) (*Analysis, erro
 		// here (runCtx expiring only degrades clusters).
 		return nil, fmt.Errorf("core: analysis cancelled: %w", err)
 	}
-	for i, c := range work {
-		if engines[i] != nil {
-			a.engines[c.ID] = engines[i]
-		} else {
-			// Permanently demoted: queries on this cluster's pointers
-			// answer from the Andersen fallback (the HybridSizeLimit
-			// path, generalized). Deselect it so lazy queries cannot
-			// resurrect the engine.
-			delete(a.selected, c.ID)
-		}
-		a.Timing.FSCS += a.Timing.PerCluster[i]
-		a.Health = append(a.Health, healths[i])
-	}
-	sort.Slice(a.Health, func(i, j int) bool { return a.Health[i].ClusterID < a.Health[j].ClusterID })
+	a.recordEager(hs)
 	return finish(), nil
 }

@@ -64,10 +64,10 @@ func ParseBinning(s string) (Binning, error) {
 	return "", fmt.Errorf("unknown binning %q (want steal or greedy)", s)
 }
 
-// WireConfig is the result-shaping subset of core.Config a worker needs
-// to rebuild the coordinator's exact plan and engine parameters.
-// Speed-only knobs (interning, pipelining, parallel solve) are local
-// choices and deliberately absent.
+// WireConfig is the subset of core.Config a worker needs to rebuild the
+// coordinator's exact plan and engine parameters: every field that shapes
+// results. Worker count, cache and observability are local choices and
+// stay off the wire.
 type WireConfig struct {
 	Mode              string        `json:"mode"`
 	AndersenThreshold int           `json:"andersen_threshold"`
@@ -77,8 +77,6 @@ type WireConfig struct {
 	ClusterTimeout    time.Duration `json:"cluster_timeout,omitempty"`
 	Retries           int           `json:"retries,omitempty"`
 	SteensPrecise     bool          `json:"steens_precise,omitempty"`
-	DisableCycleElim  bool          `json:"disable_cycle_elim,omitempty"`
-	DisableDeltaProp  bool          `json:"disable_delta_prop,omitempty"`
 }
 
 // WireFromConfig extracts the wire subset of a config.
@@ -92,8 +90,6 @@ func WireFromConfig(cfg core.Config) WireConfig {
 		ClusterTimeout:    cfg.ClusterTimeout,
 		Retries:           cfg.Retries,
 		SteensPrecise:     cfg.SteensPrecise,
-		DisableCycleElim:  cfg.DisableCycleElim,
-		DisableDeltaProp:  cfg.DisableDeltaProp,
 	}
 }
 
@@ -124,8 +120,6 @@ func (w WireConfig) ToConfig(cacheDir string) (core.Config, error) {
 		ClusterTimeout:    w.ClusterTimeout,
 		Retries:           w.Retries,
 		SteensPrecise:     w.SteensPrecise,
-		DisableCycleElim:  w.DisableCycleElim,
-		DisableDeltaProp:  w.DisableDeltaProp,
 		Workers:           1,
 	}
 	if cacheDir != "" {
