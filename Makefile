@@ -52,9 +52,10 @@ staticcheck:
 # lint is CI's lint job: formatting, vet and the pinned staticcheck.
 lint: fmt vet staticcheck
 
-# check is what CI runs: lint, build, and the full suite under the race
-# detector.
-check: lint build race
+# check is what CI's check job runs: lint, build, the full suite under
+# the race detector, and the nested perfbench module's vet and tests
+# (the build check for every program name the benchmark calls).
+check: lint build race perfbench-test
 
 # perfbench-test vets and tests the nested perfbench module, which has
 # its own go.mod, so the root ./... patterns skip it. It is the build

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -215,33 +216,22 @@ func run(path string) (err error) {
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 	for _, name := range splitList(*aliasesOf) {
 		v, ok := a.Prog.VarByName[name]
 		if !ok {
 			return fmt.Errorf("unknown variable %q", name)
 		}
-		al := a.Aliases(v, loc)
-		names := make([]string, len(al))
-		for i, q := range al {
-			names[i] = a.Prog.VarName(q)
-		}
-		fmt.Printf("aliases(%s) at L%d = {%s}\n", name, loc, strings.Join(names, ", "))
+		al, precise := a.Aliases(ctx, v, loc)
+		fmt.Printf("aliases(%s) at L%d = {%s}%s\n", name, loc, varNames(a.Prog, al), imprecision(precise))
 	}
 	for _, name := range splitList(*ptsOf) {
 		v, ok := a.Prog.VarByName[name]
 		if !ok {
 			return fmt.Errorf("unknown variable %q", name)
 		}
-		objs, precise := a.PointsTo(v, loc)
-		names := make([]string, len(objs))
-		for i, o := range objs {
-			names[i] = a.Prog.VarName(o)
-		}
-		note := ""
-		if !precise {
-			note = " (imprecise: flow-insensitive fallback contributed)"
-		}
-		fmt.Printf("pts(%s) at L%d = {%s}%s\n", name, loc, strings.Join(names, ", "), note)
+		objs, precise := a.PointsToContext(ctx, v, loc)
+		fmt.Printf("pts(%s) at L%d = {%s}%s\n", name, loc, varNames(a.Prog, objs), imprecision(precise))
 	}
 
 	if *races {
@@ -310,6 +300,24 @@ func queryLoc(a *core.Analysis) (ir.Loc, error) {
 		fn = id
 	}
 	return a.Prog.Func(fn).Exit, nil
+}
+
+// varNames joins the names of vs for printing.
+func varNames(prog *ir.Program, vs []ir.VarID) string {
+	names := make([]string, len(vs))
+	for i, v := range vs {
+		names[i] = prog.VarName(v)
+	}
+	return strings.Join(names, ", ")
+}
+
+// imprecision is the note printed after an answer the flow-insensitive
+// fallback contributed to.
+func imprecision(precise bool) string {
+	if precise {
+		return ""
+	}
+	return " (imprecise: flow-insensitive fallback contributed)"
 }
 
 func splitList(s string) []string {

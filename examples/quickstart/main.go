@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -62,19 +63,25 @@ func main() {
 		fmt.Printf("  %v\n", c)
 	}
 
+	// Every query takes a context first: a deadline on it degrades the
+	// answer to the flow-insensitive fallback (flagged imprecise)
+	// instead of waiting for a cluster to solve.
+	ctx := context.Background()
 	fmt.Println("\n== Flow-sensitive points-to at the end of main ==")
 	for _, name := range []string{"x", "y", "p"} {
 		v := prog.VarByName[name]
-		objs, precise := analysis.PointsTo(v, exit)
+		objs, precise := analysis.PointsToContext(ctx, v, exit)
 		fmt.Printf("  pts(%s) = {%s}  precise=%v\n", name, names(prog, objs), precise)
 	}
 
 	fmt.Println("\n== Alias queries ==")
 	x, p := prog.VarByName["x"], prog.VarByName["p"]
-	fmt.Printf("  x may-alias p: %v   (both point to c after *px = p)\n",
-		analysis.MayAlias(x, p, exit))
-	fmt.Printf("  x must-alias p: %v\n", analysis.MustAlias(x, p, exit))
-	fmt.Printf("  aliases(x) = {%s}\n", names(prog, analysis.Aliases(x, exit)))
+	may, _ := analysis.MayAliasContext(ctx, x, p, exit)
+	must, _ := analysis.MustAliasContext(ctx, x, p, exit)
+	aliases, _ := analysis.Aliases(ctx, x, exit)
+	fmt.Printf("  x may-alias p: %v   (both point to c after *px = p)\n", may)
+	fmt.Printf("  x must-alias p: %v\n", must)
+	fmt.Printf("  aliases(x) = {%s}\n", names(prog, aliases))
 }
 
 func names(prog *ir.Program, vs []ir.VarID) string {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -135,6 +136,7 @@ func IncrPerf(names []string, scale float64, log io.Writer) (*IncrReport, error)
 		log = io.Discard
 	}
 	report := &IncrReport{Date: time.Now().UTC().Format("2006-01-02"), Scale: scale}
+	ctx := context.Background()
 	for _, name := range names {
 		b, ok := synth.FindBenchmark(name)
 		if !ok {
@@ -173,14 +175,14 @@ func IncrPerf(names []string, scale float64, log io.Writer) (*IncrReport, error)
 				return nil, fmt.Errorf("%s: edit %d: no eligible statements left", name, i)
 			}
 			t0 = time.Now()
-			a2, rep, err := core.ApplyEdit(a, []ir.Edit{e})
+			a2, rep, err := core.ApplyEdit(ctx, a, []ir.Edit{e})
 			if err != nil {
 				return nil, fmt.Errorf("%s: edit %d: %w", name, i, err)
 			}
 			// One warm query on the fresh snapshot closes the
 			// edit-to-answer loop the latency budget is about.
 			if ptrs := a2.CoveredPointers(); len(ptrs) > 0 {
-				a2.PointsTo(ptrs[0], a2.Prog.Func(a2.Prog.Entry).Exit)
+				a2.PointsToContext(ctx, ptrs[0], a2.Prog.Func(a2.Prog.Entry).Exit)
 			}
 			latencies = append(latencies, time.Since(t0))
 			if rep.FellBack {

@@ -90,8 +90,9 @@ func distDump(a *core.Analysis) string {
 		}
 	}
 	sort.Slice(ptrs, func(i, j int) bool { return ptrs[i] < ptrs[j] })
+	ctx := context.Background()
 	for _, p := range ptrs {
-		objs, precise := a.PointsTo(p, exit)
+		objs, precise := a.PointsToContext(ctx, p, exit)
 		fmt.Fprintf(&sb, "pts %d %v %v\n", p, objs, precise)
 	}
 	return sb.String()

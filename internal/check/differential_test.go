@@ -139,7 +139,7 @@ func TestDifferentialExactFreeSites(t *testing.T) {
 			if len(exactObjs) > 0 {
 				nontrivial++
 			}
-			objs, _ := a.PointsTo(n.Stmt.Dst, n.Loc)
+			objs, _ := a.PointsToContext(context.Background(), n.Stmt.Dst, n.Loc)
 			super := map[ir.VarID]bool{}
 			for _, o := range objs {
 				super[o] = true

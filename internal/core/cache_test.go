@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -169,10 +170,10 @@ func TestCacheRenumberingStillHits(t *testing.T) {
 	}
 	// Same aliasing facts, by name.
 	exit := exitLoc(c)
-	if !c.MustAlias(v(t, c, "l1"), v(t, c, "l2"), exit) {
+	if !mustAlias(c, v(t, c, "l1"), v(t, c, "l2"), exit) {
 		t.Error("renumbered warm run lost l1/l2 must-alias")
 	}
-	if c.MayAlias(v(t, c, "x"), v(t, c, "l1"), exit) {
+	if mayAlias(c, v(t, c, "x"), v(t, c, "l1"), exit) {
 		t.Error("renumbered warm run aliases across partitions")
 	}
 }
@@ -211,10 +212,10 @@ func TestCacheDiskCorruptionFallsBack(t *testing.T) {
 	}
 }
 
-// TestReanalyzeWarmStart: Reanalyze without a configured cache warms a
-// fresh one from the previous analysis' live engines, so an unchanged
-// program is all hits and a one-statement edit re-solves only the
-// affected clusters.
+// TestReanalyzeWarmStart: ApplyEdit's structural fallback, reanalyze,
+// warms a fresh cache from the previous analysis' live engines when none
+// is configured, so an unchanged program is all hits and a one-statement
+// edit re-solves only the affected clusters.
 func TestReanalyzeWarmStart(t *testing.T) {
 	prev, err := AnalyzeSource(cacheProgA, Config{Mode: ModeAndersen, Workers: 1})
 	if err != nil {
@@ -225,7 +226,7 @@ func TestReanalyzeWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Reanalyze(prev, same)
+	a2, err := reanalyze(context.Background(), prev, same)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestReanalyzeWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a3, err := Reanalyze(prev, edited)
+	a3, err := reanalyze(context.Background(), prev, edited)
 	if err != nil {
 		t.Fatal(err)
 	}

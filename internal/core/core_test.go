@@ -9,6 +9,7 @@ import (
 
 	"bootstrap/internal/cluster"
 	"bootstrap/internal/faults"
+	"bootstrap/internal/frontend"
 	"bootstrap/internal/fscs"
 	"bootstrap/internal/ir"
 )
@@ -53,6 +54,19 @@ func v(t *testing.T, a *Analysis, name string) ir.VarID {
 
 func exitLoc(a *Analysis) ir.Loc { return a.Prog.Func(a.Prog.Entry).Exit }
 
+// mayAlias and mustAlias are the tests' shorthand for the context-first
+// queries under a background context, for checks that do not look at
+// precision.
+func mayAlias(a *Analysis, p, q ir.VarID, loc ir.Loc) bool {
+	ok, _ := a.MayAliasContext(context.Background(), p, q, loc)
+	return ok
+}
+
+func mustAlias(a *Analysis, p, q ir.VarID, loc ir.Loc) bool {
+	ok, _ := a.MustAliasContext(context.Background(), p, q, loc)
+	return ok
+}
+
 func TestModesAgreeOnAliases(t *testing.T) {
 	var results []*Analysis
 	for _, mode := range []Mode{ModeNone, ModeSteensgaard, ModeAndersen, ModeSyntactic} {
@@ -68,9 +82,9 @@ func TestModesAgreeOnAliases(t *testing.T) {
 	}
 	for _, pair := range pairs {
 		base := results[0]
-		want := base.MayAlias(v(t, base, pair[0]), v(t, base, pair[1]), exit)
+		want := mayAlias(base, v(t, base, pair[0]), v(t, base, pair[1]), exit)
 		for i, a := range results[1:] {
-			got := a.MayAlias(v(t, a, pair[0]), v(t, a, pair[1]), exit)
+			got := mayAlias(a, v(t, a, pair[0]), v(t, a, pair[1]), exit)
 			if got != want {
 				t.Errorf("mode %d: MayAlias(%s,%s) = %v, baseline (no clustering) = %v",
 					i+1, pair[0], pair[1], got, want)
@@ -86,7 +100,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	}
 	exit := exitLoc(a)
 	// swap + *px = p: x ends as &c (store through px), y as &a.
-	objs, _ := a.PointsTo(v(t, a, "x"), exit)
+	objs, _ := a.PointsToContext(context.Background(), v(t, a, "x"), exit)
 	names := map[string]bool{}
 	for _, o := range objs {
 		names[a.Prog.VarName(o)] = true
@@ -94,10 +108,10 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	if !names["c"] {
 		t.Errorf("PointsTo(x) = %v, want c after *px = p", names)
 	}
-	if !a.MustAlias(v(t, a, "l1"), v(t, a, "l2"), exit) {
+	if !mustAlias(a, v(t, a, "l1"), v(t, a, "l2"), exit) {
 		t.Error("l1 and l2 must alias")
 	}
-	if a.MayAlias(v(t, a, "x"), v(t, a, "l1"), exit) {
+	if mayAlias(a, v(t, a, "x"), v(t, a, "l1"), exit) {
 		t.Error("int pointers and lock pointers cannot alias")
 	}
 	if len(a.Clusters) < 2 {
@@ -118,7 +132,7 @@ func TestDemandDrivenLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	exit := exitLoc(a)
-	if !a.MustAlias(v(t, a, "l1"), v(t, a, "l2"), exit) {
+	if !mustAlias(a, v(t, a, "l1"), v(t, a, "l2"), exit) {
 		t.Error("demand-driven lock analysis should still prove l1 == l2")
 	}
 	// Non-lock pointers were not analyzed precisely.
@@ -126,7 +140,7 @@ func TestDemandDrivenLocks(t *testing.T) {
 		t.Errorf("x should not be in any analyzed cluster, got %v", ids)
 	}
 	// Queries on unanalyzed pointers fall back soundly.
-	if !a.MayAlias(v(t, a, "x"), v(t, a, "y"), exit) {
+	if !mayAlias(a, v(t, a, "x"), v(t, a, "y"), exit) {
 		t.Error("fallback should report x/y as possible aliases")
 	}
 	// Fewer engines ran than in full mode.
@@ -175,8 +189,8 @@ func assertSound(t *testing.T, healthy, faulty *Analysis) {
 	exit := exitLoc(healthy)
 	for i, pn := range soundnessPairs {
 		for _, qn := range soundnessPairs[i+1:] {
-			want := healthy.MayAlias(v(t, healthy, pn), v(t, healthy, qn), exit)
-			got := faulty.MayAlias(v(t, faulty, pn), v(t, faulty, qn), exit)
+			want := mayAlias(healthy, v(t, healthy, pn), v(t, healthy, qn), exit)
+			got := mayAlias(faulty, v(t, faulty, pn), v(t, faulty, qn), exit)
 			if want && !got {
 				t.Errorf("MayAlias(%s,%s): degraded run lost a may-alias (unsound)", pn, qn)
 			}
@@ -199,8 +213,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	exit := exitLoc(seq)
 	for _, pair := range [][2]string{{"x", "y"}, {"x", "p"}, {"l1", "l2"}} {
-		s := seq.MayAlias(v(t, seq, pair[0]), v(t, seq, pair[1]), exit)
-		p := par.MayAlias(v(t, par, pair[0]), v(t, par, pair[1]), exit)
+		s := mayAlias(seq, v(t, seq, pair[0]), v(t, seq, pair[1]), exit)
+		p := mayAlias(par, v(t, par, pair[0]), v(t, par, pair[1]), exit)
 		if s != p {
 			t.Errorf("MayAlias(%s,%s): sequential %v != parallel %v", pair[0], pair[1], s, p)
 		}
@@ -283,8 +297,8 @@ func TestPanicRecoveredByRetry(t *testing.T) {
 	exit := exitLoc(healthy)
 	for i, pn := range soundnessPairs {
 		for _, qn := range soundnessPairs[i+1:] {
-			want := healthy.MayAlias(v(t, healthy, pn), v(t, healthy, qn), exit)
-			got := a.MayAlias(v(t, a, pn), v(t, a, qn), exit)
+			want := mayAlias(healthy, v(t, healthy, pn), v(t, healthy, qn), exit)
+			got := mayAlias(a, v(t, a, pn), v(t, a, qn), exit)
 			if want != got {
 				t.Errorf("MayAlias(%s,%s) = %v after recovery, healthy run says %v", pn, qn, got, want)
 			}
@@ -351,7 +365,11 @@ func TestRunTimeoutDegradesEverything(t *testing.T) {
 func TestCallerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyzeSourceContext(ctx, testProgram, Config{Mode: ModeSteensgaard, Workers: 1}); !errors.Is(err, context.Canceled) {
+	prog, err := frontend.LowerSource(testProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AnalyzeProgramContext(ctx, prog, Config{Mode: ModeSteensgaard, Workers: 1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled caller context: err = %v, want context.Canceled", err)
 	}
 }
@@ -376,7 +394,7 @@ func TestOneFlowMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	exit := exitLoc(a)
-	if !a.MustAlias(v(t, a, "l1"), v(t, a, "l2"), exit) {
+	if !mustAlias(a, v(t, a, "l1"), v(t, a, "l2"), exit) {
 		t.Error("one-flow cascade should preserve lock must-alias")
 	}
 	base, err := AnalyzeSource(testProgram, Config{Mode: ModeAndersen, Workers: 1, AndersenThreshold: 2})
@@ -384,8 +402,8 @@ func TestOneFlowMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]string{{"x", "y"}, {"x", "p"}, {"y", "p"}} {
-		got := a.MayAlias(v(t, a, pair[0]), v(t, a, pair[1]), exit)
-		want := base.MayAlias(v(t, base, pair[0]), v(t, base, pair[1]), exit)
+		got := mayAlias(a, v(t, a, pair[0]), v(t, a, pair[1]), exit)
+		want := mayAlias(base, v(t, base, pair[0]), v(t, base, pair[1]), exit)
 		if got != want {
 			t.Errorf("one-flow cascade changed MayAlias(%s,%s): %v vs %v", pair[0], pair[1], got, want)
 		}
@@ -415,7 +433,7 @@ func TestBudgetTimeout(t *testing.T) {
 		t.Error("demoted cluster should have no engine")
 	}
 	exit := exitLoc(a)
-	if !a.MayAlias(v(t, a, "x"), v(t, a, "y"), exit) {
+	if !mayAlias(a, v(t, a, "x"), v(t, a, "y"), exit) {
 		t.Error("fallback must keep the sound may-alias answer")
 	}
 }
@@ -426,7 +444,7 @@ func TestAliasesUnion(t *testing.T) {
 		t.Fatal(err)
 	}
 	exit := exitLoc(a)
-	al := a.Aliases(v(t, a, "l1"), exit)
+	al, _ := a.Aliases(context.Background(), v(t, a, "l1"), exit)
 	found := false
 	for _, q := range al {
 		if a.Prog.VarName(q) == "l2" {
@@ -510,7 +528,7 @@ func TestLazyMode(t *testing.T) {
 	exit := exitLoc(a)
 	// First query creates exactly the engines of l1's clusters and still
 	// answers correctly.
-	if !a.MustAlias(v(t, a, "l1"), v(t, a, "l2"), exit) {
+	if !mustAlias(a, v(t, a, "l1"), v(t, a, "l2"), exit) {
 		t.Error("lazy query should still prove l1 == l2")
 	}
 	// Matches eager results on the standard pairs.
@@ -519,10 +537,25 @@ func TestLazyMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]string{{"x", "y"}, {"x", "p"}, {"x", "l1"}} {
-		lz := a.MayAlias(v(t, a, pair[0]), v(t, a, pair[1]), exit)
-		eg := eager.MayAlias(v(t, eager, pair[0]), v(t, eager, pair[1]), exit)
+		lz := mayAlias(a, v(t, a, pair[0]), v(t, a, pair[1]), exit)
+		eg := mayAlias(eager, v(t, eager, pair[0]), v(t, eager, pair[1]), exit)
 		if lz != eg {
 			t.Errorf("lazy MayAlias(%s,%s) = %v, eager = %v", pair[0], pair[1], lz, eg)
+		}
+	}
+	// Every engine the queries used was solved through the ladder, so
+	// the bookkeeping agrees: one QueryHealth record per solved cluster.
+	qh := a.QueryHealth()
+	if solved, _ := a.SolveStats(); solved != len(qh) {
+		t.Errorf("SolveStats solved = %d, QueryHealth has %d records", solved, len(qh))
+	}
+	recorded := map[int]bool{}
+	for _, h := range qh {
+		recorded[h.ClusterID] = true
+	}
+	for _, c := range a.Clusters {
+		if a.Engine(c.ID) != nil && !recorded[c.ID] {
+			t.Errorf("cluster %d holds an engine but has no QueryHealth record", c.ID)
 		}
 	}
 }
@@ -537,11 +570,11 @@ func TestHybridSizeLimit(t *testing.T) {
 	exit := exitLoc(a)
 	// The x/y/p cluster exceeds the limit: queries fall back to the
 	// flow-insensitive answer — still sound (may-aliases preserved).
-	if !a.MayAlias(v(t, a, "x"), v(t, a, "y"), exit) {
+	if !mayAlias(a, v(t, a, "x"), v(t, a, "y"), exit) {
 		t.Error("hybrid fallback must keep sound may-aliases")
 	}
 	// The small lock cluster is still analyzed precisely.
-	if !a.MustAlias(v(t, a, "l1"), v(t, a, "l2"), exit) {
+	if !mustAlias(a, v(t, a, "l1"), v(t, a, "l2"), exit) {
 		t.Error("small cluster should keep the precise treatment")
 	}
 	// Fewer engines ran than without the limit.
@@ -576,8 +609,9 @@ func TestValuesInContext(t *testing.T) {
 		t.Fatalf("found %d call sites", len(sites))
 	}
 	setExit := a.Prog.Func(setID).Exit
+	ctx := context.Background()
 	for i, want := range []string{"a1", "a2"} {
-		objs, precise, err := a.ValuesInContext(v(t, a, "g"), setExit, fscs.Context{sites[i]})
+		objs, precise, err := a.ValuesInContext(ctx, v(t, a, "g"), setExit, fscs.Context{sites[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -590,13 +624,13 @@ func TestValuesInContext(t *testing.T) {
 		}
 	}
 	// Context validation errors propagate.
-	if _, _, err := a.ValuesInContext(v(t, a, "g"), setExit, fscs.Context{}); err == nil {
+	if _, _, err := a.ValuesInContext(ctx, v(t, a, "g"), setExit, fscs.Context{}); err == nil {
 		t.Error("bad context should error")
 	}
 	// Must-alias in context.
-	ok, err := a.MustAliasInContext(v(t, a, "g"), v(t, a, "g"), setExit, fscs.Context{sites[0]})
-	if err != nil || !ok {
-		t.Errorf("g must alias itself in a valid context: %v %v", ok, err)
+	ok, precise, err := a.MustAliasInContext(ctx, v(t, a, "g"), v(t, a, "g"), setExit, fscs.Context{sites[0]})
+	if err != nil || !ok || !precise {
+		t.Errorf("g must alias itself in a valid context: %v precise=%v %v", ok, precise, err)
 	}
 }
 
@@ -616,15 +650,16 @@ func TestDerefState(t *testing.T) {
 		t.Fatal(err)
 	}
 	exit := exitLoc(a)
-	objs, mayNull, _, precise := a.DerefState(v(t, a, "ok"), exit)
+	ctx := context.Background()
+	objs, mayNull, _, precise := a.DerefStateContext(ctx, v(t, a, "ok"), exit)
 	if !precise || mayNull || len(objs) != 1 {
 		t.Errorf("ok: objs=%d null=%v precise=%v", len(objs), mayNull, precise)
 	}
-	objs, mayNull, _, precise = a.DerefState(v(t, a, "nul"), exit)
+	objs, mayNull, _, precise = a.DerefStateContext(ctx, v(t, a, "nul"), exit)
 	if !precise || !mayNull || len(objs) != 0 {
 		t.Errorf("nul: objs=%d null=%v precise=%v", len(objs), mayNull, precise)
 	}
-	_, mayNull, _, _ = a.DerefState(v(t, a, "mix"), exit)
+	_, mayNull, _, _ = a.DerefStateContext(ctx, v(t, a, "mix"), exit)
 	if !mayNull {
 		t.Error("mix: expected a null path")
 	}

@@ -30,10 +30,12 @@ func aliasDump(a *Analysis) string {
 		ptrs = append(ptrs, p)
 	}
 	sort.Slice(ptrs, func(i, j int) bool { return ptrs[i] < ptrs[j] })
+	ctx := context.Background()
 	for _, p := range ptrs {
-		objs, precise := a.PointsTo(p, exit)
+		objs, precise := a.PointsToContext(ctx, p, exit)
 		fmt.Fprintf(&b, "pts %d %v %v\n", p, objs, precise)
-		fmt.Fprintf(&b, "aliases %d %v clusters=%v\n", p, a.Aliases(p, exit), a.ClustersOf(p))
+		al, precise := a.Aliases(ctx, p, exit)
+		fmt.Fprintf(&b, "aliases %d %v %v clusters=%v\n", p, al, precise, a.ClustersOf(p))
 	}
 	return b.String()
 }

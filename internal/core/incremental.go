@@ -23,8 +23,8 @@ package core
 // health record. Edits ApplyEdit cannot map — added/removed/rebuilt
 // functions, call/return rewrites, signature changes, indirect-call
 // programs, or a changed cluster-cover partition — fall back to a full
-// Reanalyze (warm through the result cache) instead of ever producing a
-// stale cover; EditReport.FellBack says so.
+// reanalysis (warm through the result cache, see reanalyze) instead of
+// ever producing a stale cover; EditReport.FellBack says so.
 
 import (
 	"context"
@@ -66,7 +66,7 @@ type EditReport struct {
 	// FellBack: everything was recomputed).
 	DirtyIDs []int
 	// FellBack reports that the batch could not be mapped incrementally
-	// and a full Reanalyze ran instead; Reason says why.
+	// and a full reanalysis ran instead; Reason says why.
 	FellBack bool
 	Reason   string
 	Elapsed  time.Duration
@@ -78,16 +78,11 @@ type EditReport struct {
 // move to the successor: the two analyses share a query lock, so
 // queries against prev keep working (and stay sound) while traffic
 // migrates. Results are bit-identical — fingerprints and query answers —
-// to a from-scratch analysis of the edited program.
-func ApplyEdit(prev *Analysis, edits []ir.Edit) (*Analysis, *EditReport, error) {
-	return ApplyEditContext(context.Background(), prev, edits)
-}
-
-// ApplyEditContext is ApplyEdit under a cancellation context: the
-// context bounds the dirty-cluster re-solves exactly as
-// AnalyzeProgramContext's does (expiry degrades clusters through the
-// retry ladder; explicit cancellation aborts).
-func ApplyEditContext(ctx context.Context, prev *Analysis, edits []ir.Edit) (*Analysis, *EditReport, error) {
+// to a from-scratch analysis of the edited program. ctx bounds the
+// dirty-cluster re-solves exactly as AnalyzeProgramContext's does
+// (expiry degrades clusters through the retry ladder; explicit
+// cancellation aborts).
+func ApplyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit) (*Analysis, *EditReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -116,7 +111,7 @@ func recordEditMetrics(m *obs.Metrics, rep *EditReport) {
 	m.Counter("incr_resolves_total", "dirty clusters eagerly re-solved").Add(int64(rep.Resolved))
 	m.Counter("incr_steens_drift_total", "variables with drifted Steensgaard signatures").Add(int64(rep.SteensDrift))
 	if rep.FellBack {
-		m.Counter("incr_fallbacks_total", "ApplyEdit batches that fell back to full Reanalyze").Add(1)
+		m.Counter("incr_fallbacks_total", "ApplyEdit batches that fell back to a full reanalysis").Add(1)
 	}
 	m.Histogram("incr_edit_seconds", "ApplyEdit latency", obs.SecondsBuckets).Observe(rep.Elapsed.Seconds())
 }
@@ -129,7 +124,7 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	}
 
 	fallback := func(reason string) (*Analysis, *EditReport, error) {
-		a, ferr := ReanalyzeContext(ctx, prev, newProg)
+		a, ferr := reanalyze(ctx, prev, newProg)
 		if ferr != nil {
 			return nil, nil, ferr
 		}
@@ -343,6 +338,60 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 		a2.CacheStats = cfg.Cache.Stats()
 	}
 	return a2, rep, nil
+}
+
+// reanalyze is ApplyEdit's structural fallback: it re-runs the whole
+// cascade on newProg with prev's configuration, against a cache warmed
+// with prev's per-cluster results. It covers every batch the
+// cluster-dirtiness mapping cannot express — a function added, removed
+// or rebuilt, a call or return statement rewritten (any of which
+// changes a function signature or the shape of the call graph), or any
+// change that can alter the cluster cover itself. The fallback is still
+// warm: per Theorem 6 a cluster's result depends only on its slice, so
+// clusters of newProg whose slices fingerprint-match a cluster of prev
+// (stable under VarID/Loc renumbering) import the stored result instead
+// of solving; "full" means full cover construction, not full solving.
+//
+// When prev already ran with a Config.Cache, that cache is reused as-is
+// (prev's solves populated it). Otherwise a fresh in-memory cache is
+// created and warmed from prev's live engines.
+func reanalyze(ctx context.Context, prev *Analysis, newProg *ir.Program) (*Analysis, error) {
+	cfg := prev.cfg
+	if cfg.Cache == nil {
+		cfg.Cache = cache.New(cache.Options{})
+		prev.exportToCache(cfg.Cache)
+	}
+	return AnalyzeProgramContext(ctx, newProg, cfg)
+}
+
+// exportToCache stores the results of every healthy (HealthOK) cluster
+// engine into dst, keyed by the cluster's fingerprint. Engines that were
+// retried, recovered or demoted are skipped: their state reflects
+// degraded knobs, not the fingerprinted configuration. The receiver is
+// usable afterwards; queries are unaffected.
+func (a *Analysis) exportToCache(dst *cache.Cache) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	healthy := map[int]bool{}
+	for _, h := range a.Health {
+		if h.Status == HealthOK {
+			healthy[h.ClusterID] = true
+		}
+	}
+	params := cache.Params{
+		MaxCond: maxCondOrDefault(a.cfg.MaxCond),
+		Budget:  a.cfg.ClusterBudget,
+	}
+	for id, eng := range a.engines {
+		c, ok := a.selected[id]
+		if !healthy[id] || !ok {
+			continue
+		}
+		cn := cache.NewCanon(a.Prog, a.Steens, a.CallGraph, c, params)
+		if payload, ok := eng.ExportState(cn); ok {
+			dst.Put(cn.Key(), payload)
+		}
+	}
 }
 
 // editSignals is the dirty set an edit batch induces, in slice terms.

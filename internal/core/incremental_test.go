@@ -80,10 +80,11 @@ func sampleQueries(t *testing.T, tag string, got, want *core.Analysis) {
 	if len(locs) > 8 {
 		locs = locs[:8]
 	}
+	ctx := context.Background()
 	for _, v := range ptrs {
 		for _, loc := range locs {
-			wp, wprec := want.PointsTo(v, loc)
-			gp, gprec := got.PointsTo(v, loc)
+			wp, wprec := want.PointsToContext(ctx, v, loc)
+			gp, gprec := got.PointsToContext(ctx, v, loc)
 			sort.Slice(wp, func(i, j int) bool { return wp[i] < wp[j] })
 			sort.Slice(gp, func(i, j int) bool { return gp[i] < gp[j] })
 			if wprec != gprec || !reflect.DeepEqual(wp, gp) {
@@ -95,9 +96,11 @@ func sampleQueries(t *testing.T, tag string, got, want *core.Analysis) {
 	for i := 0; i+1 < len(ptrs) && i < 20; i += 2 {
 		p, q := ptrs[i], ptrs[i+1]
 		for _, loc := range locs {
-			if got.MayAlias(p, q, loc) != want.MayAlias(p, q, loc) {
-				t.Fatalf("%s: MayAlias(%s, %s, L%d) diverged", tag,
-					prog.Var(p).Name, prog.Var(q).Name, loc)
+			gm, gprec := got.MayAliasContext(ctx, p, q, loc)
+			wm, wprec := want.MayAliasContext(ctx, p, q, loc)
+			if gm != wm || gprec != wprec {
+				t.Fatalf("%s: MayAlias(%s, %s, L%d) = %v/%v, fresh %v/%v", tag,
+					prog.Var(p).Name, prog.Var(q).Name, loc, gm, gprec, wm, wprec)
 			}
 		}
 	}
@@ -144,7 +147,7 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 				if len(edits) == 0 {
 					t.Fatal("no eligible edits")
 				}
-				a2, rep, err := core.ApplyEdit(a, edits)
+				a2, rep, err := core.ApplyEdit(context.Background(), a, edits)
 				if err != nil {
 					t.Fatalf("%s: ApplyEdit: %v", tag, err)
 				}
@@ -172,7 +175,7 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 				// live (shared engine lock, transplanted engines).
 				if ptrs := a.CoveredPointers(); len(ptrs) > 0 {
 					f := a.Prog.Funcs[0]
-					a.PointsTo(ptrs[0], f.Exit)
+					a.PointsToContext(context.Background(), ptrs[0], f.Exit)
 				}
 				a = a2
 			}
@@ -196,7 +199,7 @@ func TestApplyEditKeepsDemotedIndexed(t *testing.T) {
 			t.Fatalf("cluster %d not demoted: %+v", h.ClusterID, h)
 		}
 	}
-	a2, rep, err := core.ApplyEdit(a, randomStmtEdits(a.Prog, rand.New(rand.NewSource(7)), 5))
+	a2, rep, err := core.ApplyEdit(context.Background(), a, randomStmtEdits(a.Prog, rand.New(rand.NewSource(7)), 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +241,8 @@ func TestApplyEditKeepsDemotedIndexed(t *testing.T) {
 }
 
 // TestApplyEditStructuralFallback: edits ApplyEdit cannot map onto the
-// cluster cover degrade to a full Reanalyze with FellBack reported —
-// the documented Reanalyze contract.
+// cluster cover degrade to a full, cache-warm reanalysis with FellBack
+// reported.
 func TestApplyEditStructuralFallback(t *testing.T) {
 	prog := incrProg(t)
 	cfg := core.Config{Mode: core.ModeAndersen, Workers: 2}
@@ -259,7 +262,7 @@ func TestApplyEditStructuralFallback(t *testing.T) {
 			Exit:     0,
 		},
 	}}
-	a2, rep, err := core.ApplyEdit(a, edits)
+	a2, rep, err := core.ApplyEdit(context.Background(), a, edits)
 	if err != nil {
 		t.Fatalf("ApplyEdit: %v", err)
 	}
@@ -288,7 +291,7 @@ func TestApplyEditLazy(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	edits := randomStmtEdits(a.Prog, rng, 4)
-	a2, rep, err := core.ApplyEdit(a, edits)
+	a2, rep, err := core.ApplyEdit(context.Background(), a, edits)
 	if err != nil {
 		t.Fatalf("ApplyEdit: %v", err)
 	}
@@ -307,10 +310,10 @@ func TestApplyEditLazy(t *testing.T) {
 	// Warm a lazy analysis through queries, then edit: dirty clusters
 	// with warmed siblings re-solve eagerly so answers stay fresh.
 	for _, v := range a2.CoveredPointers() {
-		a2.PointsTo(v, a2.Prog.Funcs[0].Exit)
+		a2.PointsToContext(context.Background(), v, a2.Prog.Funcs[0].Exit)
 	}
 	edits = randomStmtEdits(a2.Prog, rng, 4)
-	a3, rep, err := core.ApplyEdit(a2, edits)
+	a3, rep, err := core.ApplyEdit(context.Background(), a2, edits)
 	if err != nil {
 		t.Fatalf("ApplyEdit warm: %v", err)
 	}
@@ -333,7 +336,7 @@ func TestApplyEditBadBatch(t *testing.T) {
 		t.Fatalf("analyze: %v", err)
 	}
 	before := len(a.Prog.Nodes)
-	if _, _, err := core.ApplyEdit(a, []ir.Edit{{Kind: ir.EditReplaceStmt, Loc: ir.Loc(1 << 30)}}); err == nil {
+	if _, _, err := core.ApplyEdit(context.Background(), a, []ir.Edit{{Kind: ir.EditReplaceStmt, Loc: ir.Loc(1 << 30)}}); err == nil {
 		t.Fatal("bad edit accepted")
 	}
 	if len(a.Prog.Nodes) != before {
@@ -411,7 +414,7 @@ func FuzzApplyEdit(f *testing.F) {
 				edits = append(edits, ir.Edit{Kind: ir.EditInsertAfter, Loc: loc, Stmt: ins})
 			}
 		}
-		a2, rep, err := core.ApplyEdit(a, edits)
+		a2, rep, err := core.ApplyEdit(context.Background(), a, edits)
 		if err != nil {
 			t.Skip() // malformed batch; rejection is the contract
 		}
@@ -428,10 +431,11 @@ func FuzzApplyEdit(f *testing.F) {
 				t.Fatalf("cluster %d fingerprint mismatch (fellback=%v)", id, rep.FellBack)
 			}
 		}
+		ctx := context.Background()
 		for _, v := range fresh.CoveredPointers() {
 			for _, fn := range fresh.Prog.Funcs {
-				wp, wprec := fresh.PointsTo(v, fn.Exit)
-				gp, gprec := a2.PointsTo(v, fn.Exit)
+				wp, wprec := fresh.PointsToContext(ctx, v, fn.Exit)
+				gp, gprec := a2.PointsToContext(ctx, v, fn.Exit)
 				sort.Slice(wp, func(i, j int) bool { return wp[i] < wp[j] })
 				sort.Slice(gp, func(i, j int) bool { return gp[i] < gp[j] })
 				if wprec != gprec || !reflect.DeepEqual(wp, gp) {

@@ -62,7 +62,7 @@ func TestPreciseCascadeSoundRandom(t *testing.T) {
 				for i := 0; i < prog.NumVars(); i++ {
 					for j := i + 1; j < prog.NumVars(); j++ {
 						pi, pj := ir.VarID(i), ir.VarID(j)
-						if r.MayAlias(pi, pj, loc) && !a.MayAlias(pi, pj, loc) {
+						if r.MayAlias(pi, pj, loc) && !mayAlias(a, pi, pj, loc) {
 							t.Fatalf("seed %d oneflow=%v: UNSOUND: %s and %s alias at L%d (exact), cascade says no\nprogram:\n%s",
 								seed, oneflow, prog.VarName(pi), prog.VarName(pj), loc, src)
 						}

@@ -212,7 +212,7 @@ func AnalyzeFromPlan(ctx context.Context, pl *Plan, cfg Config) (*Analysis, erro
 		}
 	}
 	if cfg.Lazy {
-		// Engines are created (and compute) on first query.
+		// Each cluster solves on the first query touching it (EnsureCluster).
 		return finish(), nil
 	}
 

@@ -9,15 +9,14 @@ import (
 	"bootstrap/internal/ir"
 )
 
-// This file is the context-first query surface: the demand-driven API a
-// long-lived caller (the aliasd daemon, an IDE loop) uses to answer alias
-// queries lazily under a per-query deadline. Unlike the classic query
-// methods (MayAlias, PointsTo, ...), which create lazy engines implicitly
-// and compute under the analysis lock, these methods solve a cluster at
-// most once through the fault-tolerant RunCluster ladder — concurrent
-// first touches coalesce into one solve (single flight) — and degrade to
-// the flow-insensitive fallback when the caller's context expires before
-// the solve lands, instead of blocking or erroring.
+// This file is the query surface. Every alias query takes a context and
+// answers through one per-cluster fold (fold): the clusters containing
+// the queried pointer are solved at most once, on first touch, through
+// EnsureCluster and the fault-tolerant RunCluster ladder — concurrent
+// first touches coalesce into one solve (single flight) — and a cluster
+// that was demoted, or is still solving when the caller's context
+// expires, degrades the answer to the flow-insensitive fallback instead
+// of blocking or erroring.
 
 // inflight is one single-flight cluster solve. done is closed when the
 // solve finished (successfully or demoted); eng/health are valid after.
@@ -89,8 +88,7 @@ func (a *Analysis) solveCluster(id int, c *cluster.Cluster, s *inflight) {
 	if eng != nil {
 		a.engines[id] = eng
 	} else {
-		// Permanently demoted: deselect so neither this path nor the
-		// classic lazy getEngine path can resurrect the engine.
+		// Permanently demoted: deselect so no later query re-solves it.
 		delete(a.selected, id)
 	}
 	a.queryHealth[id] = h
@@ -192,11 +190,54 @@ func (a *Analysis) CoveredPointers() []ir.VarID {
 	return out
 }
 
-// MayAliasContext is the context-first MayAlias: cluster membership is
-// resolved once (per Theorems 6 and 7 the clusters containing p
-// suffice), cold clusters solve on first touch through EnsureCluster,
-// and a deadline expiring mid-solve degrades the answer to the
-// flow-insensitive fallback instead of blocking.
+// fold is the one per-cluster walk every alias query runs: per Theorems
+// 6 and 7 the clusters containing p suffice. It visits p's clusters in
+// cover order, solving cold ones on first touch through EnsureCluster,
+// and hands each solved engine to visit under a.mu (engines are
+// single-threaded); visit returns true to stop the walk. complete
+// reports whether every cluster walked answered at full precision: it
+// is false when one was demoted, or still solving when ctx expired, and
+// the caller must then widen through the flow-insensitive fallback.
+func (a *Analysis) fold(ctx context.Context, p ir.VarID, visit func(*fscs.Engine) (stop bool)) (complete bool) {
+	complete = true
+	for _, id := range a.byPointer[p] {
+		eng, _, final := a.EnsureCluster(ctx, id)
+		if !final || eng == nil {
+			complete = false
+			continue
+		}
+		a.mu.Lock()
+		stop := visit(eng)
+		a.mu.Unlock()
+		if stop {
+			break
+		}
+	}
+	return complete
+}
+
+// sortedVars returns the members of set in increasing order.
+func sortedVars(set map[ir.VarID]bool) []ir.VarID {
+	out := make([]ir.VarID, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// addFallbackPointsTo widens set by p's flow-insensitive points-to set.
+func (a *Analysis) addFallbackPointsTo(set map[ir.VarID]bool, p ir.VarID) {
+	a.Andersen.PointsToSet(p).ForEach(func(o int) bool {
+		set[ir.VarID(o)] = true
+		return true
+	})
+}
+
+// MayAliasContext reports whether p and q may alias at loc. Pairs in
+// disjoint Steensgaard partitions never alias; otherwise p's clusters are
+// folded, and the first one holding both pointers that proves an alias
+// decides.
 //
 // precise is false when the fallback had to stand in for a cluster that
 // was demoted or still solving when ctx expired: the answer is then
@@ -210,44 +251,28 @@ func (a *Analysis) MayAliasContext(ctx context.Context, p, q ir.VarID, loc ir.Lo
 	if !a.Steens.SamePartition(p, q) {
 		return false, true // disjoint cover: cannot alias
 	}
-	ids := a.byPointer[p]
-	if len(ids) == 0 {
-		// p was never selected: the flow-insensitive answer is this
-		// configuration's full-precision answer for p.
-		return a.Andersen.MayAlias(p, q), true
-	}
-	complete := true // every cluster consulted at full precision
 	covered := false // some consulted cluster contains both p and q
-	for _, id := range ids {
-		eng, _, final := a.EnsureCluster(ctx, id)
-		if !final || eng == nil {
-			complete = false
-			continue
+	complete := a.fold(ctx, p, func(eng *fscs.Engine) bool {
+		if !eng.Cluster().HasPointer(q) {
+			return false
 		}
-		a.mu.Lock()
-		has := eng.Cluster().HasPointer(q)
-		may := has && eng.MayAlias(p, q, loc)
-		a.mu.Unlock()
-		if may {
-			return true, true
-		}
-		covered = covered || has
+		covered = true
+		aliased = eng.MayAlias(p, q, loc)
+		return aliased
+	})
+	if aliased || (complete && covered) {
+		return aliased, true
 	}
-	if complete {
-		if covered {
-			return false, true
-		}
-		// No analyzed cluster contains both: under the disjunctive cover
-		// they share no Andersen object unless the fallback says so.
-		return a.Andersen.MayAlias(p, q), true
-	}
-	// Some cluster degraded or ran past the deadline: widen soundly.
-	return a.Andersen.MayAlias(p, q), false
+	// No analyzed cluster contains both — under the disjunctive cover
+	// they share no Andersen object unless the fallback says so, and
+	// when p is in no analyzed cluster the fallback is this
+	// configuration's full-precision answer — or some cluster degraded
+	// or ran past the deadline, and the fallback widens soundly.
+	return a.Andersen.MayAlias(p, q), complete
 }
 
-// MustAliasContext is the context-first MustAlias: p and q must alias at
-// loc when some analyzed cluster containing both proves it. Cold clusters
-// solve on first touch through EnsureCluster. precise is false when a
+// MustAliasContext reports whether p and q must alias at loc: some
+// analyzed cluster containing both proves it. precise is false when a
 // cluster of p was demoted or still solving at the deadline — must-alias
 // facts cannot be recovered from the flow-insensitive fallback, so the
 // answer is then a sound "false" (never a spurious must).
@@ -255,104 +280,135 @@ func (a *Analysis) MustAliasContext(ctx context.Context, p, q ir.VarID, loc ir.L
 	if p == q {
 		return true, true
 	}
-	precise = true
-	for _, id := range a.byPointer[p] {
-		eng, _, final := a.EnsureCluster(ctx, id)
-		if !final || eng == nil {
-			precise = false
-			continue
-		}
-		a.mu.Lock()
-		ok := eng.Cluster().HasPointer(q) && eng.MustAlias(p, q, loc)
-		a.mu.Unlock()
-		if ok {
-			return true, precise
-		}
-	}
-	return false, precise
+	precise = a.fold(ctx, p, func(eng *fscs.Engine) bool {
+		must = eng.Cluster().HasPointer(q) && eng.MustAlias(p, q, loc)
+		return must
+	})
+	return must, precise
 }
 
-// DerefStateContext is the context-first DerefState: what a dereference
-// of p at loc may observe — the referable objects, whether some path
-// arrives with p null or uninitialized, and whether the answer is
-// precise. Cold clusters solve on first touch; a cluster demoted or
+// Aliases returns the pointers other than p that may alias p at loc: the
+// union of the per-cluster alias sets (condition (ii) of Section 2). When
+// a cluster of p was demoted or still solving at the deadline, or p is
+// in no analyzed cluster, the fallback stands in as it does for
+// MayAliasContext: every member of p's Steensgaard partition that the
+// flow-insensitive analysis aliases with p is added, and precise is
+// false — the rule PointsToContext uses. Either way q is listed exactly
+// when MayAliasContext(ctx, p, q, loc) holds.
+func (a *Analysis) Aliases(ctx context.Context, p ir.VarID, loc ir.Loc) ([]ir.VarID, bool) {
+	set := map[ir.VarID]bool{}
+	complete := a.fold(ctx, p, func(eng *fscs.Engine) bool {
+		for _, q := range eng.Aliases(p, loc) {
+			set[q] = true
+		}
+		return false
+	})
+	precise := complete && len(a.byPointer[p]) > 0
+	if !precise {
+		for _, q := range a.Steens.PartitionOf(p) {
+			if q != p && a.Andersen.MayAlias(p, q) {
+				set[q] = true
+			}
+		}
+	}
+	return sortedVars(set), precise
+}
+
+// PointsToContext returns the objects p may reference at loc: the union
+// of p's per-cluster value sets. precise is false when any contributing
+// engine lost precision, when a cluster was demoted or out-deadlined
+// (the flow-insensitive set is then merged in, keeping the answer
+// sound), or when p is outside every analyzed cluster.
+func (a *Analysis) PointsToContext(ctx context.Context, p ir.VarID, loc ir.Loc) ([]ir.VarID, bool) {
+	set := map[ir.VarID]bool{}
+	found, exact := false, true
+	complete := a.fold(ctx, p, func(eng *fscs.Engine) bool {
+		objs, ok := eng.Values(p, loc)
+		found, exact = true, exact && ok
+		for _, o := range objs {
+			set[o] = true
+		}
+		return false
+	})
+	precise := found && complete && exact
+	if !precise {
+		a.addFallbackPointsTo(set, p)
+	}
+	return sortedVars(set), precise
+}
+
+// DerefStateContext resolves what a dereference of p at loc may observe:
+// the referable objects, whether some path arrives with p null or
+// uninitialized, and whether the answer is precise. A cluster demoted or
 // still solving at the deadline clears precise (the flags stay sound for
 // the clusters that did answer). Pointers outside every analyzed cluster
 // fall back to the flow-insensitive set with precise=false and unknown
-// flags cleared, mirroring the classic DerefState.
+// flags cleared.
 func (a *Analysis) DerefStateContext(ctx context.Context, p ir.VarID, loc ir.Loc) (objs []ir.VarID, mayNull, mayUninit, precise bool) {
 	set := map[ir.VarID]bool{}
-	precise = true
-	found := false
-	for _, id := range a.byPointer[p] {
-		eng, _, final := a.EnsureCluster(ctx, id)
-		if !final || eng == nil {
-			precise = false
-			continue
-		}
-		found = true
-		a.mu.Lock()
+	found, exact := false, true
+	complete := a.fold(ctx, p, func(eng *fscs.Engine) bool {
 		st := eng.ValueState(p, loc)
-		a.mu.Unlock()
-		precise = precise && !st.Unknown
+		found, exact = true, exact && !st.Unknown
 		mayNull = mayNull || st.Null
 		mayUninit = mayUninit || st.Uninit
 		for _, o := range st.Objs {
 			set[o] = true
 		}
-	}
+		return false
+	})
 	if !found {
-		a.mu.Lock()
-		objs, _ = a.PointsToLockedFallback(p)
-		a.mu.Unlock()
-		return objs, false, false, false
+		return a.Andersen.PointsTo(p), false, false, false
 	}
-	objs = make([]ir.VarID, 0, len(set))
-	for o := range set {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	return objs, mayNull, mayUninit, precise
+	return sortedVars(set), mayNull, mayUninit, complete && exact
 }
 
-// PointsToContext is the context-first PointsTo: the union of p's
-// per-cluster value sets at loc, solving cold clusters on first touch.
-// precise is false when any contributing engine lost precision, when a
-// cluster was demoted or out-deadlined (the flow-insensitive set is then
-// merged in, keeping the answer sound), or when p is outside every
-// analyzed cluster.
-func (a *Analysis) PointsToContext(ctx context.Context, p ir.VarID, loc ir.Loc) ([]ir.VarID, bool) {
-	ids := a.byPointer[p]
+// ValuesInContext returns the objects p may reference at loc when reached
+// via the given call path (fully flow- AND context-sensitive), unioned
+// over p's clusters. The boolean reports precision; when a cluster of p
+// was demoted or still solving at the deadline, or p is in no analyzed
+// cluster, the flow-insensitive set is merged in and it is false. An
+// invalid call path is an error.
+func (a *Analysis) ValuesInContext(ctx context.Context, p ir.VarID, loc ir.Loc, path fscs.Context) ([]ir.VarID, bool, error) {
 	set := map[ir.VarID]bool{}
-	precise := true
-	found := false
-	for _, id := range ids {
-		eng, _, final := a.EnsureCluster(ctx, id)
-		if !final || eng == nil {
-			precise = false
-			continue
+	found, exact := false, true
+	var err error
+	complete := a.fold(ctx, p, func(eng *fscs.Engine) bool {
+		var objs []ir.VarID
+		var ok bool
+		if objs, ok, err = eng.ValuesInContext(p, loc, path); err != nil {
+			return true
 		}
-		found = true
-		a.mu.Lock()
-		objs, ok := eng.Values(p, loc)
-		a.mu.Unlock()
-		precise = precise && ok
+		found, exact = true, exact && ok
 		for _, o := range objs {
 			set[o] = true
 		}
+		return false
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	if !found || !precise {
-		// Sound widening: fold in the flow-insensitive set.
-		a.Andersen.PointsToSet(p).ForEach(func(o int) bool {
-			set[ir.VarID(o)] = true
-			return true
-		})
-		precise = false
+	if !found || !complete {
+		a.addFallbackPointsTo(set, p)
+		return sortedVars(set), false, nil
 	}
-	out := make([]ir.VarID, 0, len(set))
-	for o := range set {
-		out = append(out, o)
+	return sortedVars(set), exact, nil
+}
+
+// MustAliasInContext reports whether p and q must alias at loc in the
+// given call path, via any analyzed cluster containing both. precise
+// follows MustAliasContext: false when a cluster of p was demoted or
+// still solving at the deadline. An invalid call path is an error.
+func (a *Analysis) MustAliasInContext(ctx context.Context, p, q ir.VarID, loc ir.Loc, path fscs.Context) (must, precise bool, err error) {
+	precise = a.fold(ctx, p, func(eng *fscs.Engine) bool {
+		if !eng.Cluster().HasPointer(q) {
+			return false
+		}
+		must, err = eng.MustAliasInContext(p, q, loc, path)
+		return must || err != nil
+	})
+	if err != nil {
+		return false, false, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, precise
+	return must, precise, nil
 }

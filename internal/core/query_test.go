@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bootstrap/internal/ir"
 	"bootstrap/internal/obs"
 )
 
@@ -13,8 +17,9 @@ func lazyConfig() Config {
 	return Config{Mode: ModeAndersen, Workers: 2, AndersenThreshold: 2, Lazy: true}
 }
 
-// TestContextQueriesMatchEager: the context-first API on a lazy analysis
-// must agree with the classic API on an eager one, pair by pair.
+// TestContextQueriesMatchEager: queries on a lazy analysis, which solve
+// clusters on first touch, must agree with the same queries on an eager
+// one, pair by pair.
 func TestContextQueriesMatchEager(t *testing.T) {
 	lazy, err := AnalyzeSource(testProgram, lazyConfig())
 	if err != nil {
@@ -33,7 +38,7 @@ func TestContextQueriesMatchEager(t *testing.T) {
 	for _, pair := range pairs {
 		p, q := v(t, lazy, pair[0]), v(t, lazy, pair[1])
 		got, precise := lazy.MayAliasContext(ctx, p, q, exit)
-		want := eager.MayAlias(v(t, eager, pair[0]), v(t, eager, pair[1]), exit)
+		want, _ := eager.MayAliasContext(ctx, v(t, eager, pair[0]), v(t, eager, pair[1]), exit)
 		if got != want {
 			t.Errorf("MayAliasContext(%s,%s) = %v, eager MayAlias = %v", pair[0], pair[1], got, want)
 		}
@@ -44,7 +49,7 @@ func TestContextQueriesMatchEager(t *testing.T) {
 	for _, name := range []string{"x", "y", "p", "px", "l1"} {
 		p := v(t, lazy, name)
 		got, _ := lazy.PointsToContext(ctx, p, exit)
-		want, _ := eager.PointsTo(v(t, eager, name), exit)
+		want, _ := eager.PointsToContext(ctx, v(t, eager, name), exit)
 		if len(got) != len(want) {
 			t.Errorf("PointsToContext(%s) = %v, eager = %v", name, got, want)
 			continue
@@ -102,54 +107,56 @@ func TestEnsureClusterSingleFlight(t *testing.T) {
 }
 
 // TestExpiredContextDegrades: an already-dead context cannot wait for a
-// solve; the answer must come from the fallback, flagged imprecise, and
-// must still be sound (a superset of the true may-alias relation).
+// solve; the answer must then come from the fallback and still be sound
+// (a superset of the true may-alias relation). x is in two clusters and
+// the first alone proves x and p alias, so a query that reaches a solved
+// first cluster returns precisely without touching the second — whether
+// it was solved beforehand (the second iteration) or its detached solve
+// landed before the expired context was observed.
 func TestExpiredContextDegrades(t *testing.T) {
-	a, err := AnalyzeSource(testProgram, lazyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	exit := exitLoc(a)
-	x, p := v(t, a, "x"), v(t, a, "p")
-	got, precise := a.MayAliasContext(ctx, x, p, exit)
-	// x,p do alias at exit; Andersen must agree (soundness).
-	if !got {
-		t.Errorf("degraded MayAlias(x,p) = false; fallback unsound")
-	}
-	if precise {
-		// The first touch may occasionally finish before the expired
-		// context is observed (the solve is detached); in that case the
-		// full-precision answer is fine. But a degraded answer must be
-		// flagged. Only assert when the cluster is still unsolved.
-		for _, id := range a.ClustersOf(x) {
-			if !a.ClusterSolved(id) {
-				t.Errorf("precise=true while cluster %d still unsolved", id)
+	for _, presolve := range []bool{false, true} {
+		a, err := AnalyzeSource(testProgram, lazyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		exit := exitLoc(a)
+		x, p := v(t, a, "x"), v(t, a, "p")
+		if ids := a.ClustersOf(x); len(ids) < 2 {
+			t.Fatalf("x is in clusters %v; the test needs two", ids)
+		}
+		if presolve {
+			if eng, _, final := a.EnsureCluster(context.Background(), a.ClustersOf(x)[0]); !final || eng == nil {
+				t.Fatal("pre-solve of x's first cluster failed")
 			}
 		}
-	}
-	// The detached solve keeps going: the cluster must land solved and a
-	// later query must be precise.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		all := true
-		for _, id := range a.ClustersOf(x) {
-			if !a.ClusterSolved(id) {
-				all = false
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		got, precise := a.MayAliasContext(ctx, x, p, exit)
+		// x,p do alias at exit; the fallback must agree (soundness).
+		if !got {
+			t.Errorf("presolve=%v: degraded MayAlias(x,p) = false; fallback unsound", presolve)
+		}
+		if presolve && !precise {
+			t.Errorf("pre-solved first cluster proves the alias, yet precise=false")
+		}
+		// Detached solves keep going: once none is in flight, a later
+		// query must be precise.
+		inFlight := func() int {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			return len(a.solving)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for inFlight() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("presolve=%v: detached solve never completed", presolve)
 			}
+			time.Sleep(time.Millisecond)
 		}
-		if all {
-			break
+		got, precise = a.MayAliasContext(context.Background(), x, p, exit)
+		if !got || !precise {
+			t.Errorf("presolve=%v: after detached solves: MayAlias(x,p) = (%v, precise=%v), want (true, true)", presolve, got, precise)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("detached solve never completed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	got, precise = a.MayAliasContext(context.Background(), x, p, exit)
-	if !got || !precise {
-		t.Errorf("after detached solve: MayAlias(x,p) = (%v, precise=%v), want (true, true)", got, precise)
 	}
 }
 
@@ -210,5 +217,87 @@ func TestSolveStatsAndCoveredPointers(t *testing.T) {
 	a.EnsureCluster(context.Background(), a.ClustersOf(x)[0])
 	if solved, _ := a.SolveStats(); solved != 1 {
 		t.Errorf("after one EnsureCluster: solved = %d, want 1", solved)
+	}
+}
+
+// TestAliasesMatchMayAlias: Aliases(p) is exactly the set of q != p for
+// which MayAliasContext(p, q) holds, for every variable at every function
+// exit — covered or not — on a healthy run, on one whose clusters are all
+// demoted, and under lock demand, where x is in no analyzed cluster. In
+// both degraded shapes the fallback stands in for x's clusters, so x's
+// aliases must still list p and be flagged imprecise.
+func TestAliasesMatchMayAlias(t *testing.T) {
+	locks := func(vr *ir.Var) bool { return vr.IsLock }
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		xPrecise bool
+	}{
+		{"healthy", Config{Mode: ModeAndersen, Workers: 1, AndersenThreshold: 2}, true},
+		{"demoted", Config{Mode: ModeAndersen, Workers: 1, ClusterBudget: 1, Retries: -1}, false},
+		{"lock-demand", Config{Mode: ModeAndersen, Workers: 1, Demand: locks}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := AnalyzeSource(testProgram, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			n := a.Prog.NumVars()
+			pairs := 0
+			for _, f := range a.Prog.Funcs {
+				for pi := 0; pi < n; pi++ {
+					p := ir.VarID(pi)
+					var want []ir.VarID
+					for qi := 0; qi < n; qi++ {
+						q := ir.VarID(qi)
+						if may, _ := a.MayAliasContext(ctx, p, q, f.Exit); may && q != p {
+							want = append(want, q)
+						}
+					}
+					got, _ := a.Aliases(ctx, p, f.Exit)
+					if !slices.Equal(got, want) {
+						t.Errorf("Aliases(%s) at L%d = %v, MayAliasContext admits %v",
+							a.Prog.VarName(p), f.Exit, got, want)
+					}
+					pairs += len(want)
+				}
+			}
+			if pairs == 0 {
+				t.Fatal("no aliases anywhere; the check is vacuous")
+			}
+			x, p := v(t, a, "x"), v(t, a, "p")
+			al, precise := a.Aliases(ctx, x, exitLoc(a))
+			if !slices.Contains(al, p) || precise != tc.xPrecise {
+				t.Errorf("Aliases(x) = %v precise=%v, want p listed and precise=%v", al, precise, tc.xPrecise)
+			}
+		})
+	}
+}
+
+// TestQueryAPIContextFirst: every exported alias query on *Analysis takes
+// a context.Context first, so a ctx-less twin cannot come back unnoticed.
+// The NeedsSolve predicates are admission-routing probes, not queries:
+// they never solve and answer without an engine.
+func TestQueryAPIContextFirst(t *testing.T) {
+	ctxType := reflect.TypeOf((*context.Context)(nil)).Elem()
+	typ := reflect.TypeOf((*Analysis)(nil))
+	queries := 0
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		query := m.Name == "Aliases"
+		for _, prefix := range []string{"MayAlias", "MustAlias", "PointsTo", "DerefState", "Values"} {
+			query = query || strings.HasPrefix(m.Name, prefix)
+		}
+		if !query || strings.HasSuffix(m.Name, "NeedsSolve") {
+			continue
+		}
+		queries++
+		if m.Type.NumIn() < 2 || m.Type.In(1) != ctxType {
+			t.Errorf("%s%s: an alias query must take a context.Context first", m.Name, strings.TrimPrefix(m.Type.String(), "func"))
+		}
+	}
+	if queries < 7 {
+		t.Errorf("found %d alias queries on *Analysis, want at least 7", queries)
 	}
 }

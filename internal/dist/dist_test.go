@@ -70,10 +70,12 @@ func dump(a *core.Analysis) string {
 		}
 	}
 	sort.Slice(ptrs, func(i, j int) bool { return ptrs[i] < ptrs[j] })
+	ctx := context.Background()
 	for _, p := range ptrs {
-		objs, precise := a.PointsTo(p, exit)
+		objs, precise := a.PointsToContext(ctx, p, exit)
 		fmt.Fprintf(&sb, "pts %d %v %v\n", p, objs, precise)
-		fmt.Fprintf(&sb, "aliases %d %v\n", p, a.Aliases(p, exit))
+		al, precise := a.Aliases(ctx, p, exit)
+		fmt.Fprintf(&sb, "aliases %d %v %v\n", p, al, precise)
 	}
 	return sb.String()
 }

@@ -17,6 +17,7 @@
 package lockset
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -145,17 +146,21 @@ func equalSets(s, t lockSet) bool {
 
 // Source is the analysis surface the detector consumes: the program and
 // a points-to query for resolving lock pointers to lock objects.
-// *core.Analysis is the classic provider (see NewDetector); the checker
-// framework adapts its deadline-scoped, demand-driven query handle.
+// NewDetector adapts a *core.Analysis queried without a deadline; the
+// checker framework adapts its deadline-scoped, demand-driven query
+// handle.
 type Source interface {
 	Program() *ir.Program
 	PointsTo(p ir.VarID, loc ir.Loc) ([]ir.VarID, bool)
 }
 
-// analysisSource adapts *core.Analysis to Source (PointsTo is promoted).
+// analysisSource adapts *core.Analysis to Source.
 type analysisSource struct{ *core.Analysis }
 
 func (s analysisSource) Program() *ir.Program { return s.Prog }
+func (s analysisSource) PointsTo(p ir.VarID, loc ir.Loc) ([]ir.VarID, bool) {
+	return s.PointsToContext(context.Background(), p, loc)
+}
 
 // OrderEdge is one observed lock-order fact: while Held was definitely
 // held, the thread acquired Acquired at Loc. The deadlock checker builds

@@ -18,6 +18,7 @@
 package nullcheck
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -108,21 +109,24 @@ func SortWarnings(ws []Warning) {
 	})
 }
 
-// Source is the analysis surface the checker consumes; *core.Analysis is
-// the classic provider (see Check), and the checker framework adapts its
-// deadline-scoped demand-driven handle.
+// Source is the analysis surface the checker consumes. Check adapts a
+// *core.Analysis queried without a deadline; the checker framework
+// adapts its deadline-scoped demand-driven handle.
 type Source interface {
 	Program() *ir.Program
 	ReachableFuncs() []ir.FuncID
 	DerefState(p ir.VarID, loc ir.Loc) (objs []ir.VarID, mayNull, mayUninit, precise bool)
 }
 
-// analysisSource adapts *core.Analysis to Source (DerefState promoted).
+// analysisSource adapts *core.Analysis to Source.
 type analysisSource struct{ *core.Analysis }
 
 func (s analysisSource) Program() *ir.Program { return s.Prog }
 func (s analysisSource) ReachableFuncs() []ir.FuncID {
 	return s.CallGraph.Reachable(s.Prog.Entry)
+}
+func (s analysisSource) DerefState(p ir.VarID, loc ir.Loc) (objs []ir.VarID, mayNull, mayUninit, precise bool) {
+	return s.DerefStateContext(context.Background(), p, loc)
 }
 
 // Check scans every dereference site reachable from the entry function

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -46,7 +47,8 @@ func (r *reference) mayAlias(t *testing.T, p, q string) bool {
 	if !ok {
 		t.Fatalf("reference has no variable %q", q)
 	}
-	return r.a.MayAlias(pv, qv, r.exit)
+	may, _ := r.a.MayAliasContext(context.Background(), pv, qv, r.exit)
+	return may
 }
 
 // checkAnswer holds a chaos response to the contract: precise answers

@@ -118,7 +118,7 @@ func (s *Server) processEdits(q []*editWaiter) {
 	for _, wtr := range q {
 		start := time.Now()
 		ctx, cancel := context.WithTimeout(context.Background(), wtr.ddl)
-		a2, rep, err := core.ApplyEditContext(ctx, a, wtr.edits)
+		a2, rep, err := core.ApplyEdit(ctx, a, wtr.edits)
 		cancel()
 		if err != nil {
 			// A bad batch rejects alone; earlier batches in the group (and

@@ -128,7 +128,7 @@ func TestQueryAgainstEagerBaseline(t *testing.T) {
 	}
 	for _, pair := range pairs {
 		resp := mayAlias(t, s, pair[0], pair[1])
-		want := eager.MayAlias(eager.Prog.VarByName[pair[0]], eager.Prog.VarByName[pair[1]], exit)
+		want, _ := eager.MayAliasContext(context.Background(), eager.Prog.VarByName[pair[0]], eager.Prog.VarByName[pair[1]], exit)
 		if *resp.MayAlias != want {
 			t.Errorf("mayalias(%s,%s) = %v, eager = %v", pair[0], pair[1], *resp.MayAlias, want)
 		}
