@@ -12,10 +12,14 @@
 // analysis on one Steensgaard partition's relevant statements only.
 // Indirect-call placeholders are resolved on the fly: when a function value
 // flows into a call's function pointer, the matching parameter and return
-// bindings are added as copy edges.
+// bindings are added as copy edges. Patch runs the same solver over an
+// edited program's cone only, sharing every other set with the previous
+// generation's analysis.
 package andersen
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"sync"
 
@@ -196,6 +200,13 @@ type solver struct {
 
 	parWorkers   int
 	parThreshold int
+
+	// Patch state (nil for Analyze): shared[v] marks a variable outside
+	// the cone, whose set belongs to the previous analysis and is never
+	// written; checks are the inclusions into shared sets the constraints
+	// demanded, verified once the cone is solved.
+	shared []bool
+	checks [][2]int32
 }
 
 // Analyze runs Andersen's analysis over p (optionally restricted).
@@ -253,6 +264,89 @@ func Analyze(p *ir.Program, opts ...Option) *Analysis {
 	return &Analysis{prog: p, pts: s.pts, rep: s.rep, stats: s.stats}
 }
 
+// ErrConeLeak reports that a Patch cone was not closed: a constraint
+// demanded that a set outside the cone grow, so the patched analysis
+// would not equal a fresh Analyze of the program.
+var ErrConeLeak = errors.New("andersen: patch would grow a points-to set outside its cone")
+
+// Patch returns Andersen's analysis of p, an edited generation of the
+// program prev analyzed: p keeps every VarID of prev's program and may
+// add variables. Only the variables in cone, and the added ones, are
+// re-solved; every other variable shares prev's set, which Patch never
+// writes.
+//
+// The result equals Analyze(p) variable for variable when the cone is
+// closed: every statement the edit changed writes only cone variables
+// (in the old program and in p), and no constraint of p that reads a
+// cone variable writes one outside it. The caller vouches for the
+// first half. Patch checks the second: it re-solves every constraint
+// that reads or writes a cone variable, and an inclusion into a shared
+// set that does not already hold returns an error wrapping ErrConeLeak.
+func Patch(prev *Analysis, p *ir.Program, cone []ir.VarID) (*Analysis, error) {
+	nv, oldN := p.NumVars(), len(prev.pts)
+	coneSet := &bitset.Set{}
+	for _, v := range cone {
+		coneSet.Add(int(v))
+	}
+	scratch := make([]bitset.Set, 2*nv) // edge dedupe and processed snapshots, dropped after the solve
+	s := &solver{
+		prog:    p,
+		pts:     make([]*bitset.Set, nv),
+		prev:    make([]*bitset.Set, nv),
+		copyTo:  make([][]int32, nv),
+		edgeSet: make([]*bitset.Set, nv),
+		loads:   make([][]int32, nv),
+		stores:  make([][]int32, nv),
+		calls:   map[int][]indirectCall{},
+		inWork:  make([]bool, nv),
+		rep:     make([]int32, nv),
+		shared:  make([]bool, nv),
+	}
+	for i := 0; i < nv; i++ {
+		s.edgeSet[i], s.prev[i] = &scratch[i], &scratch[nv+i]
+		s.rep[i] = int32(i)
+		if i < oldN && !coneSet.Has(i) {
+			s.shared[i] = true
+			s.pts[i] = prev.PointsToSet(ir.VarID(i))
+		} else {
+			s.pts[i] = &bitset.Set{}
+		}
+	}
+	for _, n := range p.Nodes {
+		if s.touchesCone(n.Stmt, coneSet) {
+			s.constrain(n.Stmt)
+		}
+	}
+	s.solve()
+	for _, c := range s.checks {
+		if from, to := s.pts[c[0]], s.pts[c[1]]; !to.DiffFrom(from).Empty() {
+			return nil, fmt.Errorf("%w: pts(%s) is not within pts(%s)", ErrConeLeak,
+				p.VarName(ir.VarID(c[0])), p.VarName(ir.VarID(c[1])))
+		}
+	}
+	return &Analysis{prog: p, pts: s.pts, rep: s.rep, stats: s.stats}, nil
+}
+
+// touchesCone reports whether Patch must re-solve st: it writes or reads
+// a cone variable. Every other constraint holds over the shared sets
+// already. Indirect calls always re-solve; their bindings into shared
+// formals become checks like any other inclusion.
+func (s *solver) touchesCone(st ir.Stmt, cone *bitset.Set) bool {
+	switch st.Op {
+	case ir.OpAddr:
+		return !s.shared[st.Dst]
+	case ir.OpCopy:
+		return !s.shared[st.Dst] || !s.shared[st.Src]
+	case ir.OpLoad: // dst = *src also reads src's pointees
+		return !s.shared[st.Dst] || !s.shared[st.Src] || s.pts[st.Src].Intersects(cone)
+	case ir.OpStore: // *dst = src writes dst's pointees
+		return !s.shared[st.Dst] || !s.shared[st.Src] || s.pts[st.Dst].Intersects(cone)
+	case ir.OpCall:
+		return st.Callee == ir.NoFunc
+	}
+	return false
+}
+
 // find returns v's cycle-elimination representative with path halving.
 func (s *solver) find(v int32) int32 {
 	for s.rep[v] != v {
@@ -276,6 +370,10 @@ func (s *solver) push(v int32) {
 func (s *solver) addCopy(from, to int32) {
 	from, to = s.find(from), s.find(to)
 	if from == to {
+		return
+	}
+	if s.shared != nil && s.shared[to] {
+		s.checks = append(s.checks, [2]int32{from, to})
 		return
 	}
 	if !s.edgeSet[from].Add(int(to)) {

@@ -205,6 +205,11 @@ type Analysis struct {
 	// refreshes it for the successor analysis; nil after a from-scratch
 	// run (ApplyEdit then computes bases on first use).
 	partBases map[string]*cluster.Cluster
+	// steensSigs is the per-variable Steensgaard signature table of
+	// Steens, which ApplyEdit computed when it produced this analysis;
+	// the next edit reuses it as its old-generation table. nil after a
+	// from-scratch run or a fallback.
+	steensSigs []uint64
 }
 
 // AnalyzeSource parses, lowers and analyzes CPL source text.

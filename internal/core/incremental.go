@@ -147,24 +147,6 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 		return fallback("program has unresolved indirect calls")
 	}
 
-	// Front-end phases on the edited program. The Andersen fallback and
-	// the call graph overlap the cover rebuild below; Steensgaard is
-	// needed first (signatures and partition enumeration).
-	tSteens := time.Now()
-	sa2 := steens.Analyze(newProg, cfg.steensOpts()...)
-	steensElapsed := time.Since(tSteens)
-
-	var aa *andersen.Analysis
-	var cg *callgraph.Graph
-	auxDone := make(chan struct{})
-	go func() {
-		defer close(auxDone)
-		aa = andersen.Analyze(newProg)
-		cg = callgraph.Build(newProg)
-	}()
-
-	sig := collectSignals(prev, sa2, sum, len(newProg.Vars))
-
 	// Attribute every old cluster to its Steensgaard partition via the
 	// provenance the cover builder recorded, keyed by member list
 	// (VarIDs are stable across Clone, so keys compare across
@@ -185,6 +167,36 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	for _, ids := range groups {
 		sort.Ints(ids)
 	}
+
+	// Front-end phases on the edited program. The Andersen fallback —
+	// prev's patched over the batch's cone — and the call graph overlap
+	// the cover rebuild below; Steensgaard is needed first (the cone,
+	// signatures and partition enumeration).
+	tSteens := time.Now()
+	sa2 := steens.Analyze(newProg, cfg.steensOpts()...)
+	steensElapsed := time.Since(tSteens)
+
+	var aa *andersen.Analysis
+	var patchErr error
+	var cg *callgraph.Graph
+	auxDone := make(chan struct{})
+	go func() {
+		defer close(auxDone)
+		cfg.Tracer.NameThread(obs.TIDFallback, "fallback")
+		sp := cfg.Tracer.Start("phase", "fallback", obs.TIDFallback)
+		cone := andersenCone(prev, sa2, sum, len(newProg.Vars))
+		aa, patchErr = andersen.Patch(prev.Andersen, newProg, cone)
+		cg = callgraph.Build(newProg)
+		sp.Arg("cone", len(cone))
+		if aa != nil {
+			sp.Arg("passes", aa.SolverStats().Passes)
+			aa.SolverStats().Record(cfg.Metrics)
+		}
+		sp.End()
+	}()
+
+	sig := collectSignals(prev, sa2, sum, len(newProg.Vars))
+
 	demoted := demotedSet(prev)
 
 	// Rebuild the cover partition by partition, in enumeration order —
@@ -250,6 +262,9 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	}
 	clusteringElapsed := time.Since(tCluster)
 	<-auxDone
+	if patchErr != nil {
+		return fallback(patchErr.Error())
+	}
 
 	a2 := newAnalysis(newProg, cfg)
 	a2.mu = prev.mu // engines migrate; both generations share the lock
@@ -258,6 +273,7 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	a2.CallGraph = cg
 	a2.Clusters = cover
 	a2.partBases = newBases
+	a2.steensSigs = sig.newSigs
 	a2.Timing.Steensgaard = steensElapsed
 	a2.Timing.Clustering = clusteringElapsed
 
@@ -394,12 +410,93 @@ func (a *Analysis) exportToCache(dst *cache.Cache) {
 	}
 }
 
+// andersenCone returns the variables whose Andersen points-to sets an
+// edit batch can change: the variables every changed statement writes
+// in its own generation (a copy's, address-of's or load's destination;
+// everything a store's pointer may reach, under prev.Steens for the old
+// statement and sa2 for the new one), closed under both generations'
+// Steensgaard partitions and downward along both points-to hierarchies.
+//
+// In either generation an Andersen fact is derived from facts in its
+// own partition (a copy, or a precise-mode sink listed among its
+// sources' members) and in the partitions above it (the pointer of a
+// load or store with a non-empty points-to set), so outside the cone
+// both programs derive the same sets (DESIGN §15). One hierarchy is not
+// enough: a load x = *y whose pointer lost its last pointee fed x in
+// the old program, yet sa2 has no edge below y's partition.
+// PartitionOf of a sink partition id is the union over the sink's
+// memberships, which only widens the cone.
+func andersenCone(prev *Analysis, sa2 *steens.Analysis, sum *ir.EditSummary, newN int) []ir.VarID {
+	oldN := len(prev.Prog.Vars)
+	gens := []struct {
+		sa     *steens.Analysis
+		n      int
+		marked map[int]bool
+	}{{prev.Steens, oldN, map[int]bool{}}, {sa2, newN, map[int]bool{}}}
+	in := make([]bool, newN)
+	var work []ir.VarID
+	add := func(v ir.VarID) {
+		if !in[v] {
+			in[v] = true
+			work = append(work, v)
+		}
+	}
+	writes := func(sa *steens.Analysis, st ir.Stmt) {
+		switch st.Op {
+		case ir.OpCopy, ir.OpAddr, ir.OpLoad:
+			add(st.Dst)
+		case ir.OpStore:
+			for _, o := range sa.PointsToVars(st.Dst) {
+				add(o)
+			}
+		}
+	}
+	for _, ch := range sum.Changes {
+		// An old statement naming an added variable was itself put
+		// there by an earlier edit of the batch: it never ran in prev.
+		if int(ch.Old.Dst) < oldN {
+			writes(prev.Steens, ch.Old)
+		}
+		writes(sa2, ch.New)
+	}
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, g := range gens {
+			if int(v) >= g.n {
+				continue
+			}
+			for c := g.sa.Rep(v); !g.marked[c]; {
+				g.marked[c] = true
+				for _, m := range g.sa.PartitionOf(ir.VarID(c)) {
+					add(m)
+				}
+				next, ok := g.sa.PointsToPart(c)
+				if !ok {
+					break
+				}
+				c = next
+			}
+		}
+	}
+	var cone []ir.VarID
+	for v, ok := range in {
+		if ok {
+			cone = append(cone, ir.VarID(v))
+		}
+	}
+	return cone
+}
+
 // editSignals is the dirty set an edit batch induces, in slice terms.
 type editSignals struct {
 	vars  map[ir.VarID]bool
 	locs  map[ir.Loc]bool
 	fns   map[ir.FuncID]bool
 	drift int
+	// newSigs is sa2's signature table, kept on the successor so the
+	// next edit hashes only its own generation.
+	newSigs []uint64
 }
 
 // cleanSlice reports whether a cluster's slice is untouched by the
@@ -458,7 +555,7 @@ func collectSignals(prev *Analysis, sa2 *steens.Analysis, sum *ir.EditSummary, n
 	// variable q may overwrite, whether or not that variable is an
 	// operand. Pull the pointee classes under both generations.
 	for _, ch := range sum.Changes {
-		if ch.Old.Op == ir.OpStore {
+		if ch.Old.Op == ir.OpStore && int(ch.Old.Dst) < len(prev.Prog.Vars) {
 			for _, o := range prev.Steens.PointsToVars(ch.Old.Dst) {
 				sg.vars[o] = true
 			}
@@ -474,9 +571,14 @@ func collectSignals(prev *Analysis, sa2 *steens.Analysis, sum *ir.EditSummary, n
 	// tables span their full variable universe — a new variable joining
 	// an old class must change that class's member hash so the class's
 	// old members drift — but only old variables have a counterpart to
-	// compare against.
-	oldSig := steensSigs(prev.Steens, len(prev.Prog.Vars))
+	// compare against. The old table is the one the edit that produced
+	// prev computed, when there was one.
+	oldSig := prev.steensSigs
+	if oldSig == nil {
+		oldSig = steensSigs(prev.Steens, len(prev.Prog.Vars))
+	}
 	newSig := steensSigs(sa2, newN)
+	sg.newSigs = newSig
 	for v := 0; v < len(oldSig) && v < len(newSig); v++ {
 		if oldSig[v] != newSig[v] {
 			sg.vars[ir.VarID(v)] = true

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bootstrap/internal/cache"
+	"bootstrap/internal/cluster"
 	"bootstrap/internal/core"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
@@ -106,6 +107,21 @@ func sampleQueries(t *testing.T, tag string, got, want *core.Analysis) {
 	}
 }
 
+// diffAndersen compares every variable's flow-insensitive Andersen set
+// between two analyses of the same program: ApplyEdit patches the
+// previous analysis' sets, and a wrong patch would otherwise show only
+// through imprecise fallback answers.
+func diffAndersen(t *testing.T, tag string, got, want *core.Analysis) {
+	t.Helper()
+	for v := range want.Prog.Vars {
+		id := ir.VarID(v)
+		if g, w := got.Andersen.PointsToSet(id), want.Andersen.PointsToSet(id); !g.Equal(w) {
+			t.Fatalf("%s: Andersen pts(%s) = %v, fresh %v", tag, want.Prog.Var(id).Name,
+				got.Andersen.PointsTo(id), want.Andersen.PointsTo(id))
+		}
+	}
+}
+
 func diffFingerprints(t *testing.T, tag string, got, want map[int]string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -120,8 +136,9 @@ func diffFingerprints(t *testing.T, tag string, got, want map[int]string) {
 
 // TestApplyEditMatchesFreshMatrix is the differential gate: a chain of
 // random edit batches, applied incrementally, must leave the analysis
-// bit-identical — cluster fingerprints and query answers — to a
-// from-scratch analysis of the edited program, across the knob matrix.
+// bit-identical — cluster fingerprints, query answers and every
+// variable's Andersen set — to a from-scratch analysis of the edited
+// program, across the knob matrix.
 func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 	matrix := []struct {
 		name string
@@ -132,6 +149,10 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 		{"workers8", core.Config{Mode: core.ModeAndersen, Workers: 8}},
 		{"steens-precise", core.Config{Mode: core.ModeAndersen, SteensPrecise: true}},
 		{"warm-cache", core.Config{Mode: core.ModeAndersen, Cache: cache.New(cache.Options{})}},
+		// incrProg's largest partition (8) is under the default
+		// threshold; 4 sends its oversized partitions through the
+		// Andersen refinement and KindAndersen transplants.
+		{"andersen-threshold", core.Config{Mode: core.ModeAndersen, AndersenThreshold: 4}},
 	}
 	for _, m := range matrix {
 		t.Run(m.name, func(t *testing.T) {
@@ -139,6 +160,17 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 			a, err := core.AnalyzeProgram(prog, m.cfg)
 			if err != nil {
 				t.Fatalf("initial analyze: %v", err)
+			}
+			if m.cfg.AndersenThreshold > 0 {
+				refined := 0
+				for _, c := range a.Clusters {
+					if c.Kind == cluster.KindAndersen {
+						refined++
+					}
+				}
+				if refined == 0 {
+					t.Fatalf("threshold %d: no KindAndersen cluster among %d", m.cfg.AndersenThreshold, len(a.Clusters))
+				}
 			}
 			rng := rand.New(rand.NewSource(7))
 			for batch := 0; batch < 3; batch++ {
@@ -170,6 +202,7 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 					t.Fatalf("%s: fresh analyze: %v", tag, err)
 				}
 				diffFingerprints(t, tag, a2.Fingerprints(), fresh.Fingerprints())
+				diffAndersen(t, tag, a2, fresh)
 				sampleQueries(t, tag, a2, fresh)
 				// Old snapshot must keep answering while the new one is
 				// live (shared engine lock, transplanted engines).
@@ -344,6 +377,66 @@ func TestApplyEditBadBatch(t *testing.T) {
 	}
 }
 
+// TestApplyEditAddedVarRewritten: a batch may add a variable, store
+// through it, and rewrite that store again. The rewritten statement
+// names a variable the previous generation lacks, and ApplyEdit must
+// neither look it up there nor lose the edit: the chain stays identical
+// to fresh analyses, Andersen sets included, without a fallback.
+func TestApplyEditAddedVarRewritten(t *testing.T) {
+	base, err := frontend.LowerSource(fuzzEditProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, precise := range []bool{false, true} {
+		cfg := core.Config{Mode: core.ModeAndersen, Workers: 1, SteensPrecise: precise}
+		a, err := core.AnalyzeProgram(base.Clone(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vr := func(name string) ir.VarID { return a.Prog.VarByName[name] }
+		var store, addr ir.Loc
+		for _, n := range a.Prog.Nodes {
+			switch {
+			case n.Stmt.Op == ir.OpStore:
+				store = n.Loc
+			case n.Stmt.Op == ir.OpAddr && n.Stmt.Dst == vr("x"):
+				addr = n.Loc
+			}
+		}
+		z := ir.VarID(len(a.Prog.Vars))
+		stmt := func(op ir.Op, dst, src ir.VarID) ir.Stmt {
+			return ir.Stmt{Op: op, Dst: dst, Src: src, Callee: ir.NoFunc, FPtr: ir.NoVar}
+		}
+		batches := [][]ir.Edit{
+			{
+				{Kind: ir.EditAddVar, Name: "z", Var: ir.KindGlobal, Fn: ir.NoFunc},
+				{Kind: ir.EditReplaceStmt, Loc: store, Stmt: stmt(ir.OpStore, z, vr("y"))},
+				{Kind: ir.EditReplaceStmt, Loc: store, Stmt: stmt(ir.OpCopy, vr("x"), z)},
+			},
+			{{Kind: ir.EditInsertAfter, Loc: addr, Stmt: stmt(ir.OpAddr, z, vr("p"))}},
+			{{Kind: ir.EditReplaceStmt, Loc: store, Stmt: stmt(ir.OpStore, z, vr("y"))}},
+		}
+		for i, batch := range batches {
+			tag := fmt.Sprintf("precise=%v batch %d", precise, i)
+			a2, rep, err := core.ApplyEdit(context.Background(), a, batch)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if rep.FellBack {
+				t.Fatalf("%s: fell back: %s", tag, rep.Reason)
+			}
+			fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffFingerprints(t, tag, a2.Fingerprints(), fresh.Fingerprints())
+			diffAndersen(t, tag, a2, fresh)
+			sampleQueries(t, tag, a2, fresh)
+			a = a2
+		}
+	}
+}
+
 const fuzzEditProg = `
 	int a, b, c, d;
 	int *x, *y, *p, *q;
@@ -365,82 +458,99 @@ const fuzzEditProg = `
 `
 
 // FuzzApplyEdit feeds byte-derived edit sequences through ApplyEdit and
-// asserts bit-identity with a from-scratch analysis after every batch:
-// same selected-cluster fingerprints, same answers.
+// asserts bit-identity with a from-scratch analysis after every batch,
+// under both Steensgaard modes: same selected-cluster fingerprints, same
+// Andersen sets, same answers, and no fallback.
+//
+// Each byte pair (i, k) edits eligible statement i: k%4 picks delete,
+// replace Src, replace Dst or insert a nullify, and k/4 the operand.
 func FuzzApplyEdit(f *testing.F) {
 	f.Add([]byte{0x01, 0x02})
 	f.Add([]byte{0xff, 0x10, 0x20, 0x30})
 	f.Add([]byte{7, 7, 7, 7, 7, 7})
+	// Across the pp/qq levels (vars a..d = 0..3, x y p q = 4..7, pp qq =
+	// 8, 9; eligible statement 1 is qq = &q, 5 pp = &x, 6 *pp = y, 7
+	// x = *qq): the store's source, the store through qq, pp = &q,
+	// qq = &x with pp = *qq, and *pp = q with qq = &x.
+	f.Add([]byte{6, 6*4 + 1})
+	f.Add([]byte{6, 9*4 + 2})
+	f.Add([]byte{1, 8*4 + 2})
+	f.Add([]byte{5, 9*4 + 2, 7, 8*4 + 2})
+	f.Add([]byte{6, 7*4 + 1, 1, 4*4 + 1})
 	base, err := frontend.LowerSource(fuzzEditProg)
 	if err != nil {
 		f.Fatalf("lower: %v", err)
 	}
-	cfg := core.Config{Mode: core.ModeAndersen, Workers: 1}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 || len(data) > 64 {
-			t.Skip()
-		}
-		a, err := core.AnalyzeProgram(base.Clone(), cfg)
-		if err != nil {
-			t.Fatalf("analyze: %v", err)
-		}
-		var eligible []ir.Loc
-		for _, n := range a.Prog.Nodes {
-			switch n.Stmt.Op {
-			case ir.OpCopy, ir.OpAddr, ir.OpLoad, ir.OpStore:
-				if n.CallLoc == ir.NoLoc {
-					eligible = append(eligible, n.Loc)
-				}
+	var eligible []ir.Loc
+	for _, n := range base.Nodes {
+		switch n.Stmt.Op {
+		case ir.OpCopy, ir.OpAddr, ir.OpLoad, ir.OpStore:
+			if n.CallLoc == ir.NoLoc {
+				eligible = append(eligible, n.Loc)
 			}
 		}
-		if len(eligible) == 0 {
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 64 {
 			t.Skip()
 		}
 		var edits []ir.Edit
 		for i := 0; i+1 < len(data); i += 2 {
 			loc := eligible[int(data[i])%len(eligible)]
-			st := a.Prog.Node(loc).Stmt
+			st := base.Node(loc).Stmt
 			switch data[i+1] % 4 {
 			case 0:
 				edits = append(edits, ir.Edit{Kind: ir.EditDeleteStmt, Loc: loc})
 			case 1:
-				st.Src = ir.VarID(int(data[i+1]/4) % len(a.Prog.Vars))
+				st.Src = ir.VarID(int(data[i+1]/4) % len(base.Vars))
 				edits = append(edits, ir.Edit{Kind: ir.EditReplaceStmt, Loc: loc, Stmt: st})
 			case 2:
-				st.Dst = ir.VarID(int(data[i+1]/4) % len(a.Prog.Vars))
+				st.Dst = ir.VarID(int(data[i+1]/4) % len(base.Vars))
 				edits = append(edits, ir.Edit{Kind: ir.EditReplaceStmt, Loc: loc, Stmt: st})
 			case 3:
 				ins := ir.Stmt{Op: ir.OpNullify, Dst: st.Dst, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar}
 				edits = append(edits, ir.Edit{Kind: ir.EditInsertAfter, Loc: loc, Stmt: ins})
 			}
 		}
-		a2, rep, err := core.ApplyEdit(context.Background(), a, edits)
-		if err != nil {
-			t.Skip() // malformed batch; rejection is the contract
-		}
-		fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), cfg)
-		if err != nil {
-			t.Fatalf("fresh analyze: %v", err)
-		}
-		gf, wf := a2.Fingerprints(), fresh.Fingerprints()
-		if len(gf) != len(wf) {
-			t.Fatalf("selected %d clusters incrementally, %d fresh (fellback=%v)", len(gf), len(wf), rep.FellBack)
-		}
-		for id, fp := range wf {
-			if gf[id] != fp {
-				t.Fatalf("cluster %d fingerprint mismatch (fellback=%v)", id, rep.FellBack)
+		for _, precise := range []bool{false, true} {
+			cfg := core.Config{Mode: core.ModeAndersen, Workers: 1, SteensPrecise: precise}
+			a, err := core.AnalyzeProgram(base.Clone(), cfg)
+			if err != nil {
+				t.Fatalf("analyze: %v", err)
 			}
-		}
-		ctx := context.Background()
-		for _, v := range fresh.CoveredPointers() {
-			for _, fn := range fresh.Prog.Funcs {
-				wp, wprec := fresh.PointsToContext(ctx, v, fn.Exit)
-				gp, gprec := a2.PointsToContext(ctx, v, fn.Exit)
-				sort.Slice(wp, func(i, j int) bool { return wp[i] < wp[j] })
-				sort.Slice(gp, func(i, j int) bool { return gp[i] < gp[j] })
-				if wprec != gprec || !reflect.DeepEqual(wp, gp) {
-					t.Fatalf("PointsTo(%d, L%d) = %v/%v, fresh %v/%v",
-						v, fn.Exit, gp, gprec, wp, wprec)
+			a2, rep, err := core.ApplyEdit(context.Background(), a, edits)
+			if err != nil {
+				t.Skip() // malformed batch; rejection is the contract
+			}
+			tag := fmt.Sprintf("precise=%v", precise)
+			if rep.FellBack {
+				t.Fatalf("%s: statement edits fell back: %s", tag, rep.Reason)
+			}
+			fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), cfg)
+			if err != nil {
+				t.Fatalf("%s: fresh analyze: %v", tag, err)
+			}
+			gf, wf := a2.Fingerprints(), fresh.Fingerprints()
+			if len(gf) != len(wf) {
+				t.Fatalf("%s: selected %d clusters incrementally, %d fresh", tag, len(gf), len(wf))
+			}
+			for id, fp := range wf {
+				if gf[id] != fp {
+					t.Fatalf("%s: cluster %d fingerprint mismatch", tag, id)
+				}
+			}
+			diffAndersen(t, tag, a2, fresh)
+			ctx := context.Background()
+			for _, v := range fresh.CoveredPointers() {
+				for _, fn := range fresh.Prog.Funcs {
+					wp, wprec := fresh.PointsToContext(ctx, v, fn.Exit)
+					gp, gprec := a2.PointsToContext(ctx, v, fn.Exit)
+					sort.Slice(wp, func(i, j int) bool { return wp[i] < wp[j] })
+					sort.Slice(gp, func(i, j int) bool { return gp[i] < gp[j] })
+					if wprec != gprec || !reflect.DeepEqual(wp, gp) {
+						t.Fatalf("%s: PointsTo(%d, L%d) = %v/%v, fresh %v/%v",
+							tag, v, fn.Exit, gp, gprec, wp, wprec)
+					}
 				}
 			}
 		}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"bootstrap/internal/cache"
+	"bootstrap/internal/ir"
 	"bootstrap/internal/obs"
 )
 
@@ -235,5 +237,59 @@ func TestMetricsRecorded(t *testing.T) {
 	}
 	if c := m.Counter("bootstrap_fscs_tuples_total", "").Value(); c == 0 {
 		t.Error("no FSCS tuples recorded")
+	}
+}
+
+// TestEditAndersenPatchObserved: an edit's Andersen step is visible —
+// a fallback phase span on the fallback track carrying the cone size
+// and the solver's passes, and those passes booked on the registry's
+// passes counter — and a light edit's patch does less work than the
+// whole-program solve it replaces.
+func TestEditAndersenPatchObserved(t *testing.T) {
+	m, tr := obs.NewMetrics(), obs.NewTracer()
+	a, err := AnalyzeSource(testProgram, Config{Mode: ModeAndersen, Workers: 1, Metrics: m, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := m.Counter("bootstrap_andersen_passes_total", "")
+	before, whole := passes.Value(), a.Andersen.SolverStats().Passes
+	if before != whole {
+		t.Fatalf("passes counter %d after the cascade, its solve took %d", before, whole)
+	}
+	// l1 = &m1 becomes l1 = &m2: only the lock pointers' cone changes.
+	var edit ir.Edit
+	for _, n := range a.Prog.Nodes {
+		if n.Stmt.Op == ir.OpAddr && n.Stmt.Dst == v(t, a, "l1") {
+			st := n.Stmt
+			st.Src = v(t, a, "m2")
+			edit = ir.Edit{Kind: ir.EditReplaceStmt, Loc: n.Loc, Stmt: st}
+		}
+	}
+	a2, rep, err := ApplyEdit(context.Background(), a, []ir.Edit{edit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FellBack {
+		t.Fatalf("light edit fell back: %s", rep.Reason)
+	}
+	grew := passes.Value() - before
+	if grew != a2.Andersen.SolverStats().Passes || grew <= 0 || grew >= whole {
+		t.Errorf("edit grew the passes counter by %d (patch %d), want 0 < n < %d, the whole-program solve",
+			grew, a2.Andersen.SolverStats().Passes, whole)
+	}
+	var span *obs.Event
+	for _, ev := range tr.Events() {
+		if ev.Name == "fallback" && ev.TID == obs.TIDFallback && ev.Args["cone"] != nil {
+			span = &ev
+		}
+	}
+	if span == nil {
+		t.Fatal("no fallback span with a cone size on the fallback track")
+	}
+	if cone, ok := span.Args["cone"].(int); !ok || cone <= 0 || cone >= len(a2.Prog.Vars) {
+		t.Errorf("fallback span cone = %v, want a proper subset of %d variables", span.Args["cone"], len(a2.Prog.Vars))
+	}
+	if p, ok := span.Args["passes"].(int64); !ok || p != grew {
+		t.Errorf("fallback span passes = %v, want %d", span.Args["passes"], grew)
 	}
 }
