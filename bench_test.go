@@ -8,7 +8,8 @@
 //   - BenchmarkFigure1 — the cluster-size histogram computation;
 //   - BenchmarkAblationThreshold — the Andersen-threshold sweep;
 //   - BenchmarkSteensgaard / BenchmarkAndersen / BenchmarkAlgorithm1 —
-//     stage micro-benchmarks.
+//     stage micro-benchmarks;
+//   - BenchmarkAnalyzeProgram — the whole eager analysis.
 package bootstrap_test
 
 import (
@@ -18,7 +19,6 @@ import (
 
 	"bootstrap/internal/andersen"
 	"bootstrap/internal/bench"
-	"bootstrap/internal/bench/legacyfscs"
 	"bootstrap/internal/callgraph"
 	"bootstrap/internal/cluster"
 	"bootstrap/internal/core"
@@ -230,40 +230,11 @@ func BenchmarkAblationCycleElimination(b *testing.B) {
 	})
 }
 
-// BenchmarkFSCSCluster compares the interned integer-keyed FSCS engine
-// against the frozen pre-interning baseline (string-keyed summary
-// tuples, per-round sorted worklist) on the same Andersen covers — the
-// per-cluster half of the BENCH_fscs.json trajectory.
-func BenchmarkFSCSCluster(b *testing.B) {
-	for _, name := range benchRows {
-		b.Run(name, func(b *testing.B) {
-			p := prepare(b, name, benchScale)
-			cover := cluster.BuildAndersen(p.prog, p.sa, 8)
-			b.Run("interned", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					runCover(b, p, cover, 0)
-				}
-			})
-			b.Run("legacy", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					for _, c := range cover {
-						eng := legacyfscs.NewEngine(p.prog, p.cg, p.sa, c)
-						_ = eng.Run()
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkAnalyzeProgram compares the full pipelined driver (clustering
-// cascade overlapped with FSCS workers, interned engines) against the
-// pre-PR shape (serial cascade, then legacy engines on the same worker
-// count) — the whole-program half of BENCH_fscs.json.
+// BenchmarkAnalyzeProgram measures the whole eager analysis on the
+// Andersen cover: the clustering cascade overlapped with the FSCS
+// workers, one worker per CPU.
 func BenchmarkAnalyzeProgram(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
+	cfg := core.Config{Mode: core.ModeAndersen, Workers: runtime.GOMAXPROCS(0), AndersenThreshold: 8}
 	for _, name := range benchRows {
 		b.Run(name, func(b *testing.B) {
 			row, ok := synth.FindBenchmark(name)
@@ -274,21 +245,13 @@ func BenchmarkAnalyzeProgram(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := core.Config{Mode: core.ModeAndersen, Workers: workers, AndersenThreshold: 8}
-			b.Run("pipelined", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.AnalyzeProgram(prog, cfg); err != nil {
-						b.Fatal(err)
-					}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.AnalyzeProgram(prog, cfg); err != nil {
+					b.Fatal(err)
 				}
-			})
-			b.Run("baseline", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					bench.LegacyAnalyzeProgram(prog, 8, workers)
-				}
-			})
+			}
 		})
 	}
 }

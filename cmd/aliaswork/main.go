@@ -1,18 +1,18 @@
 // Command aliaswork is a standalone shard worker for the distributed
-// eager solve: point it at a coordinator (bootstrap -shards or
-// benchtab -shards serve one, and so does any process embedding
-// dist.NewCoordinator) and it joins the fleet, claims clusters, solves
-// them with the full cascade engine, and publishes results through the
-// shared content-addressed cache until the queue drains.
+// eager solve: point it at a coordinator (bootstrap -shards serves one,
+// and so does any process embedding dist.NewCoordinator) and it joins
+// the fleet, claims clusters, solves them with the full cascade engine,
+// and publishes results through the shared content-addressed cache
+// until the queue drains.
 //
 // Usage:
 //
 //	aliaswork -coordinator http://127.0.0.1:7777 [-name w1]
 //
 // The coordinator URL may also come from the BOOTSTRAP_DIST_WORKER
-// environment variable — the same contract under which bootstrap and
-// benchtab re-exec themselves as workers — so aliaswork works both as
-// a hand-started second terminal and as a drop-in spawned child.
+// environment variable — the same contract under which bootstrap
+// re-execs itself as workers — so aliaswork works both as a
+// hand-started second terminal and as a drop-in spawned child.
 //
 // Exit status: 0 when the queue drained, 1 on protocol or analysis
 // errors, 7 when an injected kill fault fired (test fleets only).

@@ -5,13 +5,8 @@
 //
 // Usage:
 //
-//	benchtab [-scale 0.2] [-rows sock,autofs,sendmail] [-compare] [-sweep autofs]
-//	benchtab -assert -baseline BENCH_fscs.json -fresh BENCH_fresh.json
-//
-// -assert is the CI bench-regression gate: it compares a freshly measured
-// FSCS perf report against the committed baseline and exits non-zero when
-// a machine-independent speedup ratio regressed by more than 15% or a
-// warm rerun failed to serve fully from the result cache.
+//	benchtab [-scale 0.2] [-rows sock,autofs,sendmail] [-compare] [-timings]
+//	benchtab -sweep autofs
 //
 // Absolute times differ from the paper's 2008 hardware; the shape — who
 // wins, by what rough factor, and where Andersen clustering stops paying
@@ -27,7 +22,6 @@ import (
 
 	"bootstrap/internal/bench"
 	"bootstrap/internal/cliutil"
-	"bootstrap/internal/dist"
 	"bootstrap/internal/synth"
 )
 
@@ -43,45 +37,17 @@ var (
 	clusterTimeout = flag.Duration("cluster-timeout", 0, "per-cluster wall-clock deadline per engine attempt (0 = none)")
 	retries        = flag.Int("retries", 0, "degradation-ladder retries per failed cluster (0 = single attempt, the historical bench behavior)")
 
-	fscsJSON = flag.String("fscs-json", "", "write the FSCS perf trajectory (interned vs legacy, pipelined vs serial, cold vs warm cache) to this file and exit")
-	perfReps = flag.Int("perf-reps", 3, "best-of-N repetitions for -fscs-json measurements")
 	timings  = flag.Bool("timings", false, "also print per-stage timing columns (fixed cover order, diff-friendly)")
-	cacheDir = flag.String("cache-dir", "", "persistent directory for the per-cluster result cache; a second run against the same directory starts fully warm (cache_hit_rate 1.0)")
+	cacheDir = flag.String("cache-dir", "", "persistent directory for the warm-rerun column's per-cluster result cache; a second run against the same directory starts fully warm")
 
-	assert   = flag.Bool("assert", false, "bench-regression gate: compare -fresh against -baseline and exit non-zero on a >15% speedup regression or a cold warm-run cache; with -shards N, instead run a fresh distributed sweep and assert its invariants (completion, bit-identity, speedup, steal vs greedy)")
-	baseline = flag.String("baseline", "BENCH_fscs.json", "committed baseline report for -assert")
-	fresh    = flag.String("fresh", "BENCH_fresh.json", "freshly measured report for -assert")
-
-	shardJSON = flag.String("shard-json", "", "write the distributed-execution sweep (shards 1/2/4/8 × steal/greedy, per-shard utilization, eager speedup) to this file and exit")
-
-	checkBench = flag.Bool("check", false, "run the checker benchmark instead: every lockheavy preset cold then warm, seeded-bug recall, cold/warm digest drift; with -assert, gate against -baseline BENCH_check.json")
-	checkJSON  = flag.String("check-json", "", "with -check, write the checker report to this file")
-
-	incrBench = flag.Bool("incremental", false, "run the incremental-edit benchmark instead: a deterministic storm of single-statement edits per workload through core.ApplyEdit, measuring edit-to-answer latency, dirty-cluster fraction and differential identity; with -assert, gate latency/reuse/identity invariants and workload-set equality against -baseline BENCH_incremental.json")
-	incrJSON  = flag.String("incr-json", "", "with -incremental, write the incremental report to this file")
-	incrEdits = flag.String("edits", incrBenchRows, "with -incremental, comma-separated workloads for the edit storm")
-
-	obsFlags  cliutil.ObsFlags
-	distFlags cliutil.DistFlags
+	obsFlags cliutil.ObsFlags
 )
-
-// shardBenchRows is the default suite of the -shard-json sweep: the
-// four largest BENCH_ROWS workloads, where sharding has enough cluster
-// weight to matter.
-const shardBenchRows = "sock,autofs,raid,mt_daapd"
-
-// incrBenchRows is the default suite of the -incremental edit storm:
-// the same four workloads, where the cover is wide enough that
-// single-statement edits leave most clusters untouched.
-const incrBenchRows = "sock,autofs,raid,mt_daapd"
 
 func init() {
 	obsFlags.Register(flag.CommandLine)
-	distFlags.Register(flag.CommandLine)
 }
 
 func main() {
-	dist.MaybeWorker() // spawned shard workers re-exec this binary
 	flag.Parse()
 	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
@@ -90,15 +56,6 @@ func main() {
 }
 
 func run(out io.Writer) (err error) {
-	if *checkBench {
-		return runCheck(out)
-	}
-	if *incrBench {
-		return runIncr(out)
-	}
-	if *assert && !distFlags.Enabled() && *shardJSON == "" {
-		return runAssert(out, *baseline, *fresh)
-	}
 	sess, err := obsFlags.Start()
 	if err != nil {
 		return err
@@ -144,28 +101,6 @@ func run(out io.Writer) (err error) {
 			suite = append(suite, b)
 		}
 	}
-	if *shardJSON != "" || distFlags.Enabled() {
-		return runShards(out, suite, opt)
-	}
-	if *fscsJSON != "" {
-		report, err := bench.FSCSPerf(suite, opt, *perfReps, os.Stderr)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*fscsJSON)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteFSCSJSON(f, report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s (%d workloads)\n", *fscsJSON, len(report.Points))
-		return nil
-	}
 	measured, err := bench.RunTable(suite, opt, os.Stderr)
 	if err != nil {
 		return err
@@ -180,182 +115,5 @@ func run(out io.Writer) (err error) {
 		fmt.Fprintln(out, "\nPaper vs measured (shape comparison):")
 		fmt.Fprint(out, bench.FormatComparison(measured))
 	}
-	return nil
-}
-
-// runShards is the distributed-execution benchmark: sweep the shard
-// axis over the suite, optionally write BENCH_shard.json, and — under
-// -assert — gate on the sweep's invariants (every cell completed and
-// bit-identical, speedup floor at the top shard count, work stealing
-// never behind greedy binning).
-func runShards(out io.Writer, suite []synth.Benchmark, opt bench.Options) error {
-	if *rows == "" {
-		suite = nil
-		for _, name := range strings.Split(shardBenchRows, ",") {
-			b, _ := synth.FindBenchmark(name)
-			suite = append(suite, b)
-		}
-	}
-	counts := []int{1, 2, 4, 8}
-	if distFlags.Enabled() {
-		counts = []int{1, distFlags.Shards}
-		if distFlags.Shards == 1 {
-			counts = []int{1}
-		}
-	}
-	report, err := bench.ShardPerf(suite, counts, opt, os.Stderr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "Distributed eager solve (scale %.2f, busy = per-process CPU time):\n\n", *scale)
-	fmt.Fprint(out, bench.FormatShard(report))
-	if *shardJSON != "" {
-		f, err := os.Create(*shardJSON)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteShardJSON(f, report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote %s (%d workloads)\n", *shardJSON, len(report.Points))
-	}
-	if *assert {
-		errs := bench.AssertShard(report)
-		for _, e := range errs {
-			fmt.Fprintln(os.Stderr, "benchtab: shard gate:", e)
-		}
-		if len(errs) > 0 {
-			return fmt.Errorf("%d shard invariant(s) violated", len(errs))
-		}
-		fmt.Fprintf(out, "\nshard gate: %d workloads completed, bit-identical, speedup and steal-vs-greedy floors held\n",
-			len(report.Points))
-	}
-	return nil
-}
-
-// runCheck is the checker benchmark: every lockheavy preset runs every
-// registered pass cold then warm against the same cache directory,
-// scoring recall against the generator's seeded ground truth. Under
-// -assert it gates the fresh report's own invariants (recall 1.0, zero
-// cold/warm drift, fully-cached warm rerun) plus per-rule findings
-// counts against the committed baseline.
-func runCheck(out io.Writer) error {
-	report, err := bench.CheckPerf(synth.LockHeavyWorkloads(), os.Stderr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, "Checker benchmark (lockheavy suite, all passes, cold vs warm cache):")
-	fmt.Fprintln(out)
-	fmt.Fprint(out, bench.FormatCheck(report))
-	if *checkJSON != "" {
-		f, err := os.Create(*checkJSON)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteCheckJSON(f, report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote %s (%d workloads)\n", *checkJSON, len(report.Points))
-	}
-	if *assert {
-		base, err := bench.ReadCheckJSONFile(*baseline)
-		if err != nil {
-			return err
-		}
-		errs := bench.AssertCheck(base, report)
-		for _, e := range errs {
-			fmt.Fprintln(os.Stderr, "benchtab: check gate:", e)
-		}
-		if len(errs) > 0 {
-			return fmt.Errorf("%d checker invariant(s) violated (baseline %s)", len(errs), *baseline)
-		}
-		fmt.Fprintf(out, "\ncheck gate: %d workloads at full recall, zero drift, warm reruns fully cached\n",
-			len(report.Points))
-	}
-	return nil
-}
-
-// runIncr is the incremental-edit benchmark: per workload, a full
-// analysis followed by a deterministic storm of single-statement edits
-// through core.ApplyEdit, each timed edit-to-answer, with periodic
-// differential checks against a from-scratch analysis. Under -assert it
-// gates the fresh report's latency budget, dirty-cluster reuse floor,
-// zero-fallback and identity-check invariants, plus workload-set
-// equality against the committed baseline.
-func runIncr(out io.Writer) error {
-	var names []string
-	for _, name := range strings.Split(*incrEdits, ",") {
-		names = append(names, strings.TrimSpace(name))
-	}
-	report, err := bench.IncrPerf(names, *scale, os.Stderr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, "Incremental edit storm (ApplyEdit, edit-to-answer latency):")
-	fmt.Fprintln(out)
-	fmt.Fprint(out, bench.FormatIncr(report))
-	if *incrJSON != "" {
-		f, err := os.Create(*incrJSON)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteIncrJSON(f, report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote %s (%d workloads)\n", *incrJSON, len(report.Points))
-	}
-	if *assert {
-		var base *bench.IncrReport
-		if *baseline != "" {
-			base, err = bench.ReadIncrJSONFile(*baseline)
-			if err != nil {
-				return err
-			}
-		}
-		errs := bench.AssertIncr(base, report)
-		for _, e := range errs {
-			fmt.Fprintln(os.Stderr, "benchtab: incremental gate:", e)
-		}
-		if len(errs) > 0 {
-			return fmt.Errorf("%d incremental invariant(s) violated", len(errs))
-		}
-		fmt.Fprintf(out, "\nincremental gate: %d workloads under the %dms p50 CI budget, dirty fraction under %.0f%%, zero fallbacks, identity held\n",
-			len(report.Points), bench.IncrP50BudgetUS/1000, bench.IncrDirtyFracLimit*100)
-	}
-	return nil
-}
-
-// runAssert is the bench-regression gate: one error line per violated
-// invariant, an error (non-zero exit) when any fired.
-func runAssert(out io.Writer, basePath, freshPath string) error {
-	base, err := bench.ReadFSCSJSONFile(basePath)
-	if err != nil {
-		return err
-	}
-	fr, err := bench.ReadFSCSJSONFile(freshPath)
-	if err != nil {
-		return err
-	}
-	errs := bench.AssertFSCS(base, fr)
-	for _, e := range errs {
-		fmt.Fprintln(os.Stderr, "benchtab: regression:", e)
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("%d bench invariant(s) violated (baseline %s, fresh %s)", len(errs), basePath, freshPath)
-	}
-	fmt.Fprintf(out, "bench gate: %d workloads within %.0f%% of %s, all warm runs fully cached\n",
-		len(base.Points), bench.SpeedupTolerance*100, basePath)
 	return nil
 }

@@ -3,12 +3,8 @@ package main
 import (
 	"bytes"
 	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"bootstrap/internal/bench"
 )
 
 // resetFlags restores this command's flags (not the test framework's) to
@@ -58,91 +54,5 @@ func TestRunSweepSmoke(t *testing.T) {
 	_ = flag.Set("sweep", "nosuchbench")
 	if err := run(&out); err == nil {
 		t.Error("unknown sweep benchmark should error")
-	}
-}
-
-// TestRunFSCSJSONAndAssert exercises the whole bench-gate loop end to
-// end: measure a cold report into a warm cache directory, re-measure
-// (now fully warm), then run the -assert gate fresh-vs-fresh, which must
-// pass by construction.
-func TestRunFSCSJSONAndAssert(t *testing.T) {
-	dir := t.TempDir()
-	basePath := filepath.Join(dir, "base.json")
-	freshPath := filepath.Join(dir, "fresh.json")
-
-	measure := func(path string) {
-		resetFlags()
-		_ = flag.Set("rows", "sock")
-		_ = flag.Set("scale", "0.05")
-		_ = flag.Set("perf-reps", "1")
-		_ = flag.Set("cache-dir", filepath.Join(dir, "cache"))
-		_ = flag.Set("fscs-json", path)
-		var out bytes.Buffer
-		if err := run(&out); err != nil {
-			t.Fatalf("fscs-json run: %v", err)
-		}
-	}
-	measure(basePath)
-	measure(freshPath) // warm: the first run populated the cache dir
-
-	fr, err := bench.ReadFSCSJSONFile(freshPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Points[0].CacheHitRate != 1.0 {
-		t.Fatalf("second run hit rate = %v, want 1.0", fr.Points[0].CacheHitRate)
-	}
-
-	resetFlags()
-	_ = flag.Set("assert", "true")
-	_ = flag.Set("baseline", freshPath)
-	_ = flag.Set("fresh", freshPath)
-	var out bytes.Buffer
-	if err := run(&out); err != nil {
-		t.Fatalf("self-assert should pass: %v", err)
-	}
-	if !strings.Contains(out.String(), "bench gate") {
-		t.Errorf("missing gate summary:\n%s", out.String())
-	}
-}
-
-func TestRunAssertSeededRegression(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, cluster float64) string {
-		rep := bench.FSCSPerfReport{
-			Scale: 0.12, Reps: 3,
-			Points: []bench.FSCSPerfPoint{{
-				Bench: "sock", ClusterSpeedup: cluster, ProgramSpeedup: 2.5, CacheHitRate: 1.0,
-			}},
-		}
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bench.WriteFSCSJSON(f, rep); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		return path
-	}
-	base := write("base.json", 3.0)
-	regressed := write("fresh.json", 3.0*0.8) // seeded >15% regression
-
-	resetFlags()
-	_ = flag.Set("assert", "true")
-	_ = flag.Set("baseline", base)
-	_ = flag.Set("fresh", regressed)
-	var out bytes.Buffer
-	if err := run(&out); err == nil {
-		t.Fatal("seeded 20% regression must fail the gate")
-	}
-
-	resetFlags()
-	_ = flag.Set("assert", "true")
-	_ = flag.Set("baseline", filepath.Join(dir, "missing.json"))
-	_ = flag.Set("fresh", regressed)
-	if err := run(&out); err == nil {
-		t.Error("missing baseline should error")
 	}
 }

@@ -38,11 +38,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
-	"bootstrap/internal/bench"
 	"bootstrap/internal/cliutil"
 	"bootstrap/internal/core"
 	"bootstrap/internal/dist"
@@ -186,8 +187,8 @@ func run(path string) (err error) {
 		for _, c := range a.Clusters {
 			clusterSizes = append(clusterSizes, len(c.Pointers))
 		}
-		pp50, pp90, pmax := bench.SizeHist(partSizes)
-		cp50, cp90, cmax := bench.SizeHist(clusterSizes)
+		pp50, pp90, pmax := sizeHist(partSizes)
+		cp50, cp90, cmax := sizeHist(clusterSizes)
 		fmt.Printf("partitions: n=%d p50=%d p90=%d max=%d  precise=%v deferred=%d\n",
 			len(partSizes), pp50, pp90, pmax, analysisFlags.SteensPrecise, a.Steens.Stats().Deferred)
 		fmt.Printf("clusters: n=%d p50=%d p90=%d max=%d\n",
@@ -202,8 +203,9 @@ func run(path string) (err error) {
 		}
 		if distReport != nil {
 			r := distReport
-			fmt.Printf("dist: shards=%d binning=%s completed=%d/%d steals=%d expirations=%d eager-speedup=%.2fx\n",
-				r.Shards, r.Binning, r.Completed, r.Items, r.Steals, r.Expirations, r.EagerSpeedup)
+			fmt.Printf("dist: shards=%d binning=%s completed=%d/%d steals=%d expirations=%d wall=%v eager-speedup=%.2fx (busy-time model)\n",
+				r.Shards, r.Binning, r.Completed, r.Items, r.Steals, r.Expirations,
+				time.Duration(r.WallNS).Round(time.Microsecond), r.EagerSpeedup)
 			for _, s := range r.PerShard {
 				fmt.Printf("  shard %d: workers=%d claims=%d steals=%d busy=%v utilization=%.2f\n",
 					s.Shard, s.Workers, s.Claims, s.Steals, time.Duration(s.BusyNS).Round(time.Microsecond), s.Utilization)
@@ -249,6 +251,25 @@ func run(path string) (err error) {
 		fmt.Print(nullcheck.FormatAll(a.Prog, warnings))
 	}
 	return nil
+}
+
+// sizeHist summarizes a size distribution for -stats: the median, the
+// 90th percentile and the maximum. Percentiles use the nearest-rank
+// method on the sorted sizes; an empty input yields zeros.
+func sizeHist(sizes []int) (p50, p90, max int) {
+	if len(sizes) == 0 {
+		return 0, 0, 0
+	}
+	s := append([]int(nil), sizes...)
+	sort.Ints(s)
+	rank := func(q float64) int {
+		i := int(math.Ceil(q*float64(len(s)))) - 1
+		if i < 0 {
+			i = 0
+		}
+		return s[i]
+	}
+	return rank(0.50), rank(0.90), s[len(s)-1]
 }
 
 // healthSummary condenses the per-cluster health report into one field

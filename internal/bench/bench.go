@@ -55,9 +55,7 @@ type Options struct {
 	// starts fully warm).
 	CacheDir string
 	// Tracer and Metrics, when non-nil, observe the per-cluster scheduler
-	// runs (cluster/attempt/cache spans, outcome counters). The perf
-	// measurements (FSCSPerf) never see them: trajectory numbers must not
-	// include instrumentation, however cheap.
+	// runs (cluster/attempt/cache spans, outcome counters).
 	Tracer  *obs.Tracer
 	Metrics *obs.Metrics
 }

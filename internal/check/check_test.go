@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -43,8 +44,18 @@ func found(diags []check.Diagnostic, bug synth.SeededBug) bool {
 	return false
 }
 
+// lockHeavyFindings is every lockheavy preset's findings count per
+// rule. Recall alone cannot see a spurious extra finding; these counts
+// can.
+var lockHeavyFindings = map[string]map[string]int{
+	"lockheavy_small":  {"deadlock": 1, "double-free": 1, "race": 6, "use-after-free": 1},
+	"lockheavy_medium": {"deadlock": 1, "double-free": 2, "race": 9, "use-after-free": 2},
+	"lockheavy_large":  {"deadlock": 1, "double-free": 3, "race": 12, "use-after-free": 3},
+}
+
 // TestLockHeavyRecall: every seeded bug in every lockheavy preset is
-// found, and the correctly-guarded parts produce no findings.
+// found, the correctly-guarded parts produce no findings, and each
+// rule reports exactly its pinned count.
 func TestLockHeavyRecall(t *testing.T) {
 	for _, w := range synth.LockHeavyWorkloads() {
 		w := w
@@ -58,6 +69,13 @@ func TestLockHeavyRecall(t *testing.T) {
 				if !found(diags, bug) {
 					t.Errorf("seeded %s on %s not found\n%s", bug.Rule, bug.Var, check.FormatText(rep))
 				}
+			}
+			counts := map[string]int{}
+			for _, d := range diags {
+				counts[d.Rule]++
+			}
+			if want := lockHeavyFindings[w.Name]; !reflect.DeepEqual(counts, want) {
+				t.Errorf("findings per rule = %v, want %v\n%s", counts, want, check.FormatText(rep))
 			}
 			for _, res := range rep.Results {
 				if res.Err != nil {
@@ -79,35 +97,39 @@ func TestLockHeavyRecall(t *testing.T) {
 	}
 }
 
-// TestDeterministicFingerprints: two fresh runs over the same workload
-// yield identical fingerprint sets, and a warm rerun against the same
-// cache directory is a pure cache hit.
+// TestDeterministicFingerprints: on every lockheavy preset, two fresh
+// runs over the same workload yield identical fingerprint sets, and a
+// warm rerun against the same cache directory is a pure cache hit.
 func TestDeterministicFingerprints(t *testing.T) {
-	src, _ := synth.LockHeavy(synth.LockHeavyWorkloads()[0].Cfg)
-	dir := t.TempDir()
+	for _, w := range synth.LockHeavyWorkloads() {
+		t.Run(w.Name, func(t *testing.T) {
+			src, _ := synth.LockHeavy(w.Cfg)
+			dir := t.TempDir()
 
-	run := func() ([]string, cache.Stats) {
-		c := cache.New(cache.Options{Dir: dir})
-		passes := check.All()
-		before := c.Stats()
-		a := analyzeLazy(t, src, passes, core.Config{Cache: c})
-		rep := check.Run(context.Background(), a, check.Options{Passes: passes})
-		return rep.Fingerprints(), c.Stats().Sub(before)
-	}
+			run := func() ([]string, cache.Stats) {
+				c := cache.New(cache.Options{Dir: dir})
+				passes := check.All()
+				before := c.Stats()
+				a := analyzeLazy(t, src, passes, core.Config{Cache: c})
+				rep := check.Run(context.Background(), a, check.Options{Passes: passes})
+				return rep.Fingerprints(), c.Stats().Sub(before)
+			}
 
-	cold, coldStats := run()
-	warm, warmStats := run()
-	if len(cold) == 0 {
-		t.Fatal("no findings on a seeded workload")
-	}
-	if strings.Join(cold, ",") != strings.Join(warm, ",") {
-		t.Errorf("fingerprint drift cold vs warm:\ncold: %v\nwarm: %v", cold, warm)
-	}
-	if coldStats.Misses == 0 {
-		t.Errorf("cold run should miss the cache, stats %+v", coldStats)
-	}
-	if warmStats.Misses != 0 || warmStats.Hits == 0 {
-		t.Errorf("warm run should be a pure cache hit, stats %+v", warmStats)
+			cold, coldStats := run()
+			warm, warmStats := run()
+			if len(cold) == 0 {
+				t.Fatal("no findings on a seeded workload")
+			}
+			if strings.Join(cold, ",") != strings.Join(warm, ",") {
+				t.Errorf("fingerprint drift cold vs warm:\ncold: %v\nwarm: %v", cold, warm)
+			}
+			if coldStats.Misses == 0 {
+				t.Errorf("cold run should miss the cache, stats %+v", coldStats)
+			}
+			if warmStats.Misses != 0 || warmStats.Hits == 0 {
+				t.Errorf("warm run should be a pure cache hit, stats %+v", warmStats)
+			}
+		})
 	}
 }
 

@@ -49,10 +49,9 @@ func (f *AnalysisFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.SteensPrecise, "steens-precise", false, "oversharing-resistant Steensgaard: write-only sinks join source partitions via an overlay instead of unifying them (smaller max partition; sound, may be more precise)")
 }
 
-// DistFlags is the distributed-execution flag group shared by
-// bootstrap, benchtab and aliaswork: shard count, binning policy and
-// lease TTL. Zero value + Register = ready; Shards == 0 (or 1 with the
-// other flags untouched) means single-process execution.
+// DistFlags is bootstrap's distributed-execution flag group: shard
+// count, binning policy and lease TTL. Zero value + Register = ready;
+// Shards == 0 means single-process execution.
 type DistFlags struct {
 	Shards   int
 	Binning  string

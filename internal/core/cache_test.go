@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
 	"bootstrap/internal/cache"
 	"bootstrap/internal/frontend"
+	"bootstrap/internal/synth"
 )
 
 // Two structurally distinct modules in disjoint Steensgaard partitions.
@@ -257,5 +260,105 @@ func TestReanalyzeWarmStart(t *testing.T) {
 	}
 	if got, want := aliasDump(a3), aliasDump(fresh); got != want {
 		t.Errorf("edited reanalysis diverges from a fresh analysis\n--- fresh\n%s--- got\n%s", want, got)
+	}
+}
+
+// warmStartEnv marks a re-exec'd test binary as the fresh process of
+// TestWarmStartFromDiskInFreshProcess. Its value is the parent's temp
+// directory: the shared cache lives under it in cache/, and the child
+// writes its runs to child.json.
+const warmStartEnv = "BOOTSTRAP_WARM_START_DIR"
+
+// warmStartRows is a representative slice of Table 1 at scale 0.12:
+// tiny, mid-sized, low-overlap and high-overlap workloads.
+var warmStartRows = []string{"sock", "ctrace", "autofs", "raid", "mt_daapd"}
+
+// warmStartRun is one row's analysis as one process saw it.
+type warmStartRun struct {
+	Row      string
+	Clusters int
+	Stats    cache.Stats
+	Dump     string
+}
+
+// analyzeWarmStartRows analyzes every warmStartRows workload against
+// one disk-backed cache rooted at dir. The Andersen threshold is the
+// paper's 60 scaled to the workload scale, as benchtab scales it.
+func analyzeWarmStartRows(t *testing.T, dir string, workers int) []warmStartRun {
+	t.Helper()
+	c := cache.New(cache.Options{Dir: dir})
+	var runs []warmStartRun
+	for _, name := range warmStartRows {
+		b, ok := synth.FindBenchmark(name)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", name)
+		}
+		a, err := AnalyzeSource(synth.Generate(b, 0.12), Config{
+			Mode: ModeAndersen, Workers: workers, AndersenThreshold: 7, Cache: c,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runs = append(runs, warmStartRun{Row: name, Clusters: len(a.Clusters), Stats: a.CacheStats, Dump: aliasDump(a)})
+	}
+	return runs
+}
+
+// TestWarmStartChild is not a test of its own: it is the body of the
+// fresh process TestWarmStartFromDiskInFreshProcess re-execs.
+func TestWarmStartChild(t *testing.T) {
+	root := os.Getenv(warmStartEnv)
+	if root == "" {
+		t.Skip("not a warm-start child")
+	}
+	blob, err := json.Marshal(analyzeWarmStartRows(t, filepath.Join(root, "cache"), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "child.json"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmStartFromDiskInFreshProcess: a cold analysis fills the disk
+// tier, and a second OS process with its own cache on that directory
+// must start fully warm — every cluster a hit, none a miss — and answer
+// exactly as the cold run did. A cache key that depends on anything
+// process-local (addresses, IDs of a previous run, the process itself)
+// passes every in-process test and fails only here.
+func TestWarmStartFromDiskInFreshProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-execs the test binary")
+	}
+	root := t.TempDir()
+	cold := analyzeWarmStartRows(t, filepath.Join(root, "cache"), 8)
+
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestWarmStartChild$")
+	cmd.Env = append(os.Environ(), warmStartEnv+"="+root)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("warm-start child: %v\n%s", err, out)
+	}
+	blob, err := os.ReadFile(filepath.Join(root, "child.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warm []warmStartRun
+	if err := json.Unmarshal(blob, &warm); err != nil {
+		t.Fatal(err)
+	}
+	if len(warm) != len(cold) {
+		t.Fatalf("child analyzed %d rows, parent %d", len(warm), len(cold))
+	}
+	for i, w := range warm {
+		c := cold[i]
+		if c.Stats.Hits != 0 {
+			t.Errorf("%s: cold run hit %d entries in an empty cache", c.Row, c.Stats.Hits)
+		}
+		if w.Stats.Misses != 0 || w.Stats.Hits != int64(w.Clusters) {
+			t.Errorf("%s: fresh process stats %+v over %d clusters, want all hits", w.Row, w.Stats, w.Clusters)
+		}
+		if w.Dump != c.Dump {
+			t.Errorf("%s: fresh-process answers diverge from the cold run", w.Row)
+		}
 	}
 }

@@ -280,3 +280,33 @@ func spawnTestWorker(t *testing.T, url, name, killSpec string) *exec.Cmd {
 	})
 	return cmd
 }
+
+// BenchmarkShardWallClock times whole distributed runs — coordinator,
+// re-exec'd worker processes, cold shared cache and merge — at 1 and 2
+// shards against the in-process eager solve with two workers, on
+// autofs at scale 0.5. ns/op is wall clock on the host's real cores,
+// unlike Report.EagerSpeedup, which models k machines from busy time.
+func BenchmarkShardWallClock(b *testing.B) {
+	bm, ok := synth.FindBenchmark("autofs")
+	if !ok {
+		b.Fatal("autofs benchmark missing")
+	}
+	src := synth.Generate(bm, 0.5)
+	b.Run("in-process-workers2", func(b *testing.B) {
+		cfg := core.Config{Mode: core.ModeAndersen, Workers: 2}
+		for i := 0; i < b.N; i++ {
+			if _, err := core.AnalyzeSource(src, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(context.Background(), src, testConfig(), RunOptions{Shards: shards}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

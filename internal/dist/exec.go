@@ -10,9 +10,10 @@ import (
 )
 
 // Env vars that flip a re-exec'd binary into worker mode. Spawned
-// workers are the same binary as the coordinator (bootstrap, benchtab
-// or aliaswork) re-exec'd with workerEnv set — no second binary to
-// ship, and the worker is guaranteed to be the same build.
+// workers are the same binary as the coordinator (bootstrap, or a test
+// binary whose TestMain calls MaybeWorker) re-exec'd with workerEnv set
+// — no second binary to ship, and the worker is guaranteed to be the
+// same build.
 const (
 	workerEnv = "BOOTSTRAP_DIST_WORKER" // coordinator URL; presence selects worker mode
 	nameEnv   = "BOOTSTRAP_DIST_NAME"   // optional worker name override

@@ -76,8 +76,9 @@ func checkAnswer(t *testing.T, ref *reference, p, q string, resp QueryResponse) 
 // fires an injected fault on every 5th attempt (20%) while every 5th
 // admitted query eats a latency spike longer than its deadline. The
 // contract: every query ends in 200 or 429, nothing hangs past its
-// deadline, and every 200 is correct-or-degraded against the eager
-// reference.
+// deadline, every 200 is correct-or-degraded against the eager
+// reference, and the served, degraded and shed counters an operator
+// scrapes moved by exactly what the clients saw.
 func TestChaosDegradeNotFail(t *testing.T) {
 	const queryTimeout = 300 * time.Millisecond
 	m := obs.NewMetrics()
@@ -98,6 +99,12 @@ func TestChaosDegradeNotFail(t *testing.T) {
 		{"x", "y"}, {"x", "p"}, {"y", "p"}, {"l1", "l2"}, {"x", "l1"},
 		{"a", "b"}, {"px", "x"}, {"l1", "x"},
 	}
+	counters := func() (queries, degraded, shed int64) {
+		return m.Counter("aliasd_queries_total", "").Value(),
+			m.Counter("aliasd_degraded_total", "").Value(),
+			m.Counter("aliasd_shed_total", "").Value()
+	}
+	queries0, degraded0, shed0 := counters()
 	const clients = 8
 	const perClient = 30
 	var wg sync.WaitGroup
@@ -151,6 +158,16 @@ func TestChaosDegradeNotFail(t *testing.T) {
 	}
 	t.Logf("chaos: %d served (%d degraded), %d shed, %d latency spikes",
 		served.Load(), degraded.Load(), shed.Load(), s.inj.Spikes())
+	queries1, degraded1, shed1 := counters()
+	if d := queries1 - queries0; d != served.Load() {
+		t.Errorf("aliasd_queries_total moved by %d, clients were served %d", d, served.Load())
+	}
+	if d := degraded1 - degraded0; d != degraded.Load() {
+		t.Errorf("aliasd_degraded_total moved by %d, clients saw %d degraded", d, degraded.Load())
+	}
+	if d := shed1 - shed0; d != shed.Load() {
+		t.Errorf("aliasd_shed_total moved by %d, clients saw %d shed", d, shed.Load())
+	}
 	// Disarm and let detached solves land: the server must heal — a
 	// fresh query round ends fully precise.
 	if code := do(t, s, "POST", "/chaos", `{}`, nil); code != http.StatusOK {

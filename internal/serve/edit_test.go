@@ -311,8 +311,10 @@ func TestSubscribeStream(t *testing.T) {
 	}
 	r.Body.Close()
 
+	// The server publishes the dirty clusters' events after the snapshot
+	// event, so wait for the first of them too.
 	evs := cl.wait(t, func(evs []StreamEvent) bool {
-		var snap, inval bool
+		var snap, inval, cluster bool
 		for _, ev := range evs {
 			if ev.Type == "snapshot" && ev.Snapshot == 2 && !ev.Reloaded {
 				snap = true
@@ -320,8 +322,11 @@ func TestSubscribeStream(t *testing.T) {
 			if ev.Type == "invalidate" && ev.P == "x" && ev.Q == "p" {
 				inval = true
 			}
+			if ev.Type == "cluster" && ev.Snapshot == 2 {
+				cluster = true
+			}
 		}
-		return snap && inval
+		return snap && inval && cluster
 	})
 	// Cluster events accompany the dirty set.
 	var clusters int

@@ -245,6 +245,7 @@ func TestDeadlineDegradesNotFails(t *testing.T) {
 	s := newTestServer(t, testProgram, func(c *Config) {
 		c.AllowChaos = true
 		c.QueryTimeout = 100 * time.Millisecond
+		c.Metrics = obs.NewMetrics()
 	})
 	// Every query suffers a 10s latency spike; the 100ms deadline must
 	// cut it short and the answer must still come back, degraded.
@@ -262,6 +263,9 @@ func TestDeadlineDegradesNotFails(t *testing.T) {
 	}
 	if elapsed > time.Second {
 		t.Errorf("query took %v, deadline was 100ms: hang past deadline", elapsed)
+	}
+	if got := s.mDegraded.Value(); got != 1 {
+		t.Errorf("one degraded answer moved the degraded counter to %d", got)
 	}
 }
 
@@ -311,42 +315,57 @@ func TestLoadSheddingWhenSaturated(t *testing.T) {
 	<-release
 }
 
+// TestWarmQueriesBypassSaturation: while the only solve slot is held
+// and the queue takes nobody, a cold query is shed, but a burst of warm
+// queries from several clients is answered in full — warm queries never
+// ask for admission, so saturation cannot shed them.
 func TestWarmQueriesBypassSaturation(t *testing.T) {
 	s := newTestServer(t, testProgram, func(c *Config) {
-		c.AllowChaos = true
 		c.MaxSolves = 1
 		c.QueueDepth = -1
 		c.QueryTimeout = 500 * time.Millisecond
+		c.Metrics = obs.NewMetrics()
 	})
 	mayAlias(t, s, "x", "y") // warm x's clusters
-	// Saturate the slot with a long cold query on another variable.
-	if code := do(t, s, "POST", "/chaos", `{"latency_every":1,"latency_ms":10000}`, nil); code != http.StatusOK {
-		t.Fatalf("chaos: status %d", code)
+	s.solveSem <- struct{}{} // hold the only solve slot
+	defer func() { <-s.solveSem }()
+
+	shed := s.mShed.Value()
+	r := httptest.NewRequest("POST", "/v1/mayalias", strings.NewReader(`{"p":"l1","q":"l2"}`))
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, r)
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("cold query on a saturated server: status %d, want 429", w.Code)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		r := httptest.NewRequest("POST", "/v1/lockset", strings.NewReader(`{}`))
-		w := httptest.NewRecorder()
-		s.ServeHTTP(w, r) // lockset pre-solve occupies the slot
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(s.solveSem) == 0 {
-		if time.Now().After(deadline) {
-			break // lockset may have finished already; warm query must still pass
-		}
-		time.Sleep(time.Millisecond)
+	if d := s.mShed.Value() - shed; d != 1 {
+		t.Errorf("one shed query moved the shed counter by %d", d)
 	}
-	// Disarm the latency spike so the warm query is fast again; the
-	// solve slot may still be held by the lockset pre-solve.
-	if code := do(t, s, "POST", "/chaos", `{}`, nil); code != http.StatusOK {
-		t.Fatalf("chaos disarm: status %d", code)
+
+	shed, served := s.mShed.Value(), s.mQueries.Value()
+	const clients, perClient = 4, 10
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				r := httptest.NewRequest("POST", "/v1/mayalias", strings.NewReader(`{"p":"x","q":"y"}`))
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, r)
+				var resp QueryResponse
+				if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &resp) != nil || !resp.Warm {
+					t.Errorf("warm query on a saturated server: status %d, body %s", w.Code, w.Body.String())
+				}
+			}
+		}()
 	}
-	resp := mayAlias(t, s, "x", "y")
-	if !resp.Warm {
-		t.Errorf("expected warm bypass")
+	wg.Wait()
+	if d := s.mShed.Value() - shed; d != 0 {
+		t.Errorf("warm burst moved the shed counter by %d", d)
 	}
-	<-done
+	if d := s.mQueries.Value() - served; d != clients*perClient {
+		t.Errorf("%d warm queries moved the served counter by %d", clients*perClient, d)
+	}
 }
 
 func TestReloadSwapsSnapshots(t *testing.T) {

@@ -88,6 +88,27 @@ func TestPreciseShrinksHub(t *testing.T) {
 	}
 }
 
+// TestPreciseMaxPartitionBounded: on a slice of the Table 1 workloads
+// at scale 0.12, precise mode's worst partition is never larger than
+// the default mode's (default -> precise max today: sock 8 -> 6, ctrace
+// 8 -> 6, autofs 11 -> 6, raid 15 -> 8, mt_daapd 10 -> 10). Overlay
+// memberships add a sink to its sources' partitions, so a wrong overlay
+// shows up here as growth.
+func TestPreciseMaxPartitionBounded(t *testing.T) {
+	for _, name := range []string{"sock", "ctrace", "autofs", "raid", "mt_daapd"} {
+		b, ok := synth.FindBenchmark(name)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", name)
+		}
+		p := lower(t, synth.Generate(b, 0.12))
+		base := steens.Analyze(p).MaxPartitionSize()
+		prec := steens.Analyze(p, steens.Precise()).MaxPartitionSize()
+		if prec <= 0 || prec > base {
+			t.Errorf("%s: precise max partition %d, want in (0, %d]", name, prec, base)
+		}
+	}
+}
+
 // TestPreciseDefaultUnchanged pins the default mode: no deferrals, and
 // partition structure identical with and without the (absent) option.
 func TestPreciseDefaultUnchanged(t *testing.T) {
