@@ -15,8 +15,6 @@
 //	bootstrap -mode none -stats prog.cpl      # unclustered baseline
 //	bootstrap -cache-dir .btscache prog.cpl   # persistent result cache;
 //	                                          # re-runs import unchanged clusters
-//	bootstrap -shards 4 -stats prog.cpl       # distribute the eager solve
-//	                                          # across 4 worker processes
 //	bootstrap -trace out.json prog.cpl        # Chrome trace of the cascade
 //	bootstrap -metrics-addr :9090 prog.cpl    # /metrics + /debug/pprof server
 //
@@ -46,7 +44,6 @@ import (
 
 	"bootstrap/internal/cliutil"
 	"bootstrap/internal/core"
-	"bootstrap/internal/dist"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/lockset"
@@ -56,7 +53,6 @@ import (
 var (
 	analysisFlags cliutil.AnalysisFlags
 	obsFlags      cliutil.ObsFlags
-	distFlags     cliutil.DistFlags
 
 	dumpIR     = flag.Bool("dump", false, "dump the lowered IR")
 	dotCFG     = flag.Bool("dot", false, "emit the CFGs in GraphViz DOT format")
@@ -76,11 +72,9 @@ var (
 func init() {
 	analysisFlags.Register(flag.CommandLine)
 	obsFlags.Register(flag.CommandLine)
-	distFlags.Register(flag.CommandLine)
 }
 
 func main() {
-	dist.MaybeWorker() // spawned shard workers re-exec this binary
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: bootstrap [flags] program.cpl")
@@ -126,24 +120,9 @@ func run(path string) (err error) {
 	if *races {
 		cfg.Demand = lockset.LockDemand
 	}
-	var a *core.Analysis
-	var distReport *dist.Report
-	if distFlags.Enabled() {
-		ropts, err := distFlags.Options(analysisFlags.CacheDir)
-		if err != nil {
-			return err
-		}
-		ropts.Announce = os.Stderr // lets external aliaswork processes find the port
-		res, err := dist.Run(nil, string(src), cfg, ropts)
-		if err != nil {
-			return err
-		}
-		a, distReport = res.Analysis, &res.Report
-	} else {
-		a, err = core.AnalyzeSource(string(src), cfg)
-		if err != nil {
-			return err
-		}
+	a, err := core.AnalyzeSource(string(src), cfg)
+	if err != nil {
+		return err
 	}
 
 	if *dotCFG {
@@ -200,16 +179,6 @@ func run(path string) (err error) {
 			cs := a.CacheStats
 			fmt.Printf("result cache: hits=%d misses=%d hit-rate=%.2f read=%dB written=%dB\n",
 				cs.Hits, cs.Misses, cs.HitRate(), cs.BytesRead, cs.BytesWritten)
-		}
-		if distReport != nil {
-			r := distReport
-			fmt.Printf("dist: shards=%d binning=%s completed=%d/%d steals=%d expirations=%d wall=%v eager-speedup=%.2fx (busy-time model)\n",
-				r.Shards, r.Binning, r.Completed, r.Items, r.Steals, r.Expirations,
-				time.Duration(r.WallNS).Round(time.Microsecond), r.EagerSpeedup)
-			for _, s := range r.PerShard {
-				fmt.Printf("  shard %d: workers=%d claims=%d steals=%d busy=%v utilization=%.2f\n",
-					s.Shard, s.Workers, s.Claims, s.Steals, time.Duration(s.BusyNS).Round(time.Microsecond), s.Utilization)
-			}
 		}
 	}
 	printUnhealthy(a)

@@ -284,8 +284,9 @@ func (c *Cache) readDisk(k Key) ([]byte, bool) {
 // identical. Errors are swallowed: the disk tier is an optimization,
 // not a requirement.
 //
-// The tier is multi-process safe by construction, and two cheap guards
-// keep a shard fleet from stampeding: entries are immutable once
+// The tier is multi-process safe by construction (several bootstrap
+// -cache-dir runs may share one directory), and two cheap guards keep
+// those processes from stampeding: entries are immutable once
 // renamed into place, so an existing file short-circuits the write
 // entirely, and a non-blocking flock on a per-key sidecar skips the
 // write when another process is already mid-store of the same content.

@@ -28,8 +28,8 @@ func hammerKey(i int) (Key, []byte) {
 }
 
 // hammer runs 8 goroutines storing and loading an overlapping key set
-// against one shared directory — the access pattern of a shard fleet
-// publishing per-cluster results.
+// against one shared directory — the access pattern of concurrent
+// analyses publishing per-cluster results to one -cache-dir.
 func hammer(dir string, seed int64) {
 	c := New(Options{Dir: dir, MaxBytes: 1 << 12}) // tiny memory tier: force disk traffic
 	var wg sync.WaitGroup
@@ -64,10 +64,10 @@ func TestHammerChild(t *testing.T) {
 	hammer(dir, 1)
 }
 
-// TestConcurrentProcessesHammer drives the disk tier the way shard mode
-// does: 8 goroutines in each of 2 OS processes (plus this process)
-// hammering one cache directory, while a corruptor keeps garbling and
-// truncating entry files under them. The invariants: no process may
+// TestConcurrentProcessesHammer drives the disk tier the way processes
+// sharing a -cache-dir do: 8 goroutines in each of 2 OS processes (plus
+// this process) hammering one cache directory, while a corruptor keeps
+// garbling and truncating entry files under them. The invariants: no process may
 // panic, and a corrupted entry must read as a miss — never as a wrong
 // payload or a crash.
 func TestConcurrentProcessesHammer(t *testing.T) {

@@ -1,9 +1,9 @@
-// Package cliutil holds the flag surface shared by the repo's binaries
-// (bootstrap, benchtab, clusterfig): the analysis-configuration flags
-// that build a core.Config, and the observability flags (-trace,
-// -metrics-addr, -profile) with the session plumbing behind them. Each
-// binary registers the groups it needs on its own FlagSet, so a new
-// shared flag lands in every command at once.
+// Package cliutil holds the flag surface shared by the repo's binaries:
+// the analysis-configuration flags that build a core.Config (registered
+// by bootstrap, aliasd and aliaslint), and the observability flags
+// (-trace, -metrics-addr, -profile) with the session plumbing behind
+// them (every binary). Each binary registers the groups it needs on its
+// own FlagSet, so a new shared flag lands in every command at once.
 package cliutil
 
 import (
@@ -13,7 +13,6 @@ import (
 
 	"bootstrap/internal/cache"
 	"bootstrap/internal/core"
-	"bootstrap/internal/dist"
 )
 
 // AnalysisFlags is the cascade-configuration flag group: everything a
@@ -36,7 +35,7 @@ type AnalysisFlags struct {
 // Register installs the analysis flags on fs.
 func (f *AnalysisFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Mode, "mode", "andersen", "clustering mode: none|steensgaard|andersen|syntactic")
-	fs.IntVar(&f.Threshold, "threshold", 0, "Andersen threshold (0 = default 60)")
+	fs.IntVar(&f.Threshold, "threshold", 0, "Andersen threshold (0 or less = default 60)")
 	fs.BoolVar(&f.UseOneFlow, "oneflow", false, "insert the One-Flow cascade stage")
 	fs.IntVar(&f.Workers, "workers", 0, "parallel cluster workers (0 = GOMAXPROCS)")
 	fs.Int64Var(&f.Budget, "budget", 0, "per-cluster work budget (0 = unlimited)")
@@ -47,40 +46,6 @@ func (f *AnalysisFlags) Register(fs *flag.FlagSet) {
 
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "directory for the persistent per-cluster result cache; warm re-runs import unchanged clusters instead of re-solving (results identical)")
 	fs.BoolVar(&f.SteensPrecise, "steens-precise", false, "oversharing-resistant Steensgaard: write-only sinks join source partitions via an overlay instead of unifying them (smaller max partition; sound, may be more precise)")
-}
-
-// DistFlags is bootstrap's distributed-execution flag group: shard
-// count, binning policy and lease TTL. Zero value + Register = ready;
-// Shards == 0 means single-process execution.
-type DistFlags struct {
-	Shards   int
-	Binning  string
-	LeaseTTL time.Duration
-}
-
-// Register installs the distributed-execution flags on fs.
-func (f *DistFlags) Register(fs *flag.FlagSet) {
-	fs.IntVar(&f.Shards, "shards", 0, "distribute the eager per-cluster solve across N worker processes (0 = single-process)")
-	fs.StringVar(&f.Binning, "binning", string(dist.BinningSteal), "cluster-to-shard policy: steal (greedy bins + work stealing) or greedy (the paper's static bins)")
-	fs.DurationVar(&f.LeaseTTL, "lease-ttl", 0, "work-item lease duration before a silent worker's cluster is re-issued (0 = default 5s)")
-}
-
-// Enabled reports whether the flags request distributed execution.
-func (f *DistFlags) Enabled() bool { return f.Shards > 0 }
-
-// Options builds the dist.RunOptions the flags describe. cacheDir is
-// the shared result-cache directory ("" = a run-scoped temp dir).
-func (f *DistFlags) Options(cacheDir string) (dist.RunOptions, error) {
-	binning, err := dist.ParseBinning(f.Binning)
-	if err != nil {
-		return dist.RunOptions{}, err
-	}
-	return dist.RunOptions{
-		Shards:   f.Shards,
-		Binning:  binning,
-		LeaseTTL: f.LeaseTTL,
-		CacheDir: cacheDir,
-	}, nil
 }
 
 // ParseMode maps a -mode flag value to a core.Mode.

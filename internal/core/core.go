@@ -14,6 +14,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -55,7 +56,7 @@ type Config struct {
 	// CLIs' -mode flag defaults to it ("andersen").
 	Mode Mode
 	// AndersenThreshold is the partition size above which Andersen
-	// clustering kicks in (paper: 60). Zero selects the default.
+	// clustering kicks in (paper: 60). Zero or less selects the default.
 	AndersenThreshold int
 	// UseOneFlow inserts Das's One-Level-Flow analysis between
 	// Steensgaard and Andersen, refining which partitions are considered
@@ -87,9 +88,9 @@ type Config struct {
 	// Faults injects deterministic faults into chosen clusters — the
 	// testing/chaos hook for the fault-tolerance layer. Nil injects
 	// nothing. Faults apply to every solve: the eager scheduler's and the
-	// query-time ones (EnsureCluster). While the plan has any armed fault
-	// (Plan.Active), the result cache is bypassed: injected behavior is
-	// attempt-local by design.
+	// query-time ones (EnsureCluster). While the plan has any armed
+	// fault (faults.Plan.Active), the result cache is bypassed: injected
+	// behavior is attempt-local by design.
 	Faults *faults.Plan
 	// MaxCond bounds constraint conjunctions (default 8).
 	MaxCond int
@@ -157,9 +158,9 @@ type Timing struct {
 	Lower       time.Duration // frontend (parse + lower + devirtualize)
 	Steensgaard time.Duration // partitioning
 	OneFlow     time.Duration // optional cascade stage
-	Clustering  time.Duration // Andersen clustering (refinement of oversized partitions)
+	Clustering  time.Duration // cover construction, until its last cluster is admitted (eager: handed to the FSCS workers)
 	FSCS        time.Duration // total sequential per-cluster FSCS time
-	Wall        time.Duration // wall-clock FSCS time (parallel)
+	Wall        time.Duration // wall-clock of the cover and the FSCS stage it streams into (parallel)
 	PerCluster  []time.Duration
 }
 
@@ -246,71 +247,49 @@ func AnalyzeProgram(prog *ir.Program, cfg Config) (*Analysis, error) {
 // cfg (RunTimeout, ClusterTimeout) are softer: they degrade clusters to
 // the flow-insensitive fallback and the analysis still completes, every
 // query remaining sound.
+//
+// Every configuration runs the same cascade. Steensgaard (with
+// devirtualization) comes first; the whole-program flow-insensitive
+// fallback and the call graph are then built concurrently with the
+// alias cover, which arrives cluster by cluster in cover order and is
+// admitted as it arrives. An eager run streams the admitted clusters
+// straight into the FSCS workers, which wait for the fallback before
+// their first solve. A Lazy run returns once the whole cover is admitted
+// and the fallback is ready; each cluster then solves on the first query
+// touching it (EnsureCluster).
 func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	planDefaults(&cfg)
-
-	// The eager full-bootstrap cascade runs pipelined: clusters stream
-	// from cover construction straight into the FSCS workers instead of
-	// waiting for the whole cover, and the fallback runs concurrently.
-	// Every other configuration (other modes, One-Flow refinement, lazy
-	// mode) takes the serial BuildPlan + AnalyzeFromPlan path below.
-	if cfg.Mode == ModeAndersen && !cfg.UseOneFlow && !cfg.Lazy {
-		a := newAnalysis(prog, cfg)
-		var cacheBefore cache.Stats
-		if cfg.Cache != nil {
-			cacheBefore = cfg.Cache.Stats()
-		}
-		tr := cfg.Tracer
-		tr.NameThread(obs.TIDMain, "cascade")
-
-		// Stage 0: Steensgaard over the whole program (the scalable base
-		// of the cascade), plus function-pointer devirtualization.
-		t0 := time.Now()
-		sp := tr.Start("phase", "steensgaard", obs.TIDMain)
-		sa, err := steensFront(prog, cfg)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		a.Steens = sa
-		sp.Arg("partitions", sa.NumPartitions()).Arg("max_partition", sa.MaxPartitionSize()).End()
-		sa.Record(cfg.Metrics)
-		a.Timing.Steensgaard = time.Since(t0)
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: analysis cancelled: %w", err)
-		}
-		if err := a.runPipelined(ctx, sa, cfg); err != nil {
-			return nil, err
-		}
-		if cfg.Cache != nil {
-			a.CacheStats = cfg.Cache.Stats().Sub(cacheBefore)
-		}
-		return a, nil
+	setDefaults(&cfg)
+	if int(cfg.Mode) >= len(modeNames) {
+		return nil, fmt.Errorf("core: unknown mode %d", cfg.Mode)
 	}
+	a := newAnalysis(prog, cfg)
+	var cacheBefore cache.Stats
+	if cfg.Cache != nil {
+		cacheBefore = cfg.Cache.Stats()
+	}
+	tr := cfg.Tracer
+	tr.NameThread(obs.TIDMain, "cascade")
 
-	pl, err := BuildPlan(ctx, prog, cfg)
+	// Stage 0: Steensgaard over the whole program (the scalable base of
+	// the cascade), plus function-pointer devirtualization.
+	t0 := time.Now()
+	sp := tr.Start("phase", "steensgaard", obs.TIDMain)
+	sa, err := steensFront(prog, cfg)
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
-	return AnalyzeFromPlan(ctx, pl, cfg)
-}
+	a.Steens = sa
+	sp.Arg("partitions", sa.NumPartitions()).Arg("max_partition", sa.MaxPartitionSize()).End()
+	sa.Record(cfg.Metrics)
+	a.Timing.Steensgaard = time.Since(t0)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: analysis cancelled: %w", err)
+	}
 
-// runPipelined is the overlapped eager ModeAndersen cascade: the Andersen
-// cover is built partition-by-partition on a worker pool and each finished
-// cluster streams straight into the FSCS stage, while the whole-program
-// flow-insensitive fallback and the call graph are computed concurrently
-// (FSCS workers block on their readiness before the first engine runs).
-//
-// Output is identical to the serial path: the stream delivers clusters in
-// BuildAndersen order with BuildAndersen IDs, and the shared scheduler
-// installs results by cluster ID and reports health sorted by it. The
-// cover is built under the caller's ctx, not the RunTimeout context (see
-// stageContext).
-func (a *Analysis) runPipelined(ctx context.Context, sa *steens.Analysis, cfg Config) error {
-	prog, tr := a.Prog, cfg.Tracer
 	tr.NameThread(obs.TIDFallback, "fallback")
 	fallbackReady := make(chan struct{})
 	go func() {
@@ -321,37 +300,129 @@ func (a *Analysis) runPipelined(ctx context.Context, sa *steens.Analysis, cfg Co
 		sp.End()
 	}()
 
+	var of *oneflow.Analysis
+	if cfg.UseOneFlow {
+		t := time.Now()
+		sp := tr.Start("phase", "oneflow", obs.TIDMain)
+		of = oneflow.AnalyzeWith(prog, sa)
+		sp.End()
+		a.Timing.OneFlow = time.Since(t)
+	}
+
+	// The fscs span opens first so that it encloses the clustering span
+	// the cover overlaps.
 	t1 := time.Now()
-	fsp := tr.Start("phase", "fscs", obs.TIDMain).Arg("workers", cfg.Workers)
+	var fsp *obs.Span
+	if !cfg.Lazy {
+		fsp = tr.Start("phase", "fscs", obs.TIDMain).Arg("workers", cfg.Workers)
+	}
 	csp := tr.Start("phase", "clustering", obs.TIDMain).Arg("mode", cfg.Mode.String())
-	stream := cluster.StreamAndersen(obs.ContextWithTracer(ctx, tr), prog, sa,
-		cfg.AndersenThreshold, cfg.Workers)
-	work := make(chan *cluster.Cluster)
-	go func() {
-		defer close(work)
-		for c := range stream {
+	cover := coverStream(ctx, prog, sa, of, cfg)
+	admitCover := func(work chan<- *cluster.Cluster) {
+		for c := range cover {
 			a.Clusters = append(a.Clusters, c)
-			if a.admit(c) {
+			if a.admit(c) && work != nil {
 				work <- c
 			}
 		}
-		// Under pipelining the clustering span overlaps the FSCS wall
-		// clock; it ends when the last partition's refinement has been
-		// delivered.
 		a.Timing.Clustering = time.Since(t1)
 		csp.Arg("clusters", len(a.Clusters)).End()
-	}()
-	runCtx, cancel := stageContext(ctx, cfg)
-	defer cancel()
-	hs := a.runEager(runCtx, work, fallbackReady, cfg)
-	a.Timing.Wall = time.Since(t1)
-	fsp.Arg("clusters", len(hs)).End()
+	}
+
+	var hs []ClusterHealth
+	if cfg.Lazy {
+		admitCover(nil)
+		<-fallbackReady
+	} else {
+		// Stage 2: the precise per-cluster FSCS analyses, in parallel,
+		// under the fault-tolerant scheduler (see RunCluster).
+		work := make(chan *cluster.Cluster)
+		go func() {
+			defer close(work)
+			admitCover(work)
+		}()
+		runCtx, cancel := stageContext(ctx, cfg)
+		defer cancel()
+		hs = a.runEager(runCtx, work, fallbackReady, cfg)
+		a.Timing.Wall = time.Since(t1)
+		fsp.Arg("clusters", len(hs)).End()
+	}
 	a.Andersen.SolverStats().Record(cfg.Metrics)
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: analysis cancelled: %w", err)
+		// Explicit caller cancellation aborts, even mid-cover; cfg
+		// deadlines never land here (runCtx expiring only degrades
+		// clusters).
+		return nil, fmt.Errorf("core: analysis cancelled: %w", err)
 	}
-	a.recordEager(hs)
-	return nil
+	if !cfg.Lazy {
+		a.recordEager(hs)
+	}
+	if cfg.Cache != nil {
+		a.CacheStats = cfg.Cache.Stats().Sub(cacheBefore)
+	}
+	return a, nil
+}
+
+// setDefaults normalizes the config knobs every entry point depends on.
+func setDefaults(cfg *Config) {
+	if cfg.Workers < 1 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.AndersenThreshold < 1 {
+		cfg.AndersenThreshold = cluster.DefaultAndersenThreshold
+	}
+}
+
+// newAnalysis allocates the Analysis shell with its query-state maps.
+func newAnalysis(prog *ir.Program, cfg Config) *Analysis {
+	return &Analysis{
+		Prog:        prog,
+		cfg:         cfg,
+		mu:          &sync.Mutex{},
+		engines:     map[int]*fscs.Engine{},
+		selected:    map[int]*cluster.Cluster{},
+		byPointer:   map[ir.VarID][]int{},
+		solving:     map[int]*inflight{},
+		queryHealth: map[int]ClusterHealth{},
+	}
+}
+
+// steensFront runs the Steensgaard base stage: analyze, devirtualize
+// indirect calls with the resolved targets, and re-analyze when the
+// program changed.
+func steensFront(prog *ir.Program, cfg Config) (*steens.Analysis, error) {
+	sa := steens.Analyze(prog, cfg.steensOpts()...)
+	if frontend.HasIndirectCalls(prog) {
+		if err := frontend.Devirtualize(prog, func(_ ir.Loc, fp ir.VarID) []ir.FuncID {
+			return sa.Targets(fp)
+		}); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		sa = steens.Analyze(prog, cfg.steensOpts()...)
+	}
+	return sa, nil
+}
+
+// coverStream delivers the run's alias cover in cover order, with final
+// cluster IDs. The Andersen cover streams from cluster.StreamAndersen as
+// partitions are refined on cfg.Workers goroutines; every other cover
+// (the baselines, and the One-Flow refinement when of is set) is built
+// whole and fed. The cover is built under ctx, never under the
+// RunTimeout deadline (see stageContext).
+func coverStream(ctx context.Context, prog *ir.Program, sa *steens.Analysis, of *oneflow.Analysis, cfg Config) <-chan *cluster.Cluster {
+	switch cfg.Mode {
+	case ModeNone:
+		return feed([]*cluster.Cluster{cluster.BuildWhole(prog, sa)})
+	case ModeSteensgaard:
+		return feed(cluster.BuildSteensgaard(prog, sa))
+	case ModeSyntactic:
+		return feed(cluster.BuildSyntactic(prog, sa))
+	}
+	if of != nil {
+		return feed(buildWithOneFlow(prog, sa, of, cfg.AndersenThreshold))
+	}
+	return cluster.StreamAndersen(obs.ContextWithTracer(ctx, cfg.Tracer), prog, sa,
+		cfg.AndersenThreshold, cfg.Workers)
 }
 
 func maxCondOrDefault(n int) int {

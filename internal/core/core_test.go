@@ -514,6 +514,9 @@ func TestAnalyzeSourceErrors(t *testing.T) {
 	if _, err := AnalyzeSource("void main() { x = y; }", Config{}); err == nil {
 		t.Error("lowering error should propagate")
 	}
+	if _, err := AnalyzeSource(testProgram, Config{Mode: ModeSyntactic + 1}); err == nil {
+		t.Error("an unknown mode should be an error")
+	}
 }
 
 func TestLazyMode(t *testing.T) {

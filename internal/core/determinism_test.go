@@ -8,22 +8,41 @@ import (
 	"testing"
 
 	"bootstrap/internal/cache"
+	"bootstrap/internal/cluster"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
+	"bootstrap/internal/oneflow"
+	"bootstrap/internal/steens"
 )
 
 // aliasDump serializes every query surface the facade exposes into one
-// canonical string: the cover (IDs, kinds, pointer sets), per-pointer
-// cluster membership, points-to sets, alias sets and health statuses.
-// Two analyses with equal dumps are observably identical.
+// canonical string: the cover, health statuses, and the answers (see
+// answerDump). Two analyses with equal dumps are observably identical.
 func aliasDump(a *Analysis) string {
 	var b strings.Builder
-	for _, c := range a.Clusters {
-		fmt.Fprintf(&b, "cluster %d %s %v\n", c.ID, c.Kind, c.Pointers)
-	}
+	b.WriteString(coverDump(a.Clusters))
 	for _, h := range a.Health {
 		fmt.Fprintf(&b, "health %d %s demoted=%v\n", h.ClusterID, h.Status, h.Demoted)
 	}
+	b.WriteString(answerDump(a))
+	return b.String()
+}
+
+// coverDump serializes a cover: each cluster's ID, kind, pointer set and
+// the Steensgaard partition it was built from.
+func coverDump(cs []*cluster.Cluster) string {
+	var b strings.Builder
+	for _, c := range cs {
+		fmt.Fprintf(&b, "cluster %d %s %v part=%v\n", c.ID, c.Kind, c.Pointers, c.Part)
+	}
+	return b.String()
+}
+
+// answerDump serializes, for every indexed pointer, its cluster
+// membership and its points-to and alias sets at the entry's exit, each
+// with its precision flag.
+func answerDump(a *Analysis) string {
+	var b strings.Builder
 	exit := a.Prog.Func(a.Prog.Entry).Exit
 	var ptrs []ir.VarID
 	for p := range a.byPointer {
@@ -106,50 +125,87 @@ func TestDeterministicWithWarmCache(t *testing.T) {
 	}
 }
 
-// analyzeSerial runs src through the serial cascade, BuildPlan then
-// AnalyzeFromPlan, which an eager ModeAndersen analysis otherwise
-// pipelines.
-func analyzeSerial(t *testing.T, src string, cfg Config) *Analysis {
-	t.Helper()
-	prog, err := frontend.LowerSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := BuildPlan(context.Background(), prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := AnalyzeFromPlan(context.Background(), pl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-// TestPipelinedMatchesSerialCover: the streamed cover must be the
-// BuildAndersen cover exactly — same clusters, same IDs, same order —
-// including under demand selection and the hybrid size cut-off.
+// TestPipelinedMatchesSerialCover: every mode's streamed cover, eager
+// and lazy, must be the cluster builder's cover on the same program —
+// same clusters, same IDs, kinds and partitions, in order — under each
+// selection (plain, demand, hybrid). A lazy analysis must give the eager
+// one's answers once EnsureCluster has solved every selected cluster.
 func TestPipelinedMatchesSerialCover(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
+	const threshold = 2 // force Andersen (and One-Flow) refinement
+	modes := []struct {
+		name  string
+		cfg   Config
+		build func(*ir.Program, *steens.Analysis) []*cluster.Cluster
 	}{
-		{"plain", Config{Mode: ModeAndersen, AndersenThreshold: 2, Workers: 4}},
-		{"demand", Config{Mode: ModeAndersen, AndersenThreshold: 2, Workers: 4,
-			Demand: func(v *ir.Var) bool { return v.IsLock }}},
-		{"hybrid", Config{Mode: ModeAndersen, AndersenThreshold: 2, Workers: 4, HybridSizeLimit: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			piped, err := AnalyzeSource(testProgram, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial := analyzeSerial(t, testProgram, tc.cfg)
-			if got, want := aliasDump(piped), aliasDump(serial); got != want {
-				t.Errorf("pipelined cover/results diverge from serial\n--- serial\n%s--- pipelined\n%s", want, got)
-			}
-			if len(piped.Clusters) != len(serial.Clusters) {
-				t.Fatalf("cover sizes differ: %d vs %d", len(piped.Clusters), len(serial.Clusters))
+		{"none", Config{Mode: ModeNone}, func(p *ir.Program, sa *steens.Analysis) []*cluster.Cluster {
+			return []*cluster.Cluster{cluster.BuildWhole(p, sa)}
+		}},
+		{"steensgaard", Config{Mode: ModeSteensgaard}, cluster.BuildSteensgaard},
+		{"andersen", Config{Mode: ModeAndersen}, func(p *ir.Program, sa *steens.Analysis) []*cluster.Cluster {
+			return cluster.BuildAndersen(p, sa, threshold)
+		}},
+		{"syntactic", Config{Mode: ModeSyntactic}, cluster.BuildSyntactic},
+		{"oneflow", Config{Mode: ModeAndersen, UseOneFlow: true}, func(p *ir.Program, sa *steens.Analysis) []*cluster.Cluster {
+			return buildWithOneFlow(p, sa, oneflow.AnalyzeWith(p, sa), threshold)
+		}},
+	}
+	selections := []struct {
+		name  string
+		apply func(*Config)
+	}{
+		{"plain", func(*Config) {}},
+		{"demand", func(c *Config) { c.Demand = func(v *ir.Var) bool { return v.IsLock } }},
+		{"hybrid", func(c *Config) { c.HybridSizeLimit = 2 }},
+	}
+	ctx := context.Background()
+	for _, sel := range selections {
+		t.Run(sel.name, func(t *testing.T) {
+			for _, m := range modes {
+				t.Run(m.name, func(t *testing.T) {
+					prog, err := frontend.LowerSource(testProgram)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sa, err := steensFront(prog, Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := coverDump(m.build(prog, sa))
+					var eager *Analysis
+					for _, lazy := range []bool{false, true} {
+						cfg := m.cfg
+						cfg.AndersenThreshold, cfg.Workers, cfg.Lazy = threshold, 4, lazy
+						sel.apply(&cfg)
+						a, err := AnalyzeSource(testProgram, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := coverDump(a.Clusters); got != want {
+							t.Fatalf("lazy=%v: cover diverges from the builder's\n--- builder\n%s--- analysis\n%s", lazy, want, got)
+						}
+						if !lazy {
+							eager = a
+							continue
+						}
+						if len(a.Health) != 0 || a.Engine(0) != nil {
+							t.Fatalf("lazy run solved clusters before any query: health %v", a.Health)
+						}
+						a.mu.Lock()
+						var ids []int
+						for id := range a.selected {
+							ids = append(ids, id)
+						}
+						a.mu.Unlock()
+						for _, id := range ids {
+							if _, _, ok := a.EnsureCluster(ctx, id); !ok {
+								t.Fatalf("EnsureCluster(%d) failed", id)
+							}
+						}
+						if got, want := answerDump(a), answerDump(eager); got != want {
+							t.Errorf("lazy answers diverge from eager\n--- eager\n%s--- lazy\n%s", want, got)
+						}
+					}
+				})
 			}
 		})
 	}

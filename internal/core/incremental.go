@@ -88,7 +88,7 @@ func ApplyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit) (*Analysis,
 	}
 	start := time.Now()
 	cfg := prev.cfg
-	planDefaults(&cfg)
+	setDefaults(&cfg)
 	tr := cfg.Tracer
 	sp := tr.Start("phase", "applyedit", obs.TIDMain).Arg("edits", len(edits))
 	a, rep, err := applyEdit(ctx, prev, edits, cfg)

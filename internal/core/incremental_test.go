@@ -154,6 +154,9 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 		// threshold; 4 sends its oversized partitions through the
 		// Andersen refinement and KindAndersen transplants.
 		{"andersen-threshold", core.Config{Mode: core.ModeAndersen, AndersenThreshold: 4}},
+		// A negative threshold selects the default, in ApplyEdit's cover
+		// rebuild as in a fresh run.
+		{"negative-threshold", core.Config{Mode: core.ModeAndersen, AndersenThreshold: -1}},
 	}
 	for _, m := range matrix {
 		t.Run(m.name, func(t *testing.T) {

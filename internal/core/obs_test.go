@@ -31,31 +31,43 @@ func normalizeTrace(t *testing.T, tr *obs.Tracer) string {
 
 // TestTraceDeterministicWorkers1 is the tracing acceptance check: two
 // Workers=1 runs of the same configuration must produce identical event
-// streams up to timestamps — on the serial path (BuildPlan +
-// AnalyzeFromPlan) and on the pipelined path (single-writer tracks,
-// canonical order).
+// streams up to timestamps (single-writer tracks, canonical order) — for
+// the eager Andersen cascade, a lazy one and an eager ModeSteensgaard
+// one. Each run records every cascade phase once, except the FSCS stage,
+// which a lazy run leaves to query time.
 func TestTraceDeterministicWorkers1(t *testing.T) {
-	for _, serial := range []bool{true, false} {
+	for _, leg := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"andersen", Config{Mode: ModeAndersen}},
+		{"lazy", Config{Mode: ModeAndersen, Lazy: true}},
+		{"steensgaard", Config{Mode: ModeSteensgaard}},
+	} {
 		var want string
 		for run := 0; run < 2; run++ {
 			tr := obs.NewTracer()
-			cfg := Config{
-				Mode:              ModeAndersen,
-				Workers:           1,
-				AndersenThreshold: 2,
-				Tracer:            tr,
-			}
-			if serial {
-				analyzeSerial(t, testProgram, cfg)
-			} else if _, err := AnalyzeSource(testProgram, cfg); err != nil {
+			cfg := leg.cfg
+			cfg.Workers, cfg.AndersenThreshold, cfg.Tracer = 1, 2, tr
+			if _, err := AnalyzeSource(testProgram, cfg); err != nil {
 				t.Fatal(err)
+			}
+			byName := eventNames(tr.Events())
+			for _, phase := range []string{"parse", "steensgaard", "clustering", "fallback", "fscs"} {
+				n := 1
+				if phase == "fscs" && cfg.Lazy {
+					n = 0
+				}
+				if got := len(byName[phase]); got != n {
+					t.Errorf("%s: %d %q phase spans, want %d", leg.name, got, phase, n)
+				}
 			}
 			got := normalizeTrace(t, tr)
 			if run == 0 {
 				want = got
 			} else if got != want {
-				t.Errorf("serial=%v: run 1 and run 2 traces differ:\n--- run 1:\n%s\n--- run 2:\n%s",
-					serial, want, got)
+				t.Errorf("%s: run 1 and run 2 traces differ:\n--- run 1:\n%s\n--- run 2:\n%s",
+					leg.name, want, got)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ func (a *Analysis) admit(c *cluster.Cluster) bool {
 }
 
 // feed returns a closed channel carrying cs in order: the slice form of
-// runEager's input.
+// a cover stream and of runEager's input.
 func feed(cs []*cluster.Cluster) <-chan *cluster.Cluster {
 	ch := make(chan *cluster.Cluster, len(cs))
 	for _, c := range cs {

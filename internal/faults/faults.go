@@ -9,7 +9,6 @@ package faults
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -31,14 +30,9 @@ const (
 	// Budget aborts the engine with an error wrapping fscs.ErrBudget,
 	// simulating budget exhaustion regardless of the configured budget.
 	Budget
-	// Kill terminates the whole process at the armed tuple — no panic to
-	// recover, no deferred cleanup, exactly what a worker crash, OOM kill
-	// or machine loss looks like to a distributed coordinator. The
-	// coordinator's lease expiry (not this process) is what must recover.
-	Kill
 )
 
-var kindNames = [...]string{"none", "panic", "slow", "budget", "kill"}
+var kindNames = [...]string{"none", "panic", "slow", "budget"}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -154,23 +148,6 @@ func (p *Plan) Hook(clusterID int) fscs.Hook {
 	return hookFor(clusterID, st.f)
 }
 
-// exit is how a Kill fault leaves the process. Tests that only want to
-// observe that a kill *would* fire swap it out; the worker binaries keep
-// os.Exit so death is immediate — no recover, no deferred unwinding.
-var exit func(code int) = os.Exit
-
-// KillExitCode is the status a Kill fault exits with, distinguishable
-// from a clean worker shutdown (0) and a flag/usage error (2).
-const KillExitCode = 7
-
-// SetExitForTest replaces the Kill fault's process-exit function and
-// returns a restore func. Only tests should call this.
-func SetExitForTest(f func(int)) (restore func()) {
-	old := exit
-	exit = f
-	return func() { exit = old }
-}
-
 // hookFor builds the engine hook that makes f fire.
 func hookFor(clusterID int, f Fault) fscs.Hook {
 	return func(tuples int64) error {
@@ -184,9 +161,6 @@ func hookFor(clusterID int, f Fault) fscs.Hook {
 			time.Sleep(f.Delay)
 		case Budget:
 			return fmt.Errorf("faults: injected exhaustion in cluster %d: %w", clusterID, fscs.ErrBudget)
-		case Kill:
-			fmt.Fprintf(os.Stderr, "faults: injected kill in cluster %d at tuple %d\n", clusterID, tuples)
-			exit(KillExitCode)
 		}
 		return nil
 	}

@@ -78,42 +78,3 @@ func TestNilPlanSafe(t *testing.T) {
 		t.Error("nil plan should inject nothing")
 	}
 }
-
-// TestKillFaultFiresDeterministically swaps the process-exit function
-// and checks a Kill fault fires exactly at its armed tuple — the
-// determinism the dist worker-kill tests lean on.
-func TestKillFaultFiresDeterministically(t *testing.T) {
-	var killedAt int64 = -1
-	restore := SetExitForTest(func(code int) {
-		if code != KillExitCode {
-			t.Errorf("kill exit code = %d, want %d", code, KillExitCode)
-		}
-		panic("fake-exit") // unwind instead of dying
-	})
-	defer restore()
-
-	p := NewPlan().Set(3, Fault{Kind: Kill, AfterTuples: 5})
-	hook := p.Hook(3)
-	if hook == nil {
-		t.Fatal("no hook for armed kill fault")
-	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != "fake-exit" {
-					t.Fatalf("unexpected panic %v", r)
-				}
-			}
-		}()
-		for tuples := int64(0); tuples <= 10; tuples++ {
-			if err := hook(tuples); err != nil {
-				t.Fatalf("hook error at tuple %d: %v", tuples, err)
-			}
-			killedAt = tuples
-		}
-	}()
-	// hook(t) fires once tuples > AfterTuples, so the last survivor is 5.
-	if killedAt != 5 {
-		t.Errorf("kill fired after tuple %d, want last clean tuple 5", killedAt)
-	}
-}

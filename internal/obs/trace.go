@@ -46,12 +46,10 @@ const tracePID = 1
 // spans land on stable, named Perfetto tracks:
 //
 //	0        the main goroutine's phase spans
-//	1        the concurrent fallback build (pipelined cascade)
+//	1        the fallback build, concurrent with the cover and FSCS
 //	100 + w  FSCS scheduler worker w (cluster, attempt and cache spans)
 //	200 + w  clustering-stream worker w (partition refinement spans)
 //	300 + i  alias-daemon query lane i (per-query spans, hashed over lanes)
-//	400 + s  distributed shard s (the coordinator's claim/steal/lease
-//	         spans for the workers serving that shard)
 //	500 + i  checker pass lane i (one per concurrently running
 //	         static-analysis pass)
 const (
@@ -61,7 +59,6 @@ const (
 	tidWorkerBase    = 100
 	tidClustererBase = 200
 	tidQueryBase     = 300
-	tidShardBase     = 400
 	tidCheckBase     = 500
 )
 
@@ -70,9 +67,6 @@ func WorkerTID(w int) int { return tidWorkerBase + w }
 
 // ClustererTID returns the track of clustering-stream worker w.
 func ClustererTID(w int) int { return tidClustererBase + w }
-
-// ShardTID returns the coordinator-side track of distributed shard s.
-func ShardTID(s int) int { return tidShardBase + s }
 
 // QueryTID returns the track of alias-daemon query lane i. Lanes keep
 // concurrent per-query spans on a bounded set of named tracks instead of
