@@ -9,6 +9,9 @@
 //   - BenchmarkAblationThreshold — the Andersen-threshold sweep;
 //   - BenchmarkSteensgaard / BenchmarkAndersen / BenchmarkAlgorithm1 —
 //     stage micro-benchmarks;
+//   - BenchmarkFingerprint / BenchmarkEngineShell — the fixed per-cluster
+//     set-up of a warm run (cache key) and of a cold one (engine before
+//     its first walk);
 //   - BenchmarkAnalyzeProgram — the whole eager analysis.
 package bootstrap_test
 
@@ -19,6 +22,7 @@ import (
 
 	"bootstrap/internal/andersen"
 	"bootstrap/internal/bench"
+	"bootstrap/internal/cache"
 	"bootstrap/internal/callgraph"
 	"bootstrap/internal/cluster"
 	"bootstrap/internal/core"
@@ -192,6 +196,46 @@ func BenchmarkAlgorithm1(b *testing.B) {
 		for _, part := range parts {
 			ix.RelevantStatements(part)
 		}
+	}
+}
+
+// BenchmarkFingerprint measures cache.NewCanon over every cluster of
+// the row's Andersen cover: the canonical slice encoding and its hash,
+// which a warm run pays per cluster before it can import.
+func BenchmarkFingerprint(b *testing.B) {
+	for _, name := range benchRows {
+		b.Run(name, func(b *testing.B) {
+			p := prepare(b, name, benchScale)
+			cover := cluster.BuildAndersen(p.prog, p.sa, cluster.DefaultAndersenThreshold)
+			b.ReportMetric(float64(len(cover)), "clusters")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, c := range cover {
+					cache.NewCanon(p.prog, p.sa, p.cg, c, cache.Params{MaxCond: 8})
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEngineShell measures fscs.NewEngine without Run over every
+// cluster of the row's Andersen cover: the mod-set closure and interning
+// tables each engine sets up, which warm imports pay too.
+func BenchmarkEngineShell(b *testing.B) {
+	for _, name := range benchRows {
+		b.Run(name, func(b *testing.B) {
+			p := prepare(b, name, benchScale)
+			cover := cluster.BuildAndersen(p.prog, p.sa, cluster.DefaultAndersenThreshold)
+			b.ReportMetric(float64(len(cover)), "clusters")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, c := range cover {
+					fscs.NewEngine(p.prog, p.cg, p.sa, c)
+				}
+			}
+		})
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sort"
 
 	"bootstrap/internal/bitset"
@@ -80,7 +81,6 @@ type Canon struct {
 	fnLocal  map[ir.FuncID]int32
 	vars     []ir.VarID
 	varLocal map[ir.VarID]int32
-	locIdx   map[ir.Loc]int32 // node's index within its function
 }
 
 // Per-node class bytes of the canonical CFG encoding.
@@ -98,30 +98,29 @@ func NewCanon(prog *ir.Program, sa *steens.Analysis, cg *callgraph.Graph, c *clu
 		prog:     prog,
 		fnLocal:  map[ir.FuncID]int32{},
 		varLocal: map[ir.VarID]int32{},
-		locIdx:   map[ir.Loc]int32{},
 	}
 
 	// F*: the caller closure of the cluster's functions. Walks start in
 	// c.Funcs (sliced statements) and propagate upward into callers;
 	// summary splices only ever descend into functions that can reach a
-	// sliced statement, which is again F*.
-	inStar := map[ir.FuncID]bool{}
+	// sliced statement, which is again F*. fnLocal doubles as the visited
+	// set until the functions are ordered and numbered below.
 	queue := append([]ir.FuncID(nil), c.Funcs...)
 	for _, f := range queue {
-		inStar[f] = true
+		cn.fnLocal[f] = -1
 	}
 	for len(queue) > 0 {
 		f := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, g := range cg.Callers(f) {
-			if !inStar[g] {
-				inStar[g] = true
+			if _, ok := cn.fnLocal[g]; !ok {
+				cn.fnLocal[g] = -1
 				queue = append(queue, g)
 			}
 		}
 	}
-	cn.fns = make([]ir.FuncID, 0, len(inStar))
-	for f := range inStar {
+	cn.fns = make([]ir.FuncID, 0, len(cn.fnLocal))
+	for f := range cn.fnLocal {
 		cn.fns = append(cn.fns, f)
 	}
 	// Order functions by name: stable under FuncID renumbering.
@@ -134,9 +133,6 @@ func NewCanon(prog *ir.Program, sa *steens.Analysis, cg *callgraph.Graph, c *clu
 	})
 	for i, f := range cn.fns {
 		cn.fnLocal[f] = int32(i)
-		for idx, loc := range prog.Func(f).Nodes {
-			cn.locIdx[loc] = int32(idx)
-		}
 	}
 
 	buf := make([]byte, 0, 4096)
@@ -165,17 +161,32 @@ func NewCanon(prog *ir.Program, sa *steens.Analysis, cg *callgraph.Graph, c *clu
 		return uint64(l) + 1
 	}
 
+	// A node is encoded by its index in its function's node list, which
+	// nodeIndex finds without a per-cluster map of locations.
+	stmts := c.Stmts
 	for _, f := range cn.fns {
 		fn := prog.Func(f)
-		buf = binary.AppendUvarint(buf, uint64(len(fn.Nodes)))
-		buf = binary.AppendUvarint(buf, uint64(cn.locIdx[fn.Entry]))
-		buf = binary.AppendUvarint(buf, uint64(cn.locIdx[fn.Exit]))
-		for _, loc := range fn.Nodes {
+		nodes := fn.Nodes
+		buf = binary.AppendUvarint(buf, uint64(len(nodes)))
+		buf = binary.AppendUvarint(buf, uint64(nodeIndex(nodes, fn.Entry)))
+		buf = binary.AppendUvarint(buf, uint64(nodeIndex(nodes, fn.Exit)))
+		// St_P membership by a cursor into the sorted c.Stmts: nodes
+		// ascend, so the cursor only moves forward, by binary search
+		// over the statements it has not passed.
+		k := 0
+		inSlice := func(loc ir.Loc) bool {
+			if k < len(stmts) && stmts[k] < loc {
+				i, _ := slices.BinarySearch(stmts[k:], loc)
+				k += i
+			}
+			return k < len(stmts) && stmts[k] == loc
+		}
+		for _, loc := range nodes {
 			n := prog.Node(loc)
 			st := n.Stmt
 			switch st.Op {
 			case ir.OpCopy, ir.OpAddr, ir.OpLoad, ir.OpStore, ir.OpNullify:
-				if c.HasStmt(loc) {
+				if inSlice(loc) {
 					buf = append(buf, classStmt, byte(st.Op))
 					buf = binary.AppendUvarint(buf, varRef(st.Dst))
 					buf = binary.AppendUvarint(buf, varRef(st.Src))
@@ -192,7 +203,7 @@ func NewCanon(prog *ir.Program, sa *steens.Analysis, cg *callgraph.Graph, c *clu
 				// distinct classes.
 				if c.HasVar(st.Dst) && c.HasVar(st.Src) {
 					cls := byte(classStmt)
-					if !c.HasStmt(loc) {
+					if !inSlice(loc) {
 						cls = classAssumeOut
 					}
 					buf = append(buf, cls, byte(st.Op))
@@ -202,13 +213,12 @@ func NewCanon(prog *ir.Program, sa *steens.Analysis, cg *callgraph.Graph, c *clu
 					buf = append(buf, classSkip)
 				}
 			case ir.OpCall:
-				switch {
-				case st.Callee == ir.NoFunc:
+				if st.Callee == ir.NoFunc {
 					buf = append(buf, classIndirect)
-				case inStar[st.Callee]:
+				} else if l, ok := cn.fnLocal[st.Callee]; ok {
 					buf = append(buf, classCall)
-					buf = binary.AppendUvarint(buf, uint64(cn.fnLocal[st.Callee]))
-				default:
+					buf = binary.AppendUvarint(buf, uint64(l))
+				} else {
 					// The callee cannot reach a sliced statement, so it
 					// modifies nothing in V_P: the call is a skip.
 					buf = append(buf, classSkip)
@@ -218,7 +228,7 @@ func NewCanon(prog *ir.Program, sa *steens.Analysis, cg *callgraph.Graph, c *clu
 			}
 			buf = binary.AppendUvarint(buf, uint64(len(n.Succs)))
 			for _, s := range n.Succs {
-				buf = binary.AppendUvarint(buf, uint64(cn.locIdx[s]))
+				buf = binary.AppendUvarint(buf, uint64(nodeIndex(nodes, s)))
 			}
 		}
 	}
@@ -326,8 +336,7 @@ func (cn *Canon) UnmapFunc(l int32) (ir.FuncID, bool) {
 // (function index, node index) packed into one uint64. Only locations
 // inside F* functions map.
 func (cn *Canon) MapLoc(loc ir.Loc) (uint64, bool) {
-	idx, ok := cn.locIdx[loc]
-	if !ok {
+	if loc < 0 || int(loc) >= len(cn.prog.Nodes) {
 		return 0, false
 	}
 	f := cn.prog.Node(loc).Fn
@@ -335,7 +344,29 @@ func (cn *Canon) MapLoc(loc ir.Loc) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return intern.Pack2x32(fl, idx), true
+	nodes := cn.prog.Func(f).Nodes
+	idx := nodeIndex(nodes, loc)
+	if idx >= len(nodes) || nodes[idx] != loc {
+		return 0, false
+	}
+	return intern.Pack2x32(fl, int32(idx)), true
+}
+
+// nodeIndex returns loc's index in nodes, a Func.Nodes list, or 0 when
+// loc is not one of them. The lowering gives a function consecutive
+// locations, so loc's offset from the first node is usually its index;
+// nodes appended later (devirtualization, edits) are found by binary
+// search, since the list ascends (ir.Program.Validate checks it).
+func nodeIndex(nodes []ir.Loc, loc ir.Loc) int {
+	if len(nodes) > 0 {
+		if d := int(loc) - int(nodes[0]); d >= 0 && d < len(nodes) && nodes[d] == loc {
+			return d
+		}
+	}
+	if i, ok := slices.BinarySearch(nodes, loc); ok {
+		return i
+	}
+	return 0
 }
 
 // UnmapLoc translates a canonical coordinate back to this program's Loc.

@@ -36,7 +36,7 @@ type AnalysisFlags struct {
 func (f *AnalysisFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Mode, "mode", "andersen", "clustering mode: none|steensgaard|andersen|syntactic")
 	fs.IntVar(&f.Threshold, "threshold", 0, "Andersen threshold (0 or less = default 60)")
-	fs.BoolVar(&f.UseOneFlow, "oneflow", false, "insert the One-Flow cascade stage")
+	fs.BoolVar(&f.UseOneFlow, "oneflow", false, "insert the One-Flow cascade stage (-mode andersen only)")
 	fs.IntVar(&f.Workers, "workers", 0, "parallel cluster workers (0 = GOMAXPROCS)")
 	fs.Int64Var(&f.Budget, "budget", 0, "per-cluster work budget (0 = unlimited)")
 

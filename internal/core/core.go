@@ -61,6 +61,8 @@ type Config struct {
 	// UseOneFlow inserts Das's One-Level-Flow analysis between
 	// Steensgaard and Andersen, refining which partitions are considered
 	// oversized (the cascade extension the paper suggests in Section 4).
+	// Only ModeAndersen's cover has that stage; other modes ignore it and
+	// do not run One-Flow.
 	UseOneFlow bool
 	// Workers bounds the per-cluster parallelism. Zero or negative means
 	// GOMAXPROCS; 1 forces sequential execution.
@@ -301,7 +303,7 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*
 	}()
 
 	var of *oneflow.Analysis
-	if cfg.UseOneFlow {
+	if cfg.UseOneFlow && cfg.Mode == ModeAndersen {
 		t := time.Now()
 		sp := tr.Start("phase", "oneflow", obs.TIDMain)
 		of = oneflow.AnalyzeWith(prog, sa)

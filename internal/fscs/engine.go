@@ -3,6 +3,7 @@ package fscs
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -298,16 +299,19 @@ func (e *Engine) charge() bool {
 // ever need summaries — the locality the paper exploits: "the need for
 // computing summaries for functions that don't modify any pointers in the
 // given cluster ... typically accounts for the majority of the functions".
+// The same locality bounds the closure: only a (transitive) caller of a
+// function with a modifying slice statement can get a non-empty set, so
+// only those functions' call-graph SCCs are visited.
 func (e *Engine) computeModStar() {
-	direct := map[ir.FuncID]map[ir.VarID]bool{}
+	e.modStar = map[ir.FuncID]map[ir.VarID]bool{}
 	addMod := func(f ir.FuncID, v ir.VarID) {
 		if !e.cl.HasVar(v) {
 			return
 		}
-		m := direct[f]
+		m := e.modStar[f]
 		if m == nil {
 			m = map[ir.VarID]bool{}
-			direct[f] = m
+			e.modStar[f] = m
 		}
 		m[v] = true
 	}
@@ -323,17 +327,37 @@ func (e *Engine) computeModStar() {
 			}
 		}
 	}
-	// Close over callees, SCC by SCC in reverse topological order; within
-	// an SCC iterate to fixpoint.
-	e.modStar = map[ir.FuncID]map[ir.VarID]bool{}
-	for f, m := range direct {
-		cp := map[ir.VarID]bool{}
-		for v := range m {
-			cp[v] = true
-		}
-		e.modStar[f] = cp
+	if len(e.modStar) == 0 {
+		return
 	}
-	for _, scc := range e.cg.SCCs() {
+	// The caller closure of the modifying functions, as SCC indices.
+	queue := make([]ir.FuncID, 0, len(e.modStar))
+	seen := make(map[ir.FuncID]bool, len(e.modStar))
+	for f := range e.modStar {
+		queue = append(queue, f)
+		seen[f] = true
+	}
+	var sccIdx []int
+	for len(queue) > 0 {
+		f := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		sccIdx = append(sccIdx, e.cg.SCCOf(f))
+		for _, g := range e.cg.Callers(f) {
+			if !seen[g] {
+				seen[g] = true
+				queue = append(queue, g)
+			}
+		}
+	}
+	slices.Sort(sccIdx)
+	sccIdx = slices.Compact(sccIdx)
+	// Close over callees, SCC by SCC in reverse topological order. A
+	// non-recursive single-function SCC needs one pass (its callees are
+	// final); any other SCC iterates to fixpoint.
+	sccs := e.cg.SCCs()
+	for _, i := range sccIdx {
+		scc := sccs[i]
+		once := len(scc) == 1 && !e.cg.Recursive(scc[0])
 		for changed := true; changed; {
 			changed = false
 			for _, f := range scc {
@@ -350,6 +374,9 @@ func (e *Engine) computeModStar() {
 						}
 					}
 				}
+			}
+			if once {
+				break
 			}
 		}
 	}

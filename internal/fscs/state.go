@@ -231,6 +231,18 @@ func (r *stateReader) uvarint() uint64 {
 	return v
 }
 
+// count reads an element count and rejects it when that many elements,
+// each at least per bytes long, cannot fit in the rest of the payload: a
+// corrupt count must neither size an allocation nor drive a long loop.
+func (r *stateReader) count(per int) uint64 {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)-r.off)/uint64(per) {
+		r.fail()
+		return 0
+	}
+	return n
+}
+
 func (r *stateReader) varint() int64 {
 	if r.err != nil {
 		return 0
@@ -271,7 +283,10 @@ func ImportEngine(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *c
 	e := NewEngine(p, cg, sa, cl, opts...)
 	r := &stateReader{b: data}
 
-	nKeys := r.uvarint()
+	// Minimum encoded sizes: a summary key is three uvarints, a tuple a
+	// kind byte and an atom count, an atom three uvarints and an op byte,
+	// a value set two uvarints, a flag byte and an object count.
+	nKeys := r.count(3)
 	for i := uint64(0); i < nKeys && r.err == nil; i++ {
 		f, okf := cn.UnmapFunc(int32(r.uvarint()))
 		ptr, okp := cn.UnmapVar(int32(r.uvarint()))
@@ -280,7 +295,7 @@ func ImportEngine(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *c
 			break
 		}
 		k := sumKey{f: f, ptr: ptr}
-		nTuples := r.uvarint()
+		nTuples := r.count(2)
 		ts := tupSet{}
 		for j := uint64(0); j < nTuples && r.err == nil; j++ {
 			t, ok := e.decodeTuple(cn, r)
@@ -294,7 +309,7 @@ func ImportEngine(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *c
 		e.done[k] = true
 	}
 
-	nVR := r.uvarint()
+	nVR := r.count(4)
 	for i := uint64(0); i < nVR && r.err == nil; i++ {
 		v, okv := cn.UnmapVar(int32(r.uvarint()))
 		loc, okl := cn.UnmapLoc(r.uvarint())
@@ -309,7 +324,7 @@ func ImportEngine(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *c
 			uninit:  flags&2 != 0,
 			unknown: flags&4 != 0,
 		}
-		nObjs := r.uvarint()
+		nObjs := r.count(1)
 		for j := uint64(0); j < nObjs && r.err == nil; j++ {
 			o, ok := cn.UnmapVar(int32(r.uvarint()))
 			if !ok {
@@ -349,11 +364,11 @@ func (e *Engine) decodeTuple(cn *cache.Canon, r *stateReader) (tup, bool) {
 	default:
 		return tup{}, false
 	}
-	nAtoms := r.uvarint()
+	nAtoms := r.count(4)
 	cond := TrueCondID
 	if nAtoms > 0 {
 		ids := make([]AtomID, 0, nAtoms)
-		for i := uint64(0); i < nAtoms; i++ {
+		for i := uint64(0); i < nAtoms && r.err == nil; i++ {
 			loc, okl := cn.UnmapLoc(r.uvarint())
 			op := AtomOp(r.byte())
 			x, okx := cn.UnmapVar(int32(r.uvarint()))
@@ -362,6 +377,9 @@ func (e *Engine) decodeTuple(cn *cache.Canon, r *stateReader) (tup, bool) {
 				return tup{}, false
 			}
 			ids = append(ids, e.tab.atomID(Atom{Loc: loc, Op: op, X: x, Y: y}))
+		}
+		if r.err != nil {
+			return tup{}, false
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		// Deduplicate defensively (atoms of a valid condition are

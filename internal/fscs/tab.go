@@ -40,10 +40,13 @@ type condTab struct {
 	memoMisses int64
 }
 
+// newCondTab returns empty tables that grow on first use: most engines
+// intern only a handful of atoms and conditions, and every engine of a
+// cover would pay for whatever a pre-size reserved.
 func newCondTab(maxAtoms int, memo bool) *condTab {
 	return &condTab{
-		atoms:    intern.NewTable[Atom](64),
-		conds:    intern.NewSeqTable(64),
+		atoms:    intern.NewTable[Atom](),
+		conds:    intern.NewSeqTable(),
 		memo:     memo,
 		maxAtoms: maxAtoms,
 	}

@@ -28,9 +28,9 @@ type Table[K comparable] struct {
 	vals []K
 }
 
-// NewTable returns an empty table with capacity hint n.
-func NewTable[K comparable](n int) *Table[K] {
-	return &Table[K]{ids: make(map[K]ID, n), vals: make([]K, 0, n)}
+// NewTable returns an empty table; it grows on first use.
+func NewTable[K comparable]() *Table[K] {
+	return &Table[K]{ids: map[K]ID{}}
 }
 
 // ID interns v, assigning the next dense ID on first sight.
@@ -63,13 +63,10 @@ type SeqTable struct {
 	vals [][]ID
 }
 
-// NewSeqTable returns an empty sequence table; the empty sequence is
-// pre-interned as ID 0.
-func NewSeqTable(n int) *SeqTable {
-	t := &SeqTable{ids: make(map[string]ID, n), vals: make([][]ID, 0, n)}
-	t.ids[""] = 0
-	t.vals = append(t.vals, nil)
-	return t
+// NewSeqTable returns a sequence table holding only the empty sequence,
+// pre-interned as ID 0; it grows on first use.
+func NewSeqTable() *SeqTable {
+	return &SeqTable{ids: map[string]ID{"": 0}, vals: [][]ID{nil}}
 }
 
 // seqKey encodes a sequence as a byte-string map key.

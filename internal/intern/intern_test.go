@@ -6,7 +6,7 @@ import (
 )
 
 func TestTableDenseIDs(t *testing.T) {
-	tab := NewTable[string](4)
+	tab := NewTable[string]()
 	a := tab.ID("a")
 	b := tab.ID("b")
 	if a != 0 || b != 1 {
@@ -24,7 +24,7 @@ func TestTableDenseIDs(t *testing.T) {
 }
 
 func TestSeqTableEmptyIsZero(t *testing.T) {
-	tab := NewSeqTable(4)
+	tab := NewSeqTable()
 	if tab.ID(nil) != 0 || tab.ID([]ID{}) != 0 {
 		t.Fatal("empty sequence must intern as 0")
 	}
@@ -41,7 +41,7 @@ func TestSeqTableEmptyIsZero(t *testing.T) {
 }
 
 func TestSeqTableCopies(t *testing.T) {
-	tab := NewSeqTable(4)
+	tab := NewSeqTable()
 	buf := []ID{1, 2}
 	id := tab.ID(buf)
 	buf[0] = 99

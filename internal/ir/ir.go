@@ -140,7 +140,7 @@ type Func struct {
 	Ret    VarID // the $ret variable; NoVar if the function never returns a value
 	Entry  Loc
 	Exit   Loc
-	Nodes  []Loc // all nodes of this function, in creation order
+	Nodes  []Loc // all nodes of this function, in creation (= ascending Loc) order
 }
 
 // Program is a whole translation unit in IR form.
@@ -316,7 +316,9 @@ func (p *Program) Dump() string {
 }
 
 // Validate checks structural invariants of the program: edge symmetry,
-// location consistency, entry/exit presence, and operand validity. It
+// location consistency, entry/exit presence, operand validity, and that
+// every function lists its nodes in strictly ascending location order
+// (AddNode appends fresh locations; consumers binary-search the list). It
 // returns the first violation found, or nil.
 func (p *Program) Validate() error {
 	for i, v := range p.Vars {
@@ -378,7 +380,10 @@ func (p *Program) Validate() error {
 		if f.Entry == NoLoc || f.Exit == NoLoc {
 			return fmt.Errorf("func %s: missing entry or exit", f.Name)
 		}
-		for _, loc := range f.Nodes {
+		for i, loc := range f.Nodes {
+			if i > 0 && loc <= f.Nodes[i-1] {
+				return fmt.Errorf("func %s: node L%d listed after L%d", f.Name, loc, f.Nodes[i-1])
+			}
 			if p.Nodes[loc].Fn != f.ID {
 				return fmt.Errorf("func %s: node L%d belongs to another function", f.Name, loc)
 			}

@@ -137,6 +137,15 @@ func TestValidateCatchesCrossFunctionEdge(t *testing.T) {
 	}
 }
 
+func TestValidateCatchesUnorderedNodes(t *testing.T) {
+	p, f, _ := build(t)
+	f.Nodes[0], f.Nodes[1] = f.Nodes[1], f.Nodes[0]
+	err := p.Validate()
+	if err == nil || !strings.Contains(err.Error(), "listed after") {
+		t.Errorf("Validate = %v, want node-order error", err)
+	}
+}
+
 func TestValidateMissingEntryExit(t *testing.T) {
 	p := NewProgram()
 	p.AddFunc("f")
