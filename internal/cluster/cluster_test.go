@@ -7,6 +7,7 @@ import (
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/steens"
+	"bootstrap/internal/synth"
 )
 
 func setup(t *testing.T, src string) (*ir.Program, *steens.Analysis) {
@@ -335,5 +336,46 @@ func TestCoverStatsOverlap(t *testing.T) {
 	}
 	if (Stats{}).Overlap() != 0 {
 		t.Error("empty stats overlap should be 0")
+	}
+}
+
+// TestMembershipMatchesSlices: HasVar, HasStmt and HasPointer answer
+// from the cluster's own sorted lists. Every id in and just around the
+// program's range must get the answer a set built from those lists
+// gives, on each cluster of a refined cover and on the whole-program
+// cluster, whose lists span the program.
+func TestMembershipMatchesSlices(t *testing.T) {
+	b, ok := synth.FindBenchmark("ctrace")
+	if !ok {
+		t.Fatal("no ctrace row")
+	}
+	p, err := frontend.LowerSource(synth.Generate(b, 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa := steens.Analyze(p)
+	cs := append(BuildAndersen(p, sa, 8), BuildWhole(p, sa))
+	for _, c := range cs {
+		vars, stmts, ptrs := map[ir.VarID]bool{}, map[ir.Loc]bool{}, map[ir.VarID]bool{}
+		for _, v := range c.Vars {
+			vars[v] = true
+		}
+		for _, l := range c.Stmts {
+			stmts[l] = true
+		}
+		for _, v := range c.Pointers {
+			ptrs[v] = true
+		}
+		for v := ir.VarID(-2); int(v) <= p.NumVars()+1; v++ {
+			if c.HasVar(v) != vars[v] || c.HasPointer(v) != ptrs[v] {
+				t.Fatalf("%v: HasVar(%d) = %v, HasPointer(%d) = %v; lists say %v, %v",
+					c, v, c.HasVar(v), v, c.HasPointer(v), vars[v], ptrs[v])
+			}
+		}
+		for l := ir.Loc(-2); int(l) <= len(p.Nodes)+1; l++ {
+			if c.HasStmt(l) != stmts[l] {
+				t.Fatalf("%v: HasStmt(%d) = %v, St_P says %v", c, l, c.HasStmt(l), stmts[l])
+			}
+		}
 	}
 }

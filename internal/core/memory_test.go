@@ -9,9 +9,10 @@ import (
 
 // TestRetainedHeapBounded: a solved analysis keeps its engines' summaries
 // and value sets, not walk scratch sized to the whole program. Per-engine
-// scratch would retain at least clusters × nodes × 28 bytes (a uint32
-// stamp and a slice header per location); the bound is a quarter of
-// that. Not parallel: other tests' allocations would enter the reading.
+// scratch would retain at least clusters × nodes × 20 bytes (one dedup
+// slot per location); the bound is a quarter of clusters × nodes × 28
+// bytes, the scratch's size per location when the bound was set. Not
+// parallel: other tests' allocations would enter the reading.
 func TestRetainedHeapBounded(t *testing.T) {
 	b, ok := synth.FindBenchmark("mt_daapd")
 	if !ok {

@@ -19,7 +19,10 @@ func NewLexer(src string) *Lexer {
 // Lex tokenizes the whole input, appending the terminating EOF token.
 func Lex(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	// The Table 1 programs lex at 3.3-4 bytes per token, so a third of the
+	// length holds the whole stream in one allocation instead of regrowing
+	// the slice about twenty times.
+	toks := make([]Token, 0, len(src)/3+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {

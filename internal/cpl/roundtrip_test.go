@@ -84,3 +84,26 @@ func TestFormatTable1Workload(t *testing.T) {
 			p1.NumVars(), p2.NumVars(), len(p1.Nodes), len(p2.Nodes))
 	}
 }
+
+// TestLexAllocs: Lex sizes its token slice from the source length, so
+// tokenizing a Table 1 program allocates the slice once instead of
+// regrowing it as the stream lengthens.
+func TestLexAllocs(t *testing.T) {
+	b, ok := synth.FindBenchmark("autofs")
+	if !ok {
+		t.Fatal("no autofs row")
+	}
+	src := synth.Generate(b, 0.3)
+	toks, err := cpl.Lex(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := cpl.Lex(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Lex of %d bytes (%d tokens) made %.0f allocations, want at most 2", len(src), len(toks), allocs)
+	}
+}

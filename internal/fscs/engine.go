@@ -100,9 +100,17 @@ func WithInterning(on bool) Option {
 	return func(e *Engine) { e.internMemo = on }
 }
 
+// sumKey names one exit summary: pointer ptr at the exit of function f.
 type sumKey struct {
 	f   ir.FuncID
 	ptr ir.VarID
+}
+
+// summary is one exit summary's memo entry.
+type summary struct {
+	key  sumKey
+	tups []tup // the interned tuple set, without duplicates
+	done bool  // tups is final (its fixpoint completed)
 }
 
 // Engine runs the FSCS analysis for one cluster. An Engine is not safe for
@@ -130,9 +138,11 @@ type Engine struct {
 	// (or by small comparable structs of them) instead of strings.
 	tab *condTab
 
-	// Summaries at function exits: key -> interned tuple set.
-	sums map[sumKey]tupSet
-	done map[sumKey]bool
+	// Summaries at function exits, numbered densely the first time they
+	// are asked for: keyIdx maps the packed (f, ptr) pair to an index
+	// into sums.
+	keyIdx map[uint64]int32
+	sums   []summary
 
 	// Variables each function may (transitively) modify, restricted to V_P.
 	modStar map[ir.FuncID]map[ir.VarID]bool
@@ -140,6 +150,15 @@ type Engine struct {
 	// FSCI value-set cache: packed (v, loc) -> resolved sources.
 	ptsVR     map[uint64]*valueResult
 	ptsInProg map[uint64]bool
+
+	// Storage reused across walks and fixpoint invocations. Each walk
+	// appends its sources to a buffer its caller checked out of tupBufs,
+	// and each fixpoint invocation takes a frame from fixFree, so the
+	// steady state allocates neither. Free lists, not single buffers,
+	// because both nest: a walk resolving a value set runs walks of its
+	// own, and those may start a fixpoint. Run releases both.
+	tupBufs [][]tup
+	fixFree []*fixFrame
 
 	// hasAssumes is set when the cluster's slice contains path-sensitivity
 	// assume nodes; terminated walk tokens then keep walking backwards to
@@ -162,8 +181,7 @@ func NewEngine(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *clus
 		cl:         cl,
 		maxCond:    8,
 		internMemo: true,
-		sums:       map[sumKey]tupSet{},
-		done:       map[sumKey]bool{},
+		keyIdx:     map[uint64]int32{},
 		ptsVR:      map[uint64]*valueResult{},
 		ptsInProg:  map[uint64]bool{},
 	}
@@ -404,11 +422,20 @@ func (e *Engine) SummaryFuncs() []ir.FuncID {
 // resolved by iterating the involved summaries to a fixpoint (the paper's
 // SCC treatment in Algorithm 5).
 func (e *Engine) Summary(f ir.FuncID, ptr ir.VarID) []SumTuple {
-	key := sumKey{f: f, ptr: ptr}
-	if !e.done[key] {
-		e.fixpoint(key)
+	return e.tupleList(e.summaryLookup(f, ptr))
+}
+
+// keyOf returns the dense number of summary key (f, ptr), numbering it on
+// first use.
+func (e *Engine) keyOf(f ir.FuncID, ptr ir.VarID) int32 {
+	packed := intern.Pack2x32(int32(f), int32(ptr))
+	if i, ok := e.keyIdx[packed]; ok {
+		return i
 	}
-	return e.tupleList(e.sums[key])
+	i := int32(len(e.sums))
+	e.keyIdx[packed] = i
+	e.sums = append(e.sums, summary{key: sumKey{f: f, ptr: ptr}})
+	return i
 }
 
 // sumRing is an index-ordered ring-buffer FIFO over summary keys — the
@@ -416,15 +443,15 @@ func (e *Engine) Summary(f ir.FuncID, ptr ir.VarID) []SumTuple {
 // never re-sorts: keys are processed in discovery order and re-enqueued
 // only when a dependency actually grew.
 type sumRing struct {
-	buf        []sumKey
+	buf        []int32
 	head, tail int // tail - head = live count; indexes are masked
 }
 
 func (r *sumRing) empty() bool { return r.head == r.tail }
 
-func (r *sumRing) push(k sumKey) {
+func (r *sumRing) push(k int32) {
 	if r.tail-r.head == len(r.buf) {
-		grown := make([]sumKey, intern.NextPow2(2*(len(r.buf)+1)))
+		grown := make([]int32, intern.NextPow2(2*(len(r.buf)+1)))
 		n := r.tail - r.head
 		for i := 0; i < n; i++ {
 			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
@@ -435,10 +462,48 @@ func (r *sumRing) push(k sumKey) {
 	r.tail++
 }
 
-func (r *sumRing) pop() sumKey {
+func (r *sumRing) pop() int32 {
 	k := r.buf[r.head&(len(r.buf)-1)]
 	r.head++
 	return k
+}
+
+// fixFrame is one fixpoint invocation's worklist state over dense summary
+// keys. Invocations nest, and a key can belong to an outer and an inner
+// one at once, so each invocation takes its own frame from the engine's
+// free list. A released frame keeps its storage; only its members'
+// entries are reset.
+type fixFrame struct {
+	ring    sumRing
+	members []int32  // keys discovered, in discovery order
+	keys    []fixKey // per summary key
+	out     []tup    // the current walk's sources
+}
+
+// fixKey is one summary key's state in a fixpoint invocation.
+type fixKey struct {
+	member, queued bool
+	deps           []int32 // keys whose walks read this one, in first-read order
+}
+
+// pop takes the last value off a free list, or returns the zero value
+// when the list is empty.
+func pop[T any](free *[]T) (v T) {
+	if n := len(*free); n > 0 {
+		v, *free = (*free)[n-1], (*free)[:n-1]
+	}
+	return v
+}
+
+// putFrame resets fr's members' entries and returns it to the free list.
+func (e *Engine) putFrame(fr *fixFrame) {
+	for _, k := range fr.members {
+		fr.keys[k] = fixKey{deps: fr.keys[k].deps[:0]}
+	}
+	fr.members = fr.members[:0]
+	fr.ring.head, fr.ring.tail = 0, 0
+	fr.out = fr.out[:0]
+	e.fixFree = append(e.fixFree, fr)
 }
 
 // fixpoint computes root and every summary it transitively requests,
@@ -450,93 +515,101 @@ func (r *sumRing) pop() sumKey {
 // k's walk reads a callee summary g, the edge g → k is recorded, and k is
 // re-enqueued only when g's tuple set actually grows — replacing the old
 // scheme that re-sorted and re-ran every pending key each round.
-func (e *Engine) fixpoint(root sumKey) {
-	var ring sumRing
-	queued := map[sumKey]bool{}
-	members := map[sumKey]bool{}
-	deps := map[sumKey][]sumKey{}
-	depSeen := map[[2]sumKey]bool{}
-
-	enqueue := func(k sumKey) {
-		if !queued[k] {
-			queued[k] = true
-			ring.push(k)
+func (e *Engine) fixpoint(root int32) {
+	fr := pop(&e.fixFree)
+	if fr == nil {
+		fr = &fixFrame{}
+	}
+	enqueue := func(k int32) {
+		if !fr.keys[k].queued {
+			fr.keys[k].queued = true
+			fr.ring.push(k)
 		}
 	}
-	discover := func(k sumKey) {
-		if !members[k] {
-			members[k] = true
+	discover := func(k int32) {
+		if n := len(e.sums); len(fr.keys) < n {
+			// Walks number new summary keys as they discover them.
+			fr.keys = append(fr.keys, make([]fixKey, n-len(fr.keys))...)
+		}
+		if !fr.keys[k].member {
+			fr.keys[k].member = true
+			fr.members = append(fr.members, k)
 			enqueue(k)
 		}
 	}
 	discover(root)
 
-	for !ring.empty() && e.checkpoint() {
-		k := ring.pop()
-		queued[k] = false
+	for !fr.ring.empty() && e.checkpoint() {
+		k := fr.ring.pop()
+		fr.keys[k].queued = false
 
-		lookup := func(g ir.FuncID, ptr ir.VarID) tupSet {
-			gk := sumKey{f: g, ptr: ptr}
-			if !e.done[gk] {
+		lookup := func(g ir.FuncID, ptr ir.VarID) []tup {
+			gk := e.keyOf(g, ptr)
+			if !e.sums[gk].done {
 				discover(gk)
-				edge := [2]sumKey{gk, k}
-				if !depSeen[edge] {
-					depSeen[edge] = true
-					deps[gk] = append(deps[gk], k)
+				// Record the edge gk → k once. A walk reads the same
+				// summary repeatedly, so the last entry is usually k.
+				if d := fr.keys[gk].deps; len(d) == 0 || (d[len(d)-1] != k && !slices.Contains(d, k)) {
+					fr.keys[gk].deps = append(d, k)
 				}
 			}
-			return e.sums[gk]
+			return e.sums[gk].tups
 		}
-		f := e.prog.Func(k.f)
-		out := e.walkBack(k.f, VarTok(k.ptr), e.prog.Node(f.Exit).Preds, lookup)
+		sk := e.sums[k].key
+		f := e.prog.Func(sk.f)
+		fr.out = e.walkBack(sk.f, VarTok(sk.ptr), e.prog.Node(f.Exit).Preds, lookup, fr.out[:0])
 
-		cur := e.sums[k]
-		if cur == nil {
-			cur = tupSet{}
-			e.sums[k] = cur
-		}
-		grew := false
-		for t := range out {
-			if cur.add(t) {
+		sum, grew := &e.sums[k], false
+		for _, t := range fr.out {
+			if !slices.Contains(sum.tups, t) {
+				sum.tups = append(sum.tups, t)
 				grew = true
 			}
 		}
 		if grew {
-			for _, d := range deps[k] {
+			for _, d := range fr.keys[k].deps {
 				enqueue(d)
 			}
 		}
 	}
-	for k := range members {
-		e.done[k] = true
+	for _, k := range fr.members {
+		if !e.sums[k].done {
+			e.sums[k].done = true
+			e.SummariesBuilt++
+		}
 	}
-	e.SummariesBuilt = len(e.done)
+	e.putFrame(fr)
 }
 
 // summaryLookup is the default lookup for walks outside the fixpoint: it
 // computes callee summaries fully on demand.
-func (e *Engine) summaryLookup(g ir.FuncID, ptr ir.VarID) tupSet {
-	key := sumKey{f: g, ptr: ptr}
-	if !e.done[key] {
-		e.fixpoint(key)
+func (e *Engine) summaryLookup(g ir.FuncID, ptr ir.VarID) []tup {
+	k := e.keyOf(g, ptr)
+	if !e.sums[k].done {
+		e.fixpoint(k)
 	}
-	return e.sums[key]
+	return e.sums[k].tups
 }
+
+// putTups returns a walk-result buffer, taken with pop(&e.tupBufs), to
+// the engine's free list.
+func (e *Engine) putTups(b []tup) { e.tupBufs = append(e.tupBufs, b[:0]) }
 
 // SummaryAt returns the summary tuples for ptr at an arbitrary location of
 // its function: the sources of maximally complete update sequences from
 // the function's entry to loc.
 func (e *Engine) SummaryAt(loc ir.Loc, ptr ir.VarID) []SumTuple {
 	n := e.prog.Node(loc)
-	out := e.walkBack(n.Fn, VarTok(ptr), n.Preds, e.summaryLookup)
-	return e.tupleList(out)
+	buf := e.walkBack(n.Fn, VarTok(ptr), n.Preds, e.summaryLookup, pop(&e.tupBufs))
+	defer e.putTups(buf)
+	return e.tupleList(buf)
 }
 
 // tupleList materializes an interned tuple set as public SumTuples in the
 // canonical (key-sorted) order the API has always used.
-func (e *Engine) tupleList(m tupSet) []SumTuple {
-	out := make([]SumTuple, 0, len(m))
-	for t := range m {
+func (e *Engine) tupleList(ts []tup) []SumTuple {
+	out := make([]SumTuple, 0, len(ts))
+	for _, t := range ts {
 		out = append(out, SumTuple{Src: t.tok, Cond: e.tab.cond(t.cond)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key() < out[j].key() })

@@ -215,7 +215,7 @@ func (e *Engine) ForwardAliases(p ir.VarID, loc ir.Loc) []ir.VarID {
 			}
 		}
 	}
-	for o := range vr.objs {
+	for _, o := range vr.objs {
 		for _, h := range e.ForwardHolders(AddrTok(o), loc) {
 			if h != p && e.cl.HasPointer(h) {
 				set[h] = true

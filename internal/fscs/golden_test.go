@@ -14,14 +14,25 @@ import (
 	"bootstrap/internal/synth"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/exit_golden.txt from the current engine")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from the current engine")
 
-const exitGoldenFile = "testdata/exit_golden.txt"
+const (
+	exitGoldenFile = "testdata/exit_golden.txt"
+	workGoldenFile = "testdata/work_golden.txt"
+)
 
-// exitAnswers runs one engine per cluster of the workload's Andersen
-// cover (threshold 8) and renders every cluster pointer's points-to set
-// at the program's exit, one line per (cluster, pointer), by name.
-func exitAnswers(t *testing.T, name string, scale float64) string {
+// goldenRows are the Table 1 rows both goldens pin.
+var goldenRows = []struct {
+	name  string
+	scale float64
+}{{"sock", 0.05}, {"ctrace", 0.05}}
+
+// goldenRun runs one engine per cluster of the workload's Andersen cover
+// (threshold 8). exit renders every cluster pointer's points-to set at
+// the program's exit, one line per (cluster, pointer), by name; work
+// renders each cluster's work counters after Run and the exit queries,
+// one line per cluster.
+func goldenRun(t *testing.T, name string, scale float64) (exit, work string) {
 	t.Helper()
 	b, ok := synth.FindBenchmark(name)
 	if !ok {
@@ -33,44 +44,53 @@ func exitAnswers(t *testing.T, name string, scale float64) string {
 	}
 	sa := steens.Analyze(prog)
 	cg := callgraph.Build(prog)
-	exit := prog.Func(prog.Entry).Exit
-	var sb strings.Builder
+	exitLoc := prog.Func(prog.Entry).Exit
+	var eb, wb strings.Builder
 	for _, c := range cluster.BuildAndersen(prog, sa, 8) {
 		eng := NewEngine(prog, cg, sa, c)
 		if err := eng.Run(); err != nil {
 			t.Fatalf("%s cluster %d: %v", name, c.ID, err)
 		}
 		for _, p := range c.Pointers {
-			objs, ok := eng.PointsToAt(p, exit)
+			objs, ok := eng.PointsToAt(p, exitLoc)
 			names := make([]string, len(objs))
 			for i, o := range objs {
 				names[i] = prog.VarName(o)
 			}
-			fmt.Fprintf(&sb, "%s c%d %s = {%s}", name, c.ID, prog.VarName(p), strings.Join(names, " "))
+			fmt.Fprintf(&eb, "%s c%d %s = {%s}", name, c.ID, prog.VarName(p), strings.Join(names, " "))
 			if !ok {
-				sb.WriteString(" unknown")
+				eb.WriteString(" unknown")
 			}
-			sb.WriteByte('\n')
+			eb.WriteByte('\n')
 		}
+		fmt.Fprintf(&wb, "%s c%d tuples=%d summaries=%d conds=%d\n",
+			name, c.ID, eng.TuplesProcessed, eng.SummariesBuilt, eng.CondsInterned())
 	}
-	return sb.String()
+	return eb.String(), wb.String()
 }
 
-// TestExitGolden pins the engine's answers on two small Table 1 rows:
-// the exit points-to set of every pointer in every cluster of their
-// Andersen covers. The file was generated from the pre-interning engine
-// and the interned engine agreed with it line for line, so a change here
-// is a change in what FSCS computes. Soundness is exact's lattice tests'
-// job; this test catches any drift. -update rewrites the file.
-func TestExitGolden(t *testing.T) {
-	got := exitAnswers(t, "sock", 0.05) + exitAnswers(t, "ctrace", 0.05)
+// goldenAll runs goldenRun over every golden row.
+func goldenAll(t *testing.T) (exit, work string) {
+	t.Helper()
+	for _, r := range goldenRows {
+		e, w := goldenRun(t, r.name, r.scale)
+		exit += e
+		work += w
+	}
+	return exit, work
+}
+
+// checkGolden compares got with file line by line, or rewrites file
+// under -update.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(exitGoldenFile, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(exitGoldenFile)
+	want, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +104,28 @@ func TestExitGolden(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("%s line %d:\n got  %q\n want %q", exitGoldenFile, i+1, g, w)
+			t.Fatalf("%s line %d:\n got  %q\n want %q", file, i+1, g, w)
 		}
 	}
+}
+
+// TestExitGolden pins the engine's answers on two small Table 1 rows:
+// the exit points-to set of every pointer in every cluster of their
+// Andersen covers. The file was generated from the pre-interning engine
+// and the interned engine agreed with it line for line, so a change here
+// is a change in what FSCS computes. Soundness is exact's lattice tests'
+// job; this test catches any drift. -update rewrites the file.
+func TestExitGolden(t *testing.T) {
+	exit, _ := goldenAll(t)
+	checkGolden(t, exitGoldenFile, exit)
+}
+
+// TestWorkGolden pins the work behind TestExitGolden's answers: each
+// cluster's charged worklist tuples, built summaries and interned
+// conditions. A change to the walk's data layout must leave every line
+// unchanged; only a change to what the walk visits may move it.
+// -update rewrites the file.
+func TestWorkGolden(t *testing.T) {
+	_, work := goldenAll(t)
+	checkGolden(t, workGoldenFile, work)
 }

@@ -2,6 +2,7 @@ package fscs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bootstrap/internal/intern"
@@ -10,20 +11,23 @@ import (
 
 // valueResult aggregates the resolved sources of a pointer at a location.
 type valueResult struct {
-	objs    map[ir.VarID]bool
-	null    bool // some path leaves the pointer null
-	uninit  bool // some path reaches the program entry unassigned
-	unknown bool // some path lost precision
+	objs    []ir.VarID // ascending and distinct once the result is complete
+	null    bool       // some path leaves the pointer null
+	uninit  bool       // some path reaches the program entry unassigned
+	unknown bool       // some path lost precision
 }
 
-func (vr *valueResult) sortedObjs() []ir.VarID {
-	out := make([]ir.VarID, 0, len(vr.objs))
-	for o := range vr.objs {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// finish sorts and deduplicates the objects collected so far, completing
+// the result: every reader takes objs as the sorted set it then is.
+func (vr *valueResult) finish() *valueResult {
+	slices.Sort(vr.objs)
+	vr.objs = slices.Compact(vr.objs)
+	return vr
 }
+
+// inProgress is the conservative answer for a value set whose own
+// computation asked for it (a cyclic dependency). Shared and read-only.
+var inProgress = &valueResult{unknown: true}
 
 // collectValues computes the flow-sensitive context-insensitive value set
 // of ptr at the given start (the paper's Algorithm 3 "computation of A"):
@@ -31,7 +35,7 @@ func (vr *valueResult) sortedObjs() []ir.VarID {
 // propagated into every caller at every call site, context-insensitively,
 // until only terminated sources remain.
 func (e *Engine) collectValues(f ir.FuncID, ptr ir.VarID, startLocs []ir.Loc) *valueResult {
-	vr := &valueResult{objs: map[ir.VarID]bool{}}
+	vr := &valueResult{}
 	type frame struct {
 		f     ir.FuncID
 		v     ir.VarID
@@ -48,18 +52,20 @@ func (e *Engine) collectValues(f ir.FuncID, ptr ir.VarID, startLocs []ir.Loc) *v
 	seen := map[frameKey]bool{}
 	queue := []frame{{f: f, v: ptr, start: startLocs}}
 	seen[frameKey{f: f, v: ptr, cs: ir.NoLoc}] = true
+	buf := pop(&e.tupBufs)
+	defer func() { e.putTups(buf) }()
 
 	for len(queue) > 0 {
 		fr := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		tuples := e.walkBack(fr.f, VarTok(fr.v), fr.start, e.summaryLookup)
-		for t := range tuples {
+		buf = e.walkBack(fr.f, VarTok(fr.v), fr.start, e.summaryLookup, buf[:0])
+		for _, t := range buf {
 			if !e.satisfiable(t.cond) {
 				continue
 			}
 			switch t.tok.Kind {
 			case TAddr:
-				vr.objs[t.tok.V] = true
+				vr.objs = append(vr.objs, t.tok.V)
 			case TNull:
 				vr.null = true
 			case TUnknown:
@@ -88,10 +94,10 @@ func (e *Engine) collectValues(f ir.FuncID, ptr ir.VarID, startLocs []ir.Loc) *v
 		}
 		if e.over {
 			vr.unknown = true
-			return vr
+			break
 		}
 	}
-	return vr
+	return vr.finish()
 }
 
 // satisfiable checks a tuple's points-to constraints against the FSCI
@@ -170,7 +176,7 @@ func (e *Engine) valuesAt(v ir.VarID, loc ir.Loc) *valueResult {
 		return vr
 	}
 	if e.ptsInProg[k] {
-		return &valueResult{objs: map[ir.VarID]bool{}, unknown: true}
+		return inProgress
 	}
 	e.ptsInProg[k] = true
 	n := e.prog.Node(loc)
@@ -184,10 +190,11 @@ func (e *Engine) valuesAt(v ir.VarID, loc ir.Loc) *valueResult {
 // of v at loc (the objects v may reference when control is at loc), and
 // whether the set is precise. known is false while the set is being
 // computed (a cyclic dependency) or when some path lost precision — the
-// caller must then fall back conservatively.
+// caller must then fall back conservatively. The slice is the engine's
+// memoized, sorted set: callers must not modify it.
 func (e *Engine) PointsToAt(v ir.VarID, loc ir.Loc) ([]ir.VarID, bool) {
 	vr := e.valuesAt(v, loc)
-	return vr.sortedObjs(), !vr.unknown
+	return vr.objs, !vr.unknown
 }
 
 // mustPointTo reports whether v definitely references y at loc: the value
@@ -196,10 +203,7 @@ func (e *Engine) PointsToAt(v ir.VarID, loc ir.Loc) ([]ir.VarID, bool) {
 // paper's frontier-time satisfiability check.
 func (e *Engine) mustPointTo(v ir.VarID, loc ir.Loc, y ir.VarID) bool {
 	vr := e.valuesAt(v, loc)
-	if vr.unknown || vr.null || vr.uninit || len(vr.objs) != 1 {
-		return false
-	}
-	return vr.objs[y]
+	return !vr.unknown && !vr.null && !vr.uninit && len(vr.objs) == 1 && vr.objs[0] == y
 }
 
 // Values returns the objects p may reference at loc under the FSCS
@@ -208,7 +212,7 @@ func (e *Engine) mustPointTo(v ir.VarID, loc ir.Loc, y ir.VarID) bool {
 func (e *Engine) Values(p ir.VarID, loc ir.Loc) ([]ir.VarID, bool) {
 	n := e.prog.Node(loc)
 	vr := e.collectValues(n.Fn, p, n.Preds)
-	return vr.sortedObjs(), !vr.unknown
+	return vr.objs, !vr.unknown
 }
 
 // ValueState is the full resolution of a pointer's possible values at a
@@ -226,7 +230,7 @@ func (e *Engine) ValueState(p ir.VarID, loc ir.Loc) ValueState {
 	n := e.prog.Node(loc)
 	vr := e.collectValues(n.Fn, p, n.Preds)
 	return ValueState{
-		Objs:    vr.sortedObjs(),
+		Objs:    vr.objs,
 		Null:    vr.null,
 		Uninit:  vr.uninit,
 		Unknown: vr.unknown,
@@ -254,12 +258,7 @@ func (e *Engine) MayAlias(p, q ir.VarID, loc ir.Loc) bool {
 	if vp.unknown || vq.unknown {
 		return e.fallbackMayAlias(p, q)
 	}
-	for o := range vp.objs {
-		if vq.objs[o] {
-			return true
-		}
-	}
-	return false
+	return intersects(vp.objs, vq.objs)
 }
 
 // Aliases returns the cluster pointers that may alias p at loc, sorted.
@@ -292,7 +291,7 @@ func (e *Engine) MustAlias(p, q ir.VarID, loc ir.Loc) bool {
 	if len(vp.objs) != 1 || len(vq.objs) != 1 {
 		return false
 	}
-	return vp.sortedObjs()[0] == vq.sortedObjs()[0]
+	return vp.objs[0] == vq.objs[0]
 }
 
 // Context is a call path from the program entry: the call-site locations
@@ -329,7 +328,7 @@ func (e *Engine) ValidateContext(ctx Context, loc ir.Loc) error {
 // sequences of f1...fn in order (Section 3, "Computing Flow and
 // Context-Sensitive Aliases").
 func (e *Engine) collectValuesInContext(ptr ir.VarID, startLocs []ir.Loc, ctx Context) *valueResult {
-	vr := &valueResult{objs: map[ir.VarID]bool{}}
+	vr := &valueResult{}
 	type frame struct {
 		v     ir.VarID
 		start []ir.Loc
@@ -351,6 +350,8 @@ func (e *Engine) collectValuesInContext(ptr ir.VarID, startLocs []ir.Loc, ctx Co
 	}
 	seen := map[frameKey]bool{}
 	queue := []frame{{v: ptr, start: startLocs, depth: len(ctx) - 1}}
+	buf := pop(&e.tupBufs)
+	defer func() { e.putTups(buf) }()
 	for len(queue) > 0 {
 		fr := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -359,14 +360,14 @@ func (e *Engine) collectValuesInContext(ptr ir.VarID, startLocs []ir.Loc, ctx Co
 			continue
 		}
 		seen[k] = true
-		tuples := e.walkBack(fnAt(fr.depth), VarTok(fr.v), fr.start, e.summaryLookup)
-		for t := range tuples {
+		buf = e.walkBack(fnAt(fr.depth), VarTok(fr.v), fr.start, e.summaryLookup, buf[:0])
+		for _, t := range buf {
 			if !e.satisfiable(t.cond) {
 				continue
 			}
 			switch t.tok.Kind {
 			case TAddr:
-				vr.objs[t.tok.V] = true
+				vr.objs = append(vr.objs, t.tok.V)
 			case TNull:
 				vr.null = true
 			case TUnknown:
@@ -386,10 +387,10 @@ func (e *Engine) collectValuesInContext(ptr ir.VarID, startLocs []ir.Loc, ctx Co
 		}
 		if e.over {
 			vr.unknown = true
-			return vr
+			break
 		}
 	}
-	return vr
+	return vr.finish()
 }
 
 // ValuesInContext returns the objects p may reference at loc when reached
@@ -399,7 +400,7 @@ func (e *Engine) ValuesInContext(p ir.VarID, loc ir.Loc, ctx Context) ([]ir.VarI
 		return nil, false, err
 	}
 	vr := e.collectValuesInContext(p, e.prog.Node(loc).Preds, ctx)
-	return vr.sortedObjs(), !vr.unknown, nil
+	return vr.objs, !vr.unknown, nil
 }
 
 // MayAliasInContext reports whether p and q may alias at loc in the given
@@ -416,12 +417,7 @@ func (e *Engine) MayAliasInContext(p, q ir.VarID, loc ir.Loc, ctx Context) (bool
 	if vp.unknown || vq.unknown {
 		return e.fallbackMayAlias(p, q), nil
 	}
-	for o := range vp.objs {
-		if vq.objs[o] {
-			return true, nil
-		}
-	}
-	return false, nil
+	return intersects(vp.objs, vq.objs), nil
 }
 
 // MustAliasInContext is the context-sensitive must-alias predicate.
@@ -440,7 +436,7 @@ func (e *Engine) MustAliasInContext(p, q ir.VarID, loc ir.Loc, ctx Context) (boo
 	if len(vp.objs) != 1 || len(vq.objs) != 1 {
 		return false, nil
 	}
-	return vp.sortedObjs()[0] == vq.sortedObjs()[0], nil
+	return vp.objs[0] == vq.objs[0], nil
 }
 
 // Run executes the full cluster workload: exit summaries for every
@@ -457,6 +453,9 @@ func (e *Engine) MustAliasInContext(p, q ir.VarID, loc ir.Loc, ctx Context) (boo
 // work counters into it on the way out, clean or not.
 func (e *Engine) Run() error {
 	err := e.run()
+	// The solved engine keeps only its results: later queries are few
+	// next to the solve, and a cover's engines all stay alive.
+	e.tupBufs, e.fixFree = nil, nil
 	e.flushMetrics()
 	return err
 }

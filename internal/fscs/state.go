@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sort"
 
 	"bootstrap/internal/cache"
@@ -37,10 +38,14 @@ var errCorrupt = errors.New("fscs: corrupt cached engine state")
 func (e *Engine) ExportState(cn *cache.Canon) ([]byte, bool) {
 	type skRec struct {
 		fl, pl int32
-		key    sumKey
+		key    int32
 	}
-	keys := make([]skRec, 0, len(e.done))
-	for k := range e.done {
+	keys := make([]skRec, 0, e.SummariesBuilt)
+	for i, sum := range e.sums {
+		if !sum.done {
+			continue
+		}
+		k := sum.key
 		fl, ok := cn.MapFunc(k.f)
 		if !ok {
 			return nil, false
@@ -49,7 +54,7 @@ func (e *Engine) ExportState(cn *cache.Canon) ([]byte, bool) {
 		if !ok {
 			return nil, false
 		}
-		keys = append(keys, skRec{fl: fl, pl: pl, key: k})
+		keys = append(keys, skRec{fl: fl, pl: pl, key: int32(i)})
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].fl != keys[j].fl {
@@ -63,9 +68,9 @@ func (e *Engine) ExportState(cn *cache.Canon) ([]byte, bool) {
 	for _, kr := range keys {
 		buf = binary.AppendUvarint(buf, uint64(kr.fl))
 		buf = binary.AppendUvarint(buf, uint64(kr.pl))
-		ts := e.sums[kr.key]
+		ts := e.sums[kr.key].tups
 		encs := make([][]byte, 0, len(ts))
-		for t := range ts {
+		for _, t := range ts {
 			enc, ok := e.encodeTuple(cn, t)
 			if !ok {
 				return nil, false
@@ -125,7 +130,7 @@ func (e *Engine) ExportState(cn *cache.Canon) ([]byte, bool) {
 		}
 		buf = append(buf, flags)
 		objs := make([]int32, 0, len(vr.objs))
-		for o := range vr.objs {
+		for _, o := range vr.objs {
 			ol, ok := cn.MapVar(o)
 			if !ok {
 				return nil, false
@@ -294,19 +299,27 @@ func ImportEngine(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *c
 			r.fail()
 			break
 		}
-		k := sumKey{f: f, ptr: ptr}
+		k := e.keyOf(f, ptr)
 		nTuples := r.count(2)
-		ts := tupSet{}
+		ts := make([]tup, 0, nTuples)
 		for j := uint64(0); j < nTuples && r.err == nil; j++ {
 			t, ok := e.decodeTuple(cn, r)
 			if !ok {
 				r.fail()
 				break
 			}
-			ts.add(t)
+			ts = append(ts, t)
 		}
-		e.sums[k] = ts
-		e.done[k] = true
+		// Deduplicate defensively: distinct canonical encodings can
+		// re-intern to one tuple only in a corrupt payload, which is
+		// external input.
+		slices.SortFunc(ts, cmpTup)
+		sum := &e.sums[k]
+		sum.tups = slices.Compact(ts)
+		if !sum.done {
+			sum.done = true
+			e.SummariesBuilt++
+		}
 	}
 
 	nVR := r.count(4)
@@ -319,21 +332,22 @@ func ImportEngine(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *c
 		}
 		flags := r.byte()
 		vr := &valueResult{
-			objs:    map[ir.VarID]bool{},
 			null:    flags&1 != 0,
 			uninit:  flags&2 != 0,
 			unknown: flags&4 != 0,
 		}
 		nObjs := r.count(1)
+		vr.objs = make([]ir.VarID, 0, nObjs)
 		for j := uint64(0); j < nObjs && r.err == nil; j++ {
 			o, ok := cn.UnmapVar(int32(r.uvarint()))
 			if !ok {
 				r.fail()
 				break
 			}
-			vr.objs[o] = true
+			vr.objs = append(vr.objs, o)
 		}
-		e.ptsVR[intern.Pack2x32(int32(v), int32(loc))] = vr
+		// Canonical order is not this program's VarID order.
+		e.ptsVR[intern.Pack2x32(int32(v), int32(loc))] = vr.finish()
 	}
 
 	e.TuplesProcessed = r.varint()
@@ -344,7 +358,6 @@ func ImportEngine(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *c
 	if r.err != nil {
 		return nil, r.err
 	}
-	e.SummariesBuilt = len(e.done)
 	return e, nil
 }
 

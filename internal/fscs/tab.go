@@ -1,6 +1,7 @@
 package fscs
 
 import (
+	"cmp"
 	"sort"
 
 	"bootstrap/internal/intern"
@@ -160,21 +161,23 @@ func (t *condTab) intern(c Cond) CondID {
 	return t.conds.ID(ids)
 }
 
-// tup is the interned internal form of a summary tuple: a comparable
-// struct, so tuple sets are map[tup]struct{} with no string keys.
+// tup is the interned internal form of a summary tuple, and of one
+// (token, condition) outcome of a statement's backward transfer: a
+// comparable 12-byte struct. Tuple sets are slices without duplicates:
+// summaries and walk results hold a handful of tuples (at most 17 in the
+// autofs@1.0 and mt_daapd@0.3 covers), where a scan beats hashing.
 type tup struct {
 	tok  Token
 	cond CondID
 }
 
-// tupSet is a set of interned summary tuples.
-type tupSet map[tup]struct{}
-
-// add inserts t and reports whether it was new.
-func (s tupSet) add(t tup) bool {
-	if _, ok := s[t]; ok {
-		return false
+// cmpTup orders tuples by token, then condition.
+func cmpTup(a, b tup) int {
+	if a.tok.Kind != b.tok.Kind {
+		return int(a.tok.Kind) - int(b.tok.Kind)
 	}
-	s[t] = struct{}{}
-	return true
+	if a.tok.V != b.tok.V {
+		return cmp.Compare(a.tok.V, b.tok.V)
+	}
+	return cmp.Compare(a.cond, b.cond)
 }

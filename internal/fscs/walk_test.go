@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"bootstrap/internal/ir"
 )
 
 // TestScratchOutgrowsPool: walk scratch is pooled across every engine in
@@ -33,9 +36,8 @@ func TestScratchOutgrowsPool(t *testing.T) {
 	fillPool()
 	pooled := large.engineFor(t)
 	s := pooled.getScratch()
-	if len(s.stamp) < len(large.prog.Nodes) || len(s.bkt) < len(large.prog.Nodes) {
-		t.Fatalf("scratch has %d stamps and %d buckets for a %d-node program",
-			len(s.stamp), len(s.bkt), len(large.prog.Nodes))
+	if len(s.slots) < len(large.prog.Nodes) {
+		t.Fatalf("scratch has %d slots for a %d-node program", len(s.slots), len(large.prog.Nodes))
 	}
 	putScratch(s)
 
@@ -136,4 +138,96 @@ func engineAnswers(h *harness, e *Engine) []string {
 		}
 	}
 	return out
+}
+
+// TestScratchOverflowChain: a location holds one (token, condition) pair
+// in its 20-byte slot and chains the rest through the walk's arena. A
+// location that receives more pairs than the slot holds must still accept
+// each distinct pair once and reject every repeat, independently of its
+// neighbours; a new walk starts every location and the arena empty.
+func TestScratchOverflowChain(t *testing.T) {
+	if n := unsafe.Sizeof(wbSlot{}); n > 20 {
+		t.Fatalf("a dedup slot is %d bytes, want at most 20 per location", n)
+	}
+	s := &walkScratch{slots: make([]wbSlot, 4), links: make([]wbLink, 1)}
+	pairs := []tup{
+		{tok: VarTok(1), cond: TrueCondID},
+		{tok: VarTok(2), cond: TrueCondID},
+		{tok: VarTok(1), cond: 3},
+		{tok: AddrTok(1), cond: TrueCondID},
+		{tok: NullTok(), cond: 5},
+		{tok: UnknownTok(), cond: TrueCondID},
+	}
+	for walk := 0; walk < 2; walk++ {
+		s.begin()
+		if len(s.links) != 1 {
+			t.Fatalf("walk %d starts with %d overflow entries", walk, len(s.links)-1)
+		}
+		for i, p := range pairs {
+			if !s.insert(2, p.tok, p.cond) {
+				t.Fatalf("walk %d: pair %d %v rejected at a location holding %d pairs", walk, i, p, i)
+			}
+		}
+		for i, p := range pairs[:2] {
+			if !s.insert(3, p.tok, p.cond) {
+				t.Fatalf("walk %d: pair %d rejected at a neighbouring location", walk, i)
+			}
+		}
+		for i, p := range pairs {
+			if s.insert(2, p.tok, p.cond) {
+				t.Errorf("walk %d: repeat of pair %d %v accepted", walk, i, p)
+			}
+		}
+		if !s.insert(3, pairs[2].tok, pairs[2].cond) {
+			t.Errorf("walk %d: a pair held only at another location rejected", walk)
+		}
+	}
+}
+
+// TestScratchEpochWrap: a slot is empty for a walk unless that walk's
+// epoch is stamped on it. When the epoch counter wraps, a slot stamped
+// 2^32 walks earlier, or never written at all (a zero stamp over the zero
+// pair, which is the valid pair var(0) under the true condition), must
+// not look current.
+func TestScratchEpochWrap(t *testing.T) {
+	s := &walkScratch{slots: make([]wbSlot, 3), links: make([]wbLink, 1)}
+	stale := tup{tok: VarTok(7), cond: 2}
+	s.slots[1] = wbSlot{epoch: 1, wbLink: wbLink{tok: stale.tok, cond: stale.cond}}
+	s.epoch = ^uint32(0) - 1
+	s.begin()
+	if !s.insert(2, stale.tok, stale.cond) {
+		t.Fatal("fresh slot rejected a pair before the wrap")
+	}
+	s.begin() // wraps
+	for loc, p := range []tup{{tok: VarTok(0), cond: TrueCondID}, stale, stale} {
+		if !s.insert(ir.Loc(loc), p.tok, p.cond) {
+			t.Errorf("after the wrap, location %d (stamp %d) rejected %v in a new walk", loc, s.slots[loc].epoch, p)
+		}
+	}
+}
+
+// TestSolvedEngineAllocs: on a solved engine, repeated walks and
+// memoized PointsToAt calls run on reused storage: pooled walk scratch,
+// a caller-owned result buffer, and value sets kept as sorted slices.
+func TestSolvedEngineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random quarter of its puts under the race detector")
+	}
+	h := newHarness(t, poolLargeSrc)
+	e := h.engineFor(t)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	main := h.prog.Func(h.prog.FuncByName["main"])
+	exit, preds := main.Exit, h.prog.Node(main.Exit).Preds
+	var buf []tup
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range e.cl.Pointers {
+			buf = e.walkBack(main.ID, VarTok(p), preds, e.summaryLookup, buf[:0])
+			e.PointsToAt(p, exit)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations per round of %d walks and PointsToAt calls, want 0", allocs, len(e.cl.Pointers))
+	}
 }
