@@ -1,15 +1,20 @@
 package fscs
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"bootstrap/internal/andersen"
+	"bootstrap/internal/cache"
 	"bootstrap/internal/callgraph"
 	"bootstrap/internal/cluster"
 	"bootstrap/internal/frontend"
+	"bootstrap/internal/ir"
 	"bootstrap/internal/steens"
 	"bootstrap/internal/synth"
 )
@@ -128,4 +133,87 @@ func TestExitGolden(t *testing.T) {
 func TestWorkGolden(t *testing.T) {
 	_, work := goldenAll(t)
 	checkGolden(t, workGoldenFile, work)
+}
+
+const stateGoldenFile = "testdata/state_golden.txt"
+
+// stateCases are the covers TestStateGolden pins: TestExitGolden's rows
+// as goldenRun builds them, autofs@0.3's default Andersen cover, and
+// driver.cpl's at thresholds 8 and 2, the last three devirtualized as
+// core's cascade does.
+var stateCases = []struct {
+	name      string
+	src       func(t *testing.T) string
+	threshold int
+	devirt    bool
+}{
+	{"sock@0.05", synthSource("sock", 0.05), 8, false},
+	{"ctrace@0.05", synthSource("ctrace", 0.05), 8, false},
+	{"autofs@0.3", synthSource("autofs", 0.3), cluster.DefaultAndersenThreshold, true},
+	{"driver/8", driverSource, 8, true},
+	{"driver/2", driverSource, 2, true},
+}
+
+func synthSource(name string, scale float64) func(t *testing.T) string {
+	return func(t *testing.T) string {
+		b, ok := synth.FindBenchmark(name)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", name)
+		}
+		return synth.Generate(b, scale)
+	}
+}
+
+func driverSource(t *testing.T) string {
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "driver.cpl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(src)
+}
+
+// stateDigests solves every cluster of every state case and renders the
+// SHA-256 of its ExportState payload, one line per cluster. The two work
+// counters at the payload's end are zeroed first: they measure the walk,
+// not its answers.
+func stateDigests(t *testing.T) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, sc := range stateCases {
+		prog, err := frontend.LowerSource(sc.src(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sa := steens.Analyze(prog)
+		if sc.devirt && frontend.HasIndirectCalls(prog) {
+			if err := frontend.Devirtualize(prog, func(_ ir.Loc, fp ir.VarID) []ir.FuncID { return sa.Targets(fp) }); err != nil {
+				t.Fatal(err)
+			}
+			sa = steens.Analyze(prog)
+		}
+		cg := callgraph.Build(prog)
+		fb := andersen.Analyze(prog)
+		for _, c := range cluster.BuildAndersen(prog, sa, sc.threshold) {
+			eng := NewEngine(prog, cg, sa, c, WithFallback(fb))
+			if err := eng.Run(); err != nil {
+				t.Fatalf("%s cluster %d: %v", sc.name, c.ID, err)
+			}
+			eng.TuplesProcessed, eng.spent = 0, 0
+			data, ok := eng.ExportState(cache.NewCanon(prog, sa, cg, c, cache.Params{MaxCond: 8}))
+			if !ok {
+				t.Fatalf("%s cluster %d: state does not export", sc.name, c.ID)
+			}
+			fmt.Fprintf(&sb, "%s c%d %x\n", sc.name, c.ID, sha256.Sum256(data))
+		}
+	}
+	return sb.String()
+}
+
+// TestStateGolden pins everything a solved engine keeps, not just its
+// exit answers: the exported summaries and FSCI value sets of every
+// cluster of five covers, as payload digests. A change to how the walk
+// gets there (which nodes it steps through, in what order) must leave
+// every line unchanged. -update rewrites the file.
+func TestStateGolden(t *testing.T) {
+	checkGolden(t, stateGoldenFile, stateDigests(t))
 }
