@@ -13,8 +13,11 @@ import (
 
 // Version is the on-disk entry format version. A version mismatch on
 // read is a miss, so bumping it invalidates every existing disk tier
-// without deleting anything.
-const Version uint32 = 1
+// without deleting anything. Version 2: payloads carry the engine's
+// work counters in Prog_P tuples (the walk skips pass-through nodes),
+// so entries written under version 1, which counted every CFG node
+// visited, are re-solved instead of mixing the two units.
+const Version uint32 = 2
 
 // diskMagic brands every on-disk entry.
 const diskMagic = "BTSCACHE"

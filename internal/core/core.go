@@ -69,7 +69,9 @@ type Config struct {
 	Workers int
 	// ClusterBudget caps the worklist tuples each per-cluster engine may
 	// process — the analogue of the paper's 15-minute timeout. Zero means
-	// unlimited.
+	// unlimited. A tuple is one (token, condition) pair the engine
+	// transfers at a node of the cluster's slice Prog_P (fscs.WithBudget);
+	// nodes that pass every token through unchanged cost nothing.
 	ClusterBudget int64
 	// ClusterTimeout bounds the wall-clock time of each per-cluster
 	// engine attempt — the paper's 15-minute timeout made literal. On
