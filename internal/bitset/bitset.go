@@ -21,11 +21,11 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, 0, (n+wordBits-1)/wordBits)}
 }
 
-// ensure grows the word slice to hold bit i.
+// ensure grows the word slice to hold bit i, in one step: a set
+// jumping to a high bit would otherwise reallocate once per doubling.
 func (s *Set) ensure(i int) {
-	w := i/wordBits + 1
-	for len(s.words) < w {
-		s.words = append(s.words, 0)
+	if w := i/wordBits + 1; len(s.words) < w {
+		s.words = append(s.words, make([]uint64, w-len(s.words))...)
 	}
 }
 

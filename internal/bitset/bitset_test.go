@@ -316,3 +316,29 @@ func TestAppendCanonical(t *testing.T) {
 		t.Error("AppendCanonical does not append to the given prefix")
 	}
 }
+
+// TestGrowAllocs: a set reaching a high bit grows its words in one
+// allocation, whether by Add or by UnionWith into an empty set, instead
+// of once per doubling (seven times for bit 4095).
+func TestGrowAllocs(t *testing.T) {
+	src := &Set{}
+	src.Add(4095)
+	cases := []struct {
+		name string
+		grow func()
+	}{
+		{"Add", func() {
+			var s Set
+			s.Add(4095)
+		}},
+		{"UnionWith", func() {
+			var s Set
+			s.UnionWith(src)
+		}},
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(100, c.grow); n > 1 {
+			t.Errorf("%s of bit 4095 into an empty set: %.0f allocations, want 1", c.name, n)
+		}
+	}
+}
