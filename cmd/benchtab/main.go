@@ -28,7 +28,7 @@ import (
 var (
 	scale   = flag.Float64("scale", 0.2, "workload scale (1.0 = paper-sized)")
 	parts   = flag.Int("parts", 5, "simulated machines for the parallel columns")
-	budget  = flag.Int64("budget", 3_000_000, "work budget for the unclustered baseline (the 15-min analogue)")
+	budget  = flag.Int64("budget", 3_000_000, "work budget in FSCS worklist tuples for the unclustered baseline (the 15-min analogue)")
 	rows    = flag.String("rows", "", "comma-separated benchmark names (default: all 20)")
 	skipNC  = flag.Bool("skip-monolithic", false, "skip the unclustered baseline column")
 	compare = flag.Bool("compare", false, "also print the paper-vs-measured comparison")

@@ -33,7 +33,8 @@ type Options struct {
 	// Parts is the simulated machine count (paper: 5).
 	Parts int
 	// Budget caps worklist tuples for the *unclustered* run — the
-	// analogue of the paper's 15-minute timeout. Zero means 3e6.
+	// analogue of the paper's 15-minute timeout. Zero means 3e6. Tuples
+	// are counted at relevant Prog_P nodes only (fscs.WithBudget).
 	Budget int64
 	// SkipNoClustering skips the expensive monolithic baseline.
 	SkipNoClustering bool

@@ -38,7 +38,7 @@ func (f *AnalysisFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Threshold, "threshold", 0, "Andersen threshold (0 or less = default 60)")
 	fs.BoolVar(&f.UseOneFlow, "oneflow", false, "insert the One-Flow cascade stage (-mode andersen only)")
 	fs.IntVar(&f.Workers, "workers", 0, "parallel cluster workers (0 = GOMAXPROCS)")
-	fs.Int64Var(&f.Budget, "budget", 0, "per-cluster work budget (0 = unlimited)")
+	fs.Int64Var(&f.Budget, "budget", 0, "per-cluster work budget in FSCS worklist tuples, one per (token, condition) transferred at a relevant node of the cluster's slice (0 = unlimited)")
 
 	fs.DurationVar(&f.RunTimeout, "timeout", 0, "whole-run wall-clock deadline; on expiry remaining clusters degrade to the flow-insensitive fallback (0 = none)")
 	fs.DurationVar(&f.ClusterTimeout, "cluster-timeout", 0, "per-cluster wall-clock deadline, the paper's 15-minute analogue (0 = none)")
