@@ -172,8 +172,12 @@ func run(path string) (err error) {
 			len(partSizes), pp50, pp90, pmax, analysisFlags.SteensPrecise, a.Steens.Stats().Deferred)
 		fmt.Printf("clusters: n=%d p50=%d p90=%d max=%d\n",
 			len(clusterSizes), cp50, cp90, cmax)
-		if a.Andersen != nil {
+		// The fallback solves on first read; printing its passes must
+		// not be that read.
+		if a.Andersen.Solved() {
 			fmt.Printf("andersen solver: passes=%d\n", a.Andersen.SolverStats().Passes)
+		} else {
+			fmt.Println("andersen solver: not run")
 		}
 		if cfg.Cache != nil {
 			cs := a.CacheStats

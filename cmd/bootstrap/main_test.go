@@ -98,6 +98,9 @@ func TestRunOnDriver(t *testing.T) {
 // level: -trace writes valid Chrome trace JSON with one span per cascade
 // phase and per cluster attempt, and the outcome args cover cache hits
 // (second run against a warm -cache-dir) and demotions (starved budget).
+// The fallback span marks the one whole-program Andersen solve, which
+// only a read runs: a healthy run without queries has none, and the
+// starved run's queries, which widen through it, record exactly one.
 func TestRunTrace(t *testing.T) {
 	const path = "../../testdata/driver.cpl"
 	dir := t.TempDir()
@@ -138,10 +141,13 @@ func TestRunTrace(t *testing.T) {
 
 	cacheDir := filepath.Join(dir, "cache")
 	names, outcomes := collect(filepath.Join(dir, "cold.json"), [2]string{"cache-dir", cacheDir})
-	for _, phase := range []string{"parse", "steensgaard", "clustering", "fallback", "fscs"} {
+	for _, phase := range []string{"parse", "steensgaard", "clustering", "fscs"} {
 		if names[phase] != 1 {
 			t.Errorf("cold trace: %d %q phase spans, want 1", names[phase], phase)
 		}
+	}
+	if names["fallback"] != 0 {
+		t.Errorf("cold trace: %d fallback spans, want none without a query", names["fallback"])
 	}
 	if names["attempt"] == 0 {
 		t.Error("cold trace: no attempt spans")
@@ -155,10 +161,13 @@ func TestRunTrace(t *testing.T) {
 		t.Errorf("warm trace outcomes = %v, want cached > 0", outcomes)
 	}
 
-	_, outcomes = collect(filepath.Join(dir, "starved.json"),
-		[2]string{"budget", "1"}, [2]string{"retries", "-1"})
+	names, outcomes = collect(filepath.Join(dir, "starved.json"),
+		[2]string{"budget", "1"}, [2]string{"retries", "-1"}, [2]string{"pts", "lp,handler"})
 	if outcomes["demoted"] == 0 {
 		t.Errorf("starved trace outcomes = %v, want demoted > 0", outcomes)
+	}
+	if names["fallback"] != 1 {
+		t.Errorf("starved trace: %d fallback spans after two widened queries, want 1", names["fallback"])
 	}
 }
 

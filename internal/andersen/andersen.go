@@ -14,7 +14,8 @@
 // flows into a call's function pointer, the matching parameter and return
 // bindings are added as copy edges. Patch runs the same solver over an
 // edited program's cone only, sharing every other set with the previous
-// generation's analysis.
+// generation's analysis. Deferred defers a whole-program solve to its
+// first read.
 package andersen
 
 import (
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"bootstrap/internal/bitset"
 	"bootstrap/internal/ir"
@@ -121,19 +123,59 @@ type SolverStats struct {
 	ParNodes        int64 // nodes processed inside parallel fronts
 }
 
-// Analysis is the result of Andersen's analysis.
+// Analysis is the result of Andersen's analysis. Analyze and Patch
+// return it solved; Deferred returns it unsolved, and every accessor
+// solves it first.
 type Analysis struct {
 	prog  *ir.Program
 	pts   []*bitset.Set // var -> points-to set over VarIDs
 	rep   []int32       // cycle-elimination representative (identity without it)
 	stats SolverStats
 
+	// solve is Deferred's whole-program solve (nil once constructed
+	// solved), run once by the first read; started is set as it begins.
+	solve     func()
+	solveOnce sync.Once
+	started   atomic.Bool
+
 	clustersOnce sync.Once
 	clusters     []ObjCluster
 }
 
+// Deferred returns Andersen's analysis of p, not yet solved: the first
+// read — any accessor, or a Patch from it — runs Analyze(p), once, and
+// concurrent readers wait for that one solve. p must not change before
+// then. observe runs the solve: it must call solve exactly once, and
+// may time or trace around it.
+func Deferred(p *ir.Program, observe func(solve func() SolverStats)) *Analysis {
+	a := &Analysis{prog: p}
+	a.solve = func() {
+		a.started.Store(true)
+		observe(func() SolverStats {
+			s := Analyze(p)
+			a.pts, a.rep, a.stats = s.pts, s.rep, s.stats
+			return a.stats
+		})
+	}
+	return a
+}
+
+// ensure solves a deferred analysis on first use.
+func (a *Analysis) ensure() {
+	if a.solve != nil {
+		a.solveOnce.Do(a.solve)
+	}
+}
+
+// Solved reports whether a is solved or its solve is under way, so a
+// read would not start one. It never solves.
+func (a *Analysis) Solved() bool { return a.solve == nil || a.started.Load() }
+
 // SolverStats returns the solver's work counters.
-func (a *Analysis) SolverStats() SolverStats { return a.stats }
+func (a *Analysis) SolverStats() SolverStats {
+	a.ensure()
+	return a.stats
+}
 
 // Record adds the solver's work counters to a metrics registry (nil-safe
 // no-op without one). Call it once per solve; the registry accumulates
@@ -273,7 +315,7 @@ var ErrConeLeak = errors.New("andersen: patch would grow a points-to set outside
 // program prev analyzed: p keeps every VarID of prev's program and may
 // add variables. Only the variables in cone, and the added ones, are
 // re-solved; every other variable shares prev's set, which Patch never
-// writes.
+// writes. A deferred prev is solved first.
 //
 // The result equals Analyze(p) variable for variable when the cone is
 // closed: every statement the edit changed writes only cone variables
@@ -283,6 +325,7 @@ var ErrConeLeak = errors.New("andersen: patch would grow a points-to set outside
 // that reads or writes a cone variable, and an inclusion into a shared
 // set that does not already hold returns an error wrapping ErrConeLeak.
 func Patch(prev *Analysis, p *ir.Program, cone []ir.VarID) (*Analysis, error) {
+	prev.ensure()
 	nv, oldN := p.NumVars(), len(prev.pts)
 	coneSet := &bitset.Set{}
 	for _, v := range cone {
@@ -611,7 +654,10 @@ func (a *Analysis) canon(v ir.VarID) int32 {
 }
 
 // PointsToSet returns v's points-to set. The caller must not modify it.
-func (a *Analysis) PointsToSet(v ir.VarID) *bitset.Set { return a.pts[a.canon(v)] }
+func (a *Analysis) PointsToSet(v ir.VarID) *bitset.Set {
+	a.ensure()
+	return a.pts[a.canon(v)]
+}
 
 // PointsTo returns the objects v may point to, in increasing VarID order.
 func (a *Analysis) PointsTo(v ir.VarID) []ir.VarID {
@@ -650,7 +696,7 @@ type ObjCluster struct {
 // a disjunctive (not disjoint) alias cover (Theorem 7).
 //
 // The slice is ordered by Obj, computed once and cached — an Analysis is
-// immutable after Analyze, so repeated calls (e.g. per oversized partition
+// immutable once solved, so repeated calls (e.g. per oversized partition
 // in the cover builder, or from concurrent FSCS fallbacks) share it.
 func (a *Analysis) Clusters() []ObjCluster {
 	a.clustersOnce.Do(func() {

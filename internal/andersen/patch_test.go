@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bootstrap/internal/bitset"
@@ -255,4 +257,55 @@ func TestPatchConeLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffAnalyses(t, "closed cone", p2, got, Analyze(p2))
+}
+
+// TestDeferredSolvesOnFirstRead: a Deferred analysis does no work until
+// it is read, its concurrent first readers share one solve, and it then
+// equals Analyze. Patch from one never read solves it first, and equals
+// a fresh Analyze of the edited program.
+func TestDeferredSolvesOnFirstRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p, err := frontend.LowerSource(synth.RandomSource(rng, synth.DefaultRandomConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var solves atomic.Int32
+	observe := func(solve func() SolverStats) {
+		solves.Add(1)
+		solve()
+	}
+	d := Deferred(p, observe)
+	if d.Solved() || solves.Load() != 0 {
+		t.Fatal("Deferred solved before its first read")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.PointsToSet(0)
+		}()
+	}
+	wg.Wait()
+	want := Analyze(p)
+	if !d.Solved() || solves.Load() != 1 || d.SolverStats() != want.SolverStats() {
+		t.Fatalf("8 concurrent reads: solved %v, %d solves, stats %+v, Analyze %+v",
+			d.Solved(), solves.Load(), d.SolverStats(), want.SolverStats())
+	}
+	diffAnalyses(t, "deferred", p, d, want)
+
+	p2 := p.Clone()
+	sum, err := ir.ApplyEdits(p2, randomPatchEdits(p, rng, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := Analyze(p2)
+	got, err := Patch(Deferred(p, observe), p2, closedCone(p, p2, want, fresh, sum.Changes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solves.Load() != 2 {
+		t.Errorf("Patch from an unread analysis ran %d solves in all, want it to solve that one first", solves.Load())
+	}
+	diffAnalyses(t, "patch from unread", p2, got, fresh)
 }

@@ -133,11 +133,12 @@ type Config struct {
 	// (Faults) bypasses it.
 	Cache *cache.Cache
 	// Tracer, when non-nil, records one span per cascade phase (parse,
-	// Steensgaard, One-Flow, clustering, fallback, FSCS stage), per
-	// scheduled cluster and ladder attempt (with cluster id, size, worker
-	// and outcome — solved, cached or demoted), and per cache
-	// probe/import/store, in the Chrome trace event format (see package
-	// obs). Nil disables tracing; every span call is a nil-check no-op.
+	// Steensgaard, One-Flow, clustering, FSCS stage, and the fallback
+	// solve once a query reads it), per scheduled cluster and ladder
+	// attempt (with cluster id, size, worker and outcome — solved, cached
+	// or demoted), and per cache probe/import/store, in the Chrome trace
+	// event format (see package obs). Nil disables tracing; every span
+	// call is a nil-check no-op.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, accumulates the run's work counters and
 	// histograms (worklist tuples, interning hits, cluster outcomes,
@@ -170,8 +171,13 @@ type Timing struct {
 
 // Analysis is a completed bootstrapped analysis with query access.
 type Analysis struct {
-	Prog      *ir.Program
-	Steens    *steens.Analysis
+	Prog   *ir.Program
+	Steens *steens.Analysis
+	// Andersen is the whole-program flow-insensitive fallback, the sound
+	// answer wherever FSCS gives none: a demoted, unselected or
+	// still-solving cluster, or an imprecise engine answer. No step of
+	// the cascade reads it; it solves itself on its first read, once,
+	// and a run whose answers never need it never solves it.
 	Andersen  *andersen.Analysis
 	CallGraph *callgraph.Graph
 	Clusters  []*cluster.Cluster
@@ -241,7 +247,9 @@ func AnalyzeSource(src string, cfg Config) (*Analysis, error) {
 
 // AnalyzeProgram runs the full bootstrap cascade over an IR program. The
 // program may still contain indirect-call placeholders; they are
-// devirtualized with Steensgaard-resolved targets first.
+// devirtualized with Steensgaard-resolved targets first. The program
+// must not be mutated after analysis: solved engines, and the fallback
+// solved on first read, walk it at query time.
 func AnalyzeProgram(prog *ir.Program, cfg Config) (*Analysis, error) {
 	return AnalyzeProgramContext(context.Background(), prog, cfg)
 }
@@ -253,14 +261,13 @@ func AnalyzeProgram(prog *ir.Program, cfg Config) (*Analysis, error) {
 // query remaining sound.
 //
 // Every configuration runs the same cascade. Steensgaard (with
-// devirtualization) comes first; the whole-program flow-insensitive
-// fallback and the call graph are then built concurrently with the
-// alias cover, which arrives cluster by cluster in cover order and is
-// admitted as it arrives. An eager run streams the admitted clusters
-// straight into the FSCS workers, which wait for the fallback before
-// their first solve. A Lazy run returns once the whole cover is admitted
-// and the fallback is ready; each cluster then solves on the first query
-// touching it (EnsureCluster).
+// devirtualization) and the call graph come first; the alias cover then
+// arrives cluster by cluster in cover order and is admitted as it
+// arrives. An eager run streams the admitted clusters straight into the
+// FSCS workers, which start on the first one. A Lazy run returns once
+// the whole cover is admitted; each cluster then solves on the first
+// query touching it (EnsureCluster). Neither waits for the
+// whole-program fallback (Analysis.Andersen): it solves on first read.
 func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -294,15 +301,8 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*
 		return nil, fmt.Errorf("core: analysis cancelled: %w", err)
 	}
 
-	tr.NameThread(obs.TIDFallback, "fallback")
-	fallbackReady := make(chan struct{})
-	go func() {
-		defer close(fallbackReady)
-		sp := tr.Start("phase", "fallback", obs.TIDFallback)
-		a.Andersen = andersen.Analyze(prog)
-		a.CallGraph = callgraph.Build(prog)
-		sp.End()
-	}()
+	a.CallGraph = callgraph.Build(prog)
+	a.Andersen = deferredFallback(prog, cfg)
 
 	var of *oneflow.Analysis
 	if cfg.UseOneFlow && cfg.Mode == ModeAndersen {
@@ -336,7 +336,6 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*
 	var hs []ClusterHealth
 	if cfg.Lazy {
 		admitCover(nil)
-		<-fallbackReady
 	} else {
 		// Stage 2: the precise per-cluster FSCS analyses, in parallel,
 		// under the fault-tolerant scheduler (see RunCluster).
@@ -347,11 +346,10 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*
 		}()
 		runCtx, cancel := stageContext(ctx, cfg)
 		defer cancel()
-		hs = a.runEager(runCtx, work, fallbackReady, cfg)
+		hs = a.runEager(runCtx, work, cfg)
 		a.Timing.Wall = time.Since(t1)
 		fsp.Arg("clusters", len(hs)).End()
 	}
-	a.Andersen.SolverStats().Record(cfg.Metrics)
 	if err := ctx.Err(); err != nil {
 		// Explicit caller cancellation aborts, even mid-cover; cfg
 		// deadlines never land here (runCtx expiring only degrades
@@ -389,6 +387,19 @@ func newAnalysis(prog *ir.Program, cfg Config) *Analysis {
 		solving:     map[int]*inflight{},
 		queryHealth: map[int]ClusterHealth{},
 	}
+}
+
+// deferredFallback returns prog's whole-program Andersen fallback,
+// solved on its first read. The solve, when it runs, is one `fallback`
+// phase span on the fallback track and books its passes in cfg.Metrics.
+func deferredFallback(prog *ir.Program, cfg Config) *andersen.Analysis {
+	return andersen.Deferred(prog, func(solve func() andersen.SolverStats) {
+		cfg.Tracer.NameThread(obs.TIDFallback, "fallback")
+		sp := cfg.Tracer.Start("phase", "fallback", obs.TIDFallback)
+		st := solve()
+		sp.Arg("passes", st.Passes).End()
+		st.Record(cfg.Metrics)
+	})
 }
 
 // steensFront runs the Steensgaard base stage: analyze, devirtualize

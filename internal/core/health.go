@@ -140,7 +140,9 @@ func runAttempt(prog *ir.Program, cg *callgraph.Graph, sa *steens.Analysis,
 // MaxCond and budget (cfg.Retries times, default one), and after the last
 // failure it is demoted — the returned engine is nil and callers must
 // answer its queries from the flow-insensitive fallback. ctx cancels the
-// remaining attempts (nil means background). fallback may be nil.
+// remaining attempts (nil means background). fallback, which may be nil,
+// is what the engine widens through at query time; the solve never reads
+// it, so a fallback not yet solved (Analysis.Andersen) stays unsolved.
 func RunCluster(ctx context.Context, prog *ir.Program, cg *callgraph.Graph, sa *steens.Analysis,
 	c *cluster.Cluster, fallback *andersen.Analysis, cfg Config) (*fscs.Engine, ClusterHealth) {
 	if ctx == nil {

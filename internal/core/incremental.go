@@ -168,10 +168,12 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 		sort.Ints(ids)
 	}
 
-	// Front-end phases on the edited program. The Andersen fallback —
-	// prev's patched over the batch's cone — and the call graph overlap
-	// the cover rebuild below; Steensgaard is needed first (the cone,
-	// signatures and partition enumeration).
+	// Front-end phases on the edited program. The call graph, and the
+	// Andersen fallback when prev's was solved (prev's patched over the
+	// batch's cone), overlap the cover rebuild below; Steensgaard is
+	// needed first (the cone, signatures and partition enumeration). A
+	// fallback nobody read stays unread: the successor gets a deferred
+	// solve of the edited program.
 	tSteens := time.Now()
 	sa2 := steens.Analyze(newProg, cfg.steensOpts()...)
 	steensElapsed := time.Since(tSteens)
@@ -179,14 +181,21 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	var aa *andersen.Analysis
 	var patchErr error
 	var cg *callgraph.Graph
+	patch := prev.Andersen.Solved()
+	if !patch {
+		aa = deferredFallback(newProg, cfg)
+	}
 	auxDone := make(chan struct{})
 	go func() {
 		defer close(auxDone)
+		cg = callgraph.Build(newProg)
+		if !patch {
+			return
+		}
 		cfg.Tracer.NameThread(obs.TIDFallback, "fallback")
 		sp := cfg.Tracer.Start("phase", "fallback", obs.TIDFallback)
 		cone := andersenCone(prev, sa2, sum, len(newProg.Vars))
 		aa, patchErr = andersen.Patch(prev.Andersen, newProg, cone)
-		cg = callgraph.Build(newProg)
 		sp.Arg("cone", len(cone))
 		if aa != nil {
 			sp.Arg("passes", aa.SolverStats().Passes)
@@ -330,7 +339,7 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 		}
 	}
 
-	healths := a2.runEager(ctx, feed(solve), nil, cfg)
+	healths := a2.runEager(ctx, feed(solve), cfg)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("core: applyedit cancelled: %w", err)
 	}

@@ -135,11 +135,53 @@ func diffFingerprints(t *testing.T, tag string, got, want map[int]string) {
 	}
 }
 
+// editArm applies edits to prev and checks the successor against a
+// fresh analysis of the edited program: fingerprints, every variable's
+// Andersen set and sampled answers. read says whether prev's fallback
+// was read first: ApplyEdit must then patch it, and otherwise hand the
+// successor a fallback still unsolved.
+func editArm(t *testing.T, tag string, prev *core.Analysis, edits []ir.Edit, cfg core.Config, read bool) *core.Analysis {
+	t.Helper()
+	a2, rep, err := core.ApplyEdit(context.Background(), prev, edits)
+	if err != nil {
+		t.Fatalf("%s: ApplyEdit: %v", tag, err)
+	}
+	if rep.FellBack {
+		t.Fatalf("%s: unexpected fallback: %s", tag, rep.Reason)
+	}
+	if rep.Dirty == 0 {
+		t.Fatalf("%s: edits dirtied nothing", tag)
+	}
+	if rep.Reused+rep.Dirty != rep.Clusters {
+		t.Fatalf("%s: reused %d + dirty %d != clusters %d",
+			tag, rep.Reused, rep.Dirty, rep.Clusters)
+	}
+	if a2.Andersen.Solved() != read {
+		t.Fatalf("%s: successor fallback solved = %v, want %v (patched only when read first)",
+			tag, a2.Andersen.Solved(), read)
+	}
+	// Fresh run over an independent clone of the edited program, same
+	// knobs, cold cache.
+	fcfg := cfg
+	fcfg.Cache = nil
+	fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), fcfg)
+	if err != nil {
+		t.Fatalf("%s: fresh analyze: %v", tag, err)
+	}
+	diffFingerprints(t, tag, a2.Fingerprints(), fresh.Fingerprints())
+	diffAndersen(t, tag, a2, fresh)
+	sampleQueries(t, tag, a2, fresh)
+	return a2
+}
+
 // TestApplyEditMatchesFreshMatrix is the differential gate: a chain of
 // random edit batches, applied incrementally, must leave the analysis
 // bit-identical — cluster fingerprints, query answers and every
 // variable's Andersen set — to a from-scratch analysis of the edited
-// program, across the knob matrix.
+// program, across the knob matrix. Each row's first batch runs twice:
+// from an analysis whose fallback was never read (the successor defers
+// its solve) and from one read first (ApplyEdit patches it). Later
+// batches patch, since the check before them read their fallback.
 func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 	matrix := []struct {
 		name string
@@ -160,11 +202,14 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 	}
 	for _, m := range matrix {
 		t.Run(m.name, func(t *testing.T) {
-			prog := incrProg(t)
-			a, err := core.AnalyzeProgram(prog, m.cfg)
-			if err != nil {
-				t.Fatalf("initial analyze: %v", err)
+			analyze := func() *core.Analysis {
+				a, err := core.AnalyzeProgram(incrProg(t), m.cfg)
+				if err != nil {
+					t.Fatalf("initial analyze: %v", err)
+				}
+				return a
 			}
+			a := analyze()
 			if m.cfg.AndersenThreshold > 0 {
 				refined := 0
 				for _, c := range a.Clusters {
@@ -183,31 +228,11 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 				if len(edits) == 0 {
 					t.Fatal("no eligible edits")
 				}
-				a2, rep, err := core.ApplyEdit(context.Background(), a, edits)
-				if err != nil {
-					t.Fatalf("%s: ApplyEdit: %v", tag, err)
+				if batch == 0 {
+					editArm(t, tag+"-unread", analyze(), edits, m.cfg, false)
+					a.Andersen.SolverStats() // the read
 				}
-				if rep.FellBack {
-					t.Fatalf("%s: unexpected fallback: %s", tag, rep.Reason)
-				}
-				if rep.Dirty == 0 {
-					t.Fatalf("%s: edits dirtied nothing", tag)
-				}
-				if rep.Reused+rep.Dirty != rep.Clusters {
-					t.Fatalf("%s: reused %d + dirty %d != clusters %d",
-						tag, rep.Reused, rep.Dirty, rep.Clusters)
-				}
-				// Fresh run over an independent clone of the edited
-				// program, same knobs, cold cache.
-				fcfg := m.cfg
-				fcfg.Cache = nil
-				fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), fcfg)
-				if err != nil {
-					t.Fatalf("%s: fresh analyze: %v", tag, err)
-				}
-				diffFingerprints(t, tag, a2.Fingerprints(), fresh.Fingerprints())
-				diffAndersen(t, tag, a2, fresh)
-				sampleQueries(t, tag, a2, fresh)
+				a2 := editArm(t, tag, a, edits, m.cfg, true)
 				// Old snapshot must keep answering while the new one is
 				// live (shared engine lock, transplanted engines).
 				if ptrs := a.CoveredPointers(); len(ptrs) > 0 {
@@ -451,17 +476,24 @@ func TestApplyEditBadBatch(t *testing.T) {
 // through it, and rewrite that store again. The rewritten statement
 // names a variable the previous generation lacks, and ApplyEdit must
 // neither look it up there nor lose the edit: the chain stays identical
-// to fresh analyses, Andersen sets included, without a fallback.
+// to fresh analyses, Andersen sets included, without a fallback. The
+// chain runs from a fallback read first, so the first batch patches
+// (the Andersen cone must skip the added variable too), and from one
+// never read.
 func TestApplyEditAddedVarRewritten(t *testing.T) {
 	base, err := frontend.LowerSource(fuzzEditProg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, precise := range []bool{false, true} {
+	for _, arm := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+		precise, read := arm[0], arm[1]
 		cfg := core.Config{Mode: core.ModeAndersen, Workers: 1, SteensPrecise: precise}
 		a, err := core.AnalyzeProgram(base.Clone(), cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if read {
+			a.Andersen.SolverStats()
 		}
 		vr := func(name string) ir.VarID { return a.Prog.VarByName[name] }
 		var store, addr ir.Loc
@@ -487,7 +519,7 @@ func TestApplyEditAddedVarRewritten(t *testing.T) {
 			{{Kind: ir.EditReplaceStmt, Loc: store, Stmt: stmt(ir.OpStore, z, vr("y"))}},
 		}
 		for i, batch := range batches {
-			tag := fmt.Sprintf("precise=%v batch %d", precise, i)
+			tag := fmt.Sprintf("precise=%v read=%v batch %d", precise, read, i)
 			a2, rep, err := core.ApplyEdit(context.Background(), a, batch)
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
@@ -530,7 +562,10 @@ const fuzzEditProg = `
 // FuzzApplyEdit feeds byte-derived edit sequences through ApplyEdit and
 // asserts bit-identity with a from-scratch analysis after every batch,
 // under both Steensgaard modes: same selected-cluster fingerprints, same
-// Andersen sets, same answers, and no fallback.
+// Andersen sets, same answers, and no fallback. Each batch runs in two
+// arms: from an analysis whose fallback was read first, so ApplyEdit
+// patches it (cone leak check included), and from one never read, whose
+// successor must defer its solve.
 //
 // Each byte pair (i, k) edits eligible statement i: k%4 picks delete,
 // replace Src, replace Dst or insert a nullify, and k/4 the operand.
@@ -582,19 +617,26 @@ func FuzzApplyEdit(f *testing.F) {
 				edits = append(edits, ir.Edit{Kind: ir.EditInsertAfter, Loc: loc, Stmt: ins})
 			}
 		}
-		for _, precise := range []bool{false, true} {
+		for _, arm := range [][2]bool{{false, true}, {false, false}, {true, true}, {true, false}} {
+			precise, read := arm[0], arm[1]
 			cfg := core.Config{Mode: core.ModeAndersen, Workers: 1, SteensPrecise: precise}
 			a, err := core.AnalyzeProgram(base.Clone(), cfg)
 			if err != nil {
 				t.Fatalf("analyze: %v", err)
 			}
+			if read {
+				a.Andersen.SolverStats()
+			}
 			a2, rep, err := core.ApplyEdit(context.Background(), a, edits)
 			if err != nil {
 				t.Skip() // malformed batch; rejection is the contract
 			}
-			tag := fmt.Sprintf("precise=%v", precise)
+			tag := fmt.Sprintf("precise=%v read=%v", precise, read)
 			if rep.FellBack {
 				t.Fatalf("%s: statement edits fell back: %s", tag, rep.Reason)
+			}
+			if a2.Andersen.Solved() != read {
+				t.Fatalf("%s: successor fallback solved = %v; only a read one is patched", tag, a2.Andersen.Solved())
 			}
 			fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), cfg)
 			if err != nil {

@@ -9,8 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"bootstrap/internal/andersen"
+	"bootstrap/internal/cache"
+	"bootstrap/internal/faults"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/obs"
+	"bootstrap/internal/synth"
 )
 
 func lazyConfig() Config {
@@ -300,4 +304,118 @@ func TestQueryAPIContextFirst(t *testing.T) {
 	if queries < 7 {
 		t.Errorf("found %d alias queries on *Analysis, want at least 7", queries)
 	}
+}
+
+// TestFallbackSolvedOnFirstRead pins when the whole-program Andersen
+// fallback is solved: never by the cascade, and exactly once by its
+// first read. On autofs@0.3, cold, warm (in-memory cache) and Lazy, a
+// healthy AnalyzeProgramContext books no Andersen passes and records no
+// fallback span. Then 16 concurrent PointsToContext calls on a pointer
+// whose answer widens solve it once: one fallback span, the passes
+// counter equal to its SolverStats, and every variable's set equal to
+// andersen.Analyze of the same program. Cold and Lazy widen because a
+// faults plan demotes the pointer's cluster (Lazy demotes it in the
+// query's own solve); the warm leg widens on an imprecise engine answer
+// instead, since an armed plan would bypass the cache.
+func TestFallbackSolvedOnFirstRead(t *testing.T) {
+	b, ok := synth.FindBenchmark("autofs")
+	if !ok {
+		t.Fatal("no autofs benchmark")
+	}
+	src := synth.Generate(b, 0.3)
+	cc := cache.New(cache.Options{})
+	if _, err := AnalyzeSource(src, Config{Mode: ModeAndersen, Cache: cc}); err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"cold", Config{Mode: ModeAndersen}},
+		{"warm", Config{Mode: ModeAndersen, Cache: cc}},
+		{"lazy", Config{Mode: ModeAndersen, Lazy: true}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			m, tr := obs.NewMetrics(), obs.NewTracer()
+			analyze := func(plan *faults.Plan) *Analysis {
+				t.Helper()
+				cfg := leg.cfg
+				cfg.Metrics, cfg.Tracer, cfg.Faults = m, tr, plan
+				a, err := AnalyzeSource(src, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.Andersen.Solved() || len(eventNames(tr.Events())["fallback"]) != 0 ||
+					m.Counter("bootstrap_andersen_passes_total", "").Value() != 0 {
+					t.Fatal("the cascade solved the whole-program fallback")
+				}
+				return a
+			}
+			a := analyze(nil)
+			if leg.cfg.Cache != nil && (a.CacheStats.Misses != 0 || a.CacheStats.Hits == 0) {
+				t.Fatalf("warm run: %+v, want only hits", a.CacheStats)
+			}
+			exit := exitLoc(a)
+			var p ir.VarID
+			if leg.cfg.Cache != nil {
+				p = impreciseAtExit(t, a)
+			} else {
+				p = a.CoveredPointers()[0]
+				plan := faults.NewPlan().Set(a.ClustersOf(p)[0], faults.Fault{Kind: faults.Panic})
+				a = analyze(plan)
+			}
+
+			const readers = 16
+			answers := make([][]ir.VarID, readers)
+			var wg sync.WaitGroup
+			for i := range answers {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					objs, precise := a.PointsToContext(context.Background(), p, exit)
+					if precise {
+						t.Errorf("reader %d: PointsTo(%s) precise, want widened", i, a.Prog.VarName(p))
+					}
+					answers[i] = objs
+				}(i)
+			}
+			wg.Wait()
+			for i := range answers {
+				if !slices.Equal(answers[i], answers[0]) {
+					t.Fatalf("reader %d answered %v, reader 0 %v", i, answers[i], answers[0])
+				}
+			}
+			spans := eventNames(tr.Events())["fallback"]
+			passes := m.Counter("bootstrap_andersen_passes_total", "").Value()
+			if len(spans) != 1 || spans[0].TID != obs.TIDFallback {
+				t.Fatalf("%d fallback spans after %d concurrent reads, want 1 on the fallback track", len(spans), readers)
+			}
+			if want := a.Andersen.SolverStats().Passes; passes != want || passes <= 0 || spans[0].Args["passes"] != want {
+				t.Errorf("passes counter %d, span %v, solve %d", passes, spans[0].Args["passes"], want)
+			}
+			fresh := andersen.Analyze(a.Prog)
+			for v := range a.Prog.Vars {
+				if id := ir.VarID(v); !a.Andersen.PointsToSet(id).Equal(fresh.PointsToSet(id)) {
+					t.Fatalf("fallback pts(%s) = %v, Analyze %v", a.Prog.VarName(id),
+						a.Andersen.PointsTo(id), fresh.PointsTo(id))
+				}
+			}
+		})
+	}
+}
+
+// impreciseAtExit returns a covered pointer whose engine answer at the
+// entry function's exit is imprecise, found through the engines alone,
+// which never read the fallback.
+func impreciseAtExit(t *testing.T, a *Analysis) ir.VarID {
+	t.Helper()
+	for _, p := range a.CoveredPointers() {
+		for _, id := range a.ClustersOf(p) {
+			if _, ok := a.Engine(id).Values(p, exitLoc(a)); !ok {
+				return p
+			}
+		}
+	}
+	t.Fatal("every covered pointer is precise at the exit")
+	return ir.NoVar
 }

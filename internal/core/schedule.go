@@ -68,14 +68,13 @@ func stageContext(ctx context.Context, cfg Config) (context.Context, context.Can
 
 // runEager is the eager FSCS scheduler every analysis path shares.
 // cfg.Workers goroutines take the clusters arriving on in off a job
-// channel, wait for ready (the fallback and call graph; nil when they are
-// already built) before the first solve, and run each cluster through
-// RunCluster's degradation ladder under ctx, each on its own trace track.
-// Once in is closed and every solve has ended, each result is installed
-// by one rule: a surviving engine is kept, and a demoted cluster is
-// deselected so queries on its pointers answer from the fallback. The
-// returned health follows arrival order.
-func (a *Analysis) runEager(ctx context.Context, in <-chan *cluster.Cluster, ready <-chan struct{}, cfg Config) []ClusterHealth {
+// channel and run each cluster through RunCluster's degradation ladder
+// under ctx, each on its own trace track. Once in is closed and every
+// solve has ended, each result is installed by one rule: a surviving
+// engine is kept, and a demoted cluster is deselected so queries on its
+// pointers answer from the fallback. The returned health follows
+// arrival order.
+func (a *Analysis) runEager(ctx context.Context, in <-chan *cluster.Cluster, cfg Config) []ClusterHealth {
 	type job struct {
 		c   *cluster.Cluster
 		eng *fscs.Engine
@@ -90,9 +89,6 @@ func (a *Analysis) runEager(ctx context.Context, in <-chan *cluster.Cluster, rea
 		cfg.Tracer.NameThread(obs.WorkerTID(w), fmt.Sprintf("fscs-worker-%d", w))
 		go func(w int) {
 			defer wg.Done()
-			if ready != nil {
-				<-ready
-			}
 			wctx := obs.ContextWithWorker(ctx, w)
 			for j := range jobs {
 				j.eng, j.h = RunCluster(wctx, a.Prog, a.CallGraph, a.Steens, j.c, a.Andersen, cfg)

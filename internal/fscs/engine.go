@@ -66,7 +66,9 @@ func (e *Engine) Detach() {
 
 // WithFallback supplies a flow-insensitive analysis used when the
 // flow-sensitive walk loses precision (TUnknown); without it the engine
-// falls back to the Steensgaard partitioning.
+// falls back to the Steensgaard partitioning. Only queries that widen
+// read it — Run and ImportEngine never do — so an analysis that solves
+// on first read (andersen.Deferred) stays unsolved until one does.
 func WithFallback(a *andersen.Analysis) Option {
 	return func(e *Engine) { e.fallback = a }
 }
@@ -110,9 +112,12 @@ type sumKey struct {
 }
 
 // modSet is one function's mod-set: the V_P variables it may modify,
-// directly or through callees, ascending.
+// directly or through callees, ascending. off is the index of vars[0]
+// in the engine's flat array of every mod-set's variables, which also
+// numbers the summary keys (see modKey).
 type modSet struct {
 	f    ir.FuncID
+	off  int32
 	vars []ir.VarID
 }
 
@@ -148,11 +153,11 @@ type Engine struct {
 	// (or by small comparable structs of them) instead of strings.
 	tab *condTab
 
-	// Summaries at function exits, numbered densely the first time they
-	// are asked for: keyIdx maps the packed (f, ptr) pair to an index
-	// into sums.
-	keyIdx map[uint64]int32
-	sums   []summary
+	// Summaries at function exits, by dense key (see keyOf): the keys of
+	// the mod-sets first, then otherKeys, which numbers a key outside
+	// every mod-set on first use and stays nil until one is asked for.
+	sums      []summary
+	otherKeys map[uint64]int32
 
 	// mods holds the mod-set of every function that may (transitively)
 	// modify some V_P variable, by ascending function; a function absent
@@ -188,7 +193,6 @@ func NewEngine(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *clus
 		cl:         cl,
 		maxCond:    8,
 		internMemo: true,
-		keyIdx:     map[uint64]int32{},
 		ptsVR:      map[uint64]*valueResult{},
 		ptsInProg:  map[uint64]bool{},
 	}
@@ -422,7 +426,8 @@ func (e *Engine) computeModStar() {
 			}
 		}
 	}
-	// Keep the non-empty sets by function, all variables in one array.
+	// Keep the non-empty sets by function, all variables in one array;
+	// each variable's index in it is its summary key.
 	e.mods = make([]modSet, 0, len(fns))
 	total := 0
 	for i, f := range fns {
@@ -433,16 +438,20 @@ func (e *Engine) computeModStar() {
 	}
 	slices.SortFunc(e.mods, func(a, b modSet) int { return cmp.Compare(a.f, b.f) })
 	flat := make([]ir.VarID, 0, total)
+	e.sums = make([]summary, total)
 	for i := range e.mods {
+		m := &e.mods[i]
 		at := len(flat)
-		flat = append(flat, e.mods[i].vars...)
-		e.mods[i].vars = flat[at:len(flat):len(flat)]
+		flat = append(flat, m.vars...)
+		m.vars, m.off = flat[at:len(flat):len(flat)], int32(at)
+		for j, v := range m.vars {
+			e.sums[at+j].key = sumKey{f: m.f, ptr: v}
+		}
 	}
 }
 
-// modsOf returns f's mod-set, ascending; nil when f modifies no V_P
-// variable.
-func (e *Engine) modsOf(f ir.FuncID) []ir.VarID {
+// modSetOf returns f's mod-set; nil when f modifies no V_P variable.
+func (e *Engine) modSetOf(f ir.FuncID) *modSet {
 	// A plain search: slices.BinarySearchFunc calls its comparator
 	// through a func value on every probe, and the walk asks this for
 	// every call node it judges.
@@ -456,16 +465,27 @@ func (e *Engine) modsOf(f ir.FuncID) []ir.VarID {
 		}
 	}
 	if lo < len(e.mods) && e.mods[lo].f == f {
-		return e.mods[lo].vars
+		return &e.mods[lo]
 	}
 	return nil
 }
 
-// Modifies reports whether f may (transitively) modify v ∈ V_P.
-func (e *Engine) Modifies(f ir.FuncID, v ir.VarID) bool {
-	_, ok := slices.BinarySearch(e.modsOf(f), v)
-	return ok
+// modKey returns the summary key of (f, v) when f may modify v: v's
+// index in the flat mod-set array. It returns -1 when f cannot.
+func (e *Engine) modKey(f ir.FuncID, v ir.VarID) int32 {
+	m := e.modSetOf(f)
+	if m == nil {
+		return -1
+	}
+	j, ok := slices.BinarySearch(m.vars, v)
+	if !ok {
+		return -1
+	}
+	return m.off + int32(j)
 }
+
+// Modifies reports whether f may (transitively) modify v ∈ V_P.
+func (e *Engine) Modifies(f ir.FuncID, v ir.VarID) bool { return e.modKey(f, v) >= 0 }
 
 // SummaryFuncs returns the functions that need summaries for this cluster
 // (non-empty mod-set), sorted.
@@ -483,18 +503,26 @@ func (e *Engine) SummaryFuncs() []ir.FuncID {
 // resolved by iterating the involved summaries to a fixpoint (the paper's
 // SCC treatment in Algorithm 5).
 func (e *Engine) Summary(f ir.FuncID, ptr ir.VarID) []SumTuple {
-	return e.tupleList(e.summaryLookup(f, ptr))
+	return e.tupleList(e.summaryLookup(e.keyOf(f, ptr)))
 }
 
-// keyOf returns the dense number of summary key (f, ptr), numbering it on
-// first use.
+// keyOf returns the dense number of summary key (f, ptr). A key the walk
+// can splice has its mod-set number (modKey); any other — the public
+// Summary of an arbitrary pair, or a cached payload naming one — is
+// numbered after those on first use.
 func (e *Engine) keyOf(f ir.FuncID, ptr ir.VarID) int32 {
+	if k := e.modKey(f, ptr); k >= 0 {
+		return k
+	}
 	packed := intern.Pack2x32(int32(f), int32(ptr))
-	if i, ok := e.keyIdx[packed]; ok {
+	if i, ok := e.otherKeys[packed]; ok {
 		return i
 	}
+	if e.otherKeys == nil {
+		e.otherKeys = map[uint64]int32{}
+	}
 	i := int32(len(e.sums))
-	e.keyIdx[packed] = i
+	e.otherKeys[packed] = i
 	e.sums = append(e.sums, summary{key: sumKey{f: f, ptr: ptr}})
 	return i
 }
@@ -606,8 +634,7 @@ func (e *Engine) fixpoint(root int32) {
 		k := fr.ring.pop()
 		fr.keys[k].queued = false
 
-		lookup := func(g ir.FuncID, ptr ir.VarID) []tup {
-			gk := e.keyOf(g, ptr)
+		lookup := func(gk int32) []tup {
 			if !e.sums[gk].done {
 				discover(gk)
 				// Record the edge gk → k once. A walk reads the same
@@ -645,8 +672,7 @@ func (e *Engine) fixpoint(root int32) {
 
 // summaryLookup is the default lookup for walks outside the fixpoint: it
 // computes callee summaries fully on demand.
-func (e *Engine) summaryLookup(g ir.FuncID, ptr ir.VarID) []tup {
-	k := e.keyOf(g, ptr)
+func (e *Engine) summaryLookup(k int32) []tup {
 	if !e.sums[k].done {
 		e.fixpoint(k)
 	}
@@ -687,9 +713,10 @@ func (e *Engine) tupleList(ts []tup) []SumTuple {
 // extend the Loc space), the call graph, the Steensgaard analysis (the
 // slice's classes are isomorphic or the cluster would be dirty), the
 // Andersen fallback (widened answers must match a fresh run on the new
-// program), and the cluster object carrying the new cover's ID. Walk
-// storage needs no swap: each call checks a call state out of the shared
-// pool and builds its function views from the engine's current program.
+// program; it may be one not yet solved, read only if a query widens),
+// and the cluster object carrying the new cover's ID. Walk storage needs
+// no swap: each call checks a call state out of the shared pool and
+// builds its function views from the engine's current program.
 func (e *Engine) Rebind(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *cluster.Cluster, fallback *andersen.Analysis) {
 	e.prog = p
 	e.cg = cg

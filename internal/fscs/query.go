@@ -464,7 +464,7 @@ func (e *Engine) run() error {
 		vars = append(vars[:0], m.vars...)
 		slices.SortStableFunc(vars, func(a, b ir.VarID) int { return cmp.Compare(e.sa.Depth(a), e.sa.Depth(b)) })
 		for _, v := range vars {
-			e.summaryLookup(m.f, v)
+			e.summaryLookup(e.modKey(m.f, v))
 			if e.over {
 				return e.cause
 			}

@@ -28,9 +28,10 @@ import (
 // string keys and no per-walk map or slice allocation anywhere on this
 // path; the caller owns out and reuses it across walks.
 //
-// lookup supplies callee exit summaries; during the recursion fixpoint it
-// returns the current (possibly still growing) tuple sets.
-func (e *Engine) walkBack(start Token, at ir.Loc, lookup func(ir.FuncID, ir.VarID) []tup, out []tup) []tup {
+// lookup supplies callee exit summaries by key (see keyOf); during the
+// recursion fixpoint it returns the current (possibly still growing)
+// tuple sets.
+func (e *Engine) walkBack(start Token, at ir.Loc, lookup func(int32) []tup, out []tup) []tup {
 	if !e.checkpoint() {
 		// Cancelled: return no sources. Callers observe e.over and widen
 		// to the fallback, so an empty set here stays sound.
@@ -111,7 +112,7 @@ func (e *Engine) relevant(n *ir.Node) bool {
 	case ir.OpAssumeEq, ir.OpAssumeNeq:
 		return e.cl.HasVar(st.Dst) && e.cl.HasVar(st.Src)
 	case ir.OpCall:
-		return st.Callee == ir.NoFunc || e.modsOf(st.Callee) != nil
+		return st.Callee == ir.NoFunc || e.modSetOf(st.Callee) != nil
 	}
 	return false
 }
@@ -402,7 +403,7 @@ func (e *Engine) putScratch(s *walkScratch) {
 // outcomes (several when a points-to relation cannot be resolved and both
 // cases are tracked under constraints) to outs, the calling walk's own
 // buffer, and returns it.
-func (e *Engine) transfer(outs []tup, n *ir.Node, tok Token, cond CondID, lookup func(ir.FuncID, ir.VarID) []tup) []tup {
+func (e *Engine) transfer(outs []tup, n *ir.Node, tok Token, cond CondID, lookup func(int32) []tup) []tup {
 	loc := n.Loc
 	st := &n.Stmt // read in place: a Stmt is 64 bytes and this runs per tuple
 	q := tok.V
@@ -551,7 +552,8 @@ func (e *Engine) transfer(outs []tup, n *ir.Node, tok Token, cond CondID, lookup
 			}
 			return pass
 		}
-		if !e.Modifies(g, q) {
+		k := e.modKey(g, q)
+		if k < 0 {
 			// Executing g has no effect on q: jump over the call
 			// (Algorithm 5, line 17).
 			return pass
@@ -559,7 +561,7 @@ func (e *Engine) transfer(outs []tup, n *ir.Node, tok Token, cond CondID, lookup
 		// Splice g's exit summary for q (Algorithm 5, lines 10-13): each
 		// source continues in the caller just before the call node, where
 		// the parameter-binding copies rebind formals to actuals.
-		for _, t := range lookup(g, q) {
+		for _, t := range lookup(k) {
 			outs = append(outs, tup{tok: t.tok, cond: e.tab.and(cond, t.cond)})
 		}
 		// An empty (provisional) summary yields no outcomes this round;

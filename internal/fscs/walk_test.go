@@ -323,7 +323,7 @@ func TestPassThroughNodes(t *testing.T) {
 			toks := append(slices.Clone(vp), NullTok(), AddrTok(c.Vars[0]), UnknownTok())
 			conds := []CondID{TrueCondID, e.tab.with(TrueCondID, Atom{Loc: 0, Op: OpPointsTo, X: c.Vars[0], Y: c.Vars[0]})}
 			asked := false
-			lookup := func(ir.FuncID, ir.VarID) []tup {
+			lookup := func(int32) []tup {
 				asked = true
 				return []tup{{tok: UnknownTok(), cond: TrueCondID}}
 			}
