@@ -46,7 +46,8 @@ const tracePID = 1
 // spans land on stable, named Perfetto tracks:
 //
 //	0        the main goroutine's phase spans
-//	1        the fallback build, concurrent with the cover and FSCS
+//	1        the whole-program fallback solve (on its first read) or an
+//	         edit's patch of it
 //	100 + w  FSCS scheduler worker w (cluster, attempt and cache spans)
 //	200 + w  clustering-stream worker w (partition refinement spans)
 //	300 + i  alias-daemon query lane i (per-query spans, hashed over lanes)
