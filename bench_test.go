@@ -3,9 +3,9 @@
 //
 //   - BenchmarkTable1NoClustering / BenchmarkTable1Steensgaard /
 //     BenchmarkTable1Andersen — the three FSCS configurations of Table 1,
-//     per benchmark row (scaled-down workloads; run cmd/benchtab for the
-//     full table with the machine simulation);
-//   - BenchmarkFigure1 — the cluster-size histogram computation;
+//     per benchmark row, as serial walks over scaled-down workloads (run
+//     cmd/benchtab for the full table through core's cascade);
+//   - BenchmarkFigure1 — the two Lazy cascade runs behind Figure 1;
 //   - BenchmarkAblationThreshold — the Andersen-threshold sweep;
 //   - BenchmarkSteensgaard / BenchmarkAndersen / BenchmarkAlgorithm1 —
 //     stage micro-benchmarks;
@@ -152,8 +152,9 @@ func BenchmarkTable1Andersen(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure1 measures the cluster-size histogram computation for the
-// paper's autofs figure.
+// BenchmarkFigure1 measures the cluster-size series of the paper's
+// autofs figure: two Lazy cascade runs, which build covers and solve no
+// cluster.
 func BenchmarkFigure1(b *testing.B) {
 	row, _ := synth.FindBenchmark("autofs")
 	b.ReportAllocs()

@@ -1,11 +1,14 @@
-// Command benchtab regenerates the paper's Table 1 over the synthetic
-// workload suite: flow- and context-sensitive alias analysis without
-// clustering, with Steensgaard clustering, and with bootstrapped Andersen
-// clustering, including the greedy 5-machine parallel simulation.
+// Command benchtab regenerates the paper's evaluation artifacts over the
+// synthetic workload suite: Table 1 (flow- and context-sensitive alias
+// analysis without clustering, with Steensgaard clustering, and with
+// bootstrapped Andersen clustering), Figure 1 (cluster-size frequencies)
+// and the Andersen-threshold ablation. Every column is a run of the
+// library's one cascade on GOMAXPROCS workers.
 //
 // Usage:
 //
 //	benchtab [-scale 0.2] [-rows sock,autofs,sendmail] [-compare] [-timings]
+//	benchtab -figure1 autofs -scale 1
 //	benchtab -sweep autofs
 //
 // Absolute times differ from the paper's 2008 hardware; the shape — who
@@ -14,10 +17,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"runtime"
 	"strings"
 
 	"bootstrap/internal/bench"
@@ -27,12 +33,12 @@ import (
 
 var (
 	scale   = flag.Float64("scale", 0.2, "workload scale (1.0 = paper-sized)")
-	parts   = flag.Int("parts", 5, "simulated machines for the parallel columns")
 	budget  = flag.Int64("budget", 3_000_000, "work budget in FSCS worklist tuples for the unclustered baseline (the 15-min analogue)")
 	rows    = flag.String("rows", "", "comma-separated benchmark names (default: all 20)")
 	skipNC  = flag.Bool("skip-monolithic", false, "skip the unclustered baseline column")
 	compare = flag.Bool("compare", false, "also print the paper-vs-measured comparison")
 	sweep   = flag.String("sweep", "", "run the Andersen-threshold ablation on this benchmark instead")
+	figure1 = flag.String("figure1", "", "print this benchmark's Figure 1 cluster-size histogram instead")
 
 	clusterTimeout = flag.Duration("cluster-timeout", 0, "per-cluster wall-clock deadline per engine attempt (0 = none)")
 	retries        = flag.Int("retries", 0, "degradation-ladder retries per failed cluster (0 = single attempt, the historical bench behavior)")
@@ -55,7 +61,25 @@ func main() {
 	}
 }
 
+// findBench looks a Table 1 row up by name; the error lists the rows.
+func findBench(name string) (synth.Benchmark, error) {
+	if b, ok := synth.FindBenchmark(strings.TrimSpace(name)); ok {
+		return b, nil
+	}
+	msg := fmt.Sprintf("unknown benchmark %q; rows:", name)
+	for _, row := range synth.Table1 {
+		msg += "\n  " + row.Name
+	}
+	return synth.Benchmark{}, errors.New(msg)
+}
+
 func run(out io.Writer) (err error) {
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return fmt.Errorf("-scale must be a positive number, got %v", *scale)
+	}
+	if *sweep != "" && *figure1 != "" {
+		return errors.New("-sweep and -figure1 are exclusive")
+	}
 	sess, err := obsFlags.Start()
 	if err != nil {
 		return err
@@ -67,7 +91,6 @@ func run(out io.Writer) (err error) {
 	}()
 	opt := bench.Options{
 		Scale:            *scale,
-		Parts:            *parts,
 		Budget:           *budget,
 		SkipNoClustering: *skipNC,
 		ClusterTimeout:   *clusterTimeout,
@@ -76,17 +99,32 @@ func run(out io.Writer) (err error) {
 		Tracer:           sess.Tracer,
 		Metrics:          sess.Metrics,
 	}
-	if *sweep != "" {
-		b, ok := synth.FindBenchmark(*sweep)
-		if !ok {
-			return fmt.Errorf("unknown benchmark %q", *sweep)
+	switch {
+	case *sweep != "":
+		b, err := findBench(*sweep)
+		if err != nil {
+			return err
 		}
-		points, err := bench.ThresholdSweep(b, []int{4, 8, 16, 32, 60, 120, 1 << 30}, opt)
+		points, err := bench.ThresholdSweep(b, []int{4, 8, 16, 32, 60, 120, bench.NoRefinement}, opt)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "Andersen-threshold ablation on %s (scale %.2f):\n", b.Name, *scale)
 		fmt.Fprint(out, bench.FormatSweep(points))
+		return nil
+	case *figure1 != "":
+		b, err := findBench(*figure1)
+		if err != nil {
+			return err
+		}
+		sh, ah, err := bench.Figure1(b, opt)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "Figure 1 — cluster size frequencies for %s (scale %.2f):\n\n", b.Name, *scale)
+		fmt.Fprint(out, bench.FormatHistogram(sh, ah))
+		fmt.Fprintf(out, "\nmax Steensgaard partition: %d, max Andersen cluster: %d\n",
+			sh[len(sh)-1].Size, ah[len(ah)-1].Size)
 		return nil
 	}
 
@@ -94,9 +132,9 @@ func run(out io.Writer) (err error) {
 	if *rows != "" {
 		suite = nil
 		for _, name := range strings.Split(*rows, ",") {
-			b, ok := synth.FindBenchmark(strings.TrimSpace(name))
-			if !ok {
-				return fmt.Errorf("unknown benchmark %q", name)
+			b, err := findBench(name)
+			if err != nil {
+				return err
 			}
 			suite = append(suite, b)
 		}
@@ -105,7 +143,8 @@ func run(out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "\nTable 1 (scale %.2f, %d simulated machines):\n\n", *scale, *parts)
+	fmt.Fprintf(out, "\nTable 1 (scale %.2f, %d workers on %d CPUs):\n\n",
+		*scale, runtime.GOMAXPROCS(0), runtime.NumCPU())
 	fmt.Fprint(out, bench.FormatTable(measured))
 	if *timings {
 		fmt.Fprintln(out, "\nPer-stage timings (fixed cover order):")

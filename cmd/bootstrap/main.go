@@ -172,13 +172,6 @@ func run(path string) (err error) {
 			len(partSizes), pp50, pp90, pmax, analysisFlags.SteensPrecise, a.Steens.Stats().Deferred)
 		fmt.Printf("clusters: n=%d p50=%d p90=%d max=%d\n",
 			len(clusterSizes), cp50, cp90, cmax)
-		// The fallback solves on first read; printing its passes must
-		// not be that read.
-		if a.Andersen.Solved() {
-			fmt.Printf("andersen solver: passes=%d\n", a.Andersen.SolverStats().Passes)
-		} else {
-			fmt.Println("andersen solver: not run")
-		}
 		if cfg.Cache != nil {
 			cs := a.CacheStats
 			fmt.Printf("result cache: hits=%d misses=%d hit-rate=%.2f read=%dB written=%dB\n",
@@ -222,6 +215,15 @@ func run(path string) (err error) {
 		warnings := nullcheck.Check(a)
 		fmt.Printf("suspicious dereferences: %d\n", len(warnings))
 		fmt.Print(nullcheck.FormatAll(a.Prog, warnings))
+	}
+	if *stats {
+		// The fallback solves on its first read, which the queries and
+		// checkers above may make; printing its passes must not be one.
+		if a.Andersen.Solved() {
+			fmt.Printf("andersen solver: passes=%d\n", a.Andersen.SolverStats().Passes)
+		} else {
+			fmt.Println("andersen solver: not run")
+		}
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -176,5 +178,52 @@ func TestRunNullDeref(t *testing.T) {
 	_ = flag.Set("nullderef", "true")
 	if err := run("../../testdata/driver.cpl"); err != nil {
 		t.Fatalf("-nullderef run: %v", err)
+	}
+}
+
+// captureRun runs the command on path with os.Stdout redirected and
+// returns what it printed there.
+func captureRun(t *testing.T, path string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	var out bytes.Buffer
+	done := make(chan struct{})
+	go func() {
+		_, _ = io.Copy(&out, r)
+		close(done)
+	}()
+	runErr := run(path)
+	os.Stdout = stdout
+	w.Close()
+	<-done
+	r.Close()
+	if runErr != nil {
+		t.Fatalf("run: %v", runErr)
+	}
+	return out.String()
+}
+
+// TestStatsReportsQueriedFallback: -stats reports the whole-program
+// fallback as it stands after the queries, which solve it when they
+// widen through it, and as not run when nothing read it.
+func TestStatsReportsQueriedFallback(t *testing.T) {
+	const path = "../../testdata/driver.cpl"
+	resetFlags()
+	_ = flag.Set("stats", "true")
+	if out := captureRun(t, path); !strings.Contains(out, "andersen solver: not run") {
+		t.Errorf("plain -stats should report the fallback not run:\n%s", out)
+	}
+	resetFlags()
+	_ = flag.Set("stats", "true")
+	_ = flag.Set("cluster-timeout", "1ns")
+	_ = flag.Set("pts", "lp")
+	out := captureRun(t, path)
+	if !strings.Contains(out, "imprecise") || !strings.Contains(out, "andersen solver: passes=") {
+		t.Errorf("a widened -pts query solves the fallback; -stats should report its passes:\n%s", out)
 	}
 }

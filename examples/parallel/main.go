@@ -1,8 +1,9 @@
 // Parallel: demonstrates that clusters are independent units of work —
 // the property that lets the paper parallelize the precise analysis. The
-// example generates a driver-sized synthetic workload, runs the
-// per-cluster FSCS analysis sequentially and with a worker pool, and also
-// reports the paper's greedy 5-machine simulation.
+// example generates a driver-sized synthetic workload and runs the
+// analysis with one worker and with GOMAXPROCS workers, alternating the
+// two settings over several runs so neither profits from going first,
+// and reports each setting's median wall clock.
 //
 //	go run ./examples/parallel
 package main
@@ -11,11 +12,16 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"sort"
+	"time"
 
 	"bootstrap/internal/core"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/synth"
 )
+
+// runs is the number of analyses per worker setting.
+const runs = 5
 
 func main() {
 	b, _ := synth.FindBenchmark("autofs") // 8.3 KLOC, ~3.3k pointers
@@ -39,27 +45,28 @@ func main() {
 		}
 		return a
 	}
-
-	seq := run(1)
-	fmt.Printf("sequential:  %d clusters, fscs wall time %v\n",
-		len(seq.Clusters), seq.Timing.Wall.Round(1000))
-
-	nw := runtime.GOMAXPROCS(0)
-	if nw > 1 {
-		par := run(nw)
-		fmt.Printf("parallel(%d): fscs wall time %v  (speedup %.1fx)\n",
-			nw, par.Timing.Wall.Round(1000),
-			float64(seq.Timing.Wall)/float64(par.Timing.Wall))
-	} else {
-		fmt.Println("parallel:    single CPU available; skipping the worker-pool run")
-		fmt.Println("             (the simulation below is what the paper reports anyway)")
+	median := func(ds []time.Duration) time.Duration {
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+		return ds[len(ds)/2]
 	}
 
-	// The paper's experiment: distribute clusters over 5 simulated
-	// machines with the greedy pointer-count heuristic and report the
-	// maximum part time.
-	sim := core.SimulateParallel(seq.Clusters, seq.Timing.PerCluster, 5)
-	fmt.Printf("simulated 5 machines (paper's greedy heuristic): %v\n", sim.Round(1000))
-	fmt.Printf("  (sequential sum %v -> max part %v)\n",
-		seq.Timing.FSCS.Round(1000), sim.Round(1000))
+	nw := runtime.GOMAXPROCS(0)
+	if nw == 1 {
+		fmt.Println("single CPU available: nothing to compare the sequential run with")
+		return
+	}
+	walls := map[int][]time.Duration{}
+	for i := 0; i < runs; i++ {
+		order := []int{1, nw}
+		if i%2 == 1 {
+			order = []int{nw, 1}
+		}
+		for _, w := range order {
+			walls[w] = append(walls[w], run(w).Timing.Wall)
+		}
+	}
+	seq, par := median(walls[1]), median(walls[nw])
+	fmt.Printf("median wall time of %d alternating runs each:\n", runs)
+	fmt.Printf("  sequential:  %v\n", seq.Round(1000))
+	fmt.Printf("  parallel(%d): %v  (speedup %.1fx)\n", nw, par.Round(1000), float64(seq)/float64(par))
 }

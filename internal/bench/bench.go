@@ -1,10 +1,14 @@
 // Package bench regenerates the paper's evaluation artifacts: Table 1
 // (flow- and context-sensitive alias analysis without clustering, with
-// Steensgaard clustering, and with Andersen clustering, including the
-// simulated 5-machine parallelization) and Figure 1 (cluster-size
-// frequencies, Steensgaard vs Andersen), over the synthetic workloads of
-// package synth. It also provides the Andersen-threshold sweep ablation
-// discussed in Section 2.
+// Steensgaard clustering, and with Andersen clustering) and Figure 1
+// (cluster-size frequencies, Steensgaard vs Andersen), over the synthetic
+// workloads of package synth. It also provides the Andersen-threshold
+// sweep ablation discussed in Section 2.
+//
+// Every figure comes from core's one cascade (core.AnalyzeProgramContext)
+// on GOMAXPROCS workers, one run per column, so the harness measures the
+// path the library runs: covers are read from Analysis.Clusters, times
+// from Analysis.Timing, failures from Analysis.Health.
 package bench
 
 import (
@@ -16,22 +20,22 @@ import (
 	"time"
 
 	"bootstrap/internal/cache"
-	"bootstrap/internal/callgraph"
 	"bootstrap/internal/cluster"
 	"bootstrap/internal/core"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/obs"
-	"bootstrap/internal/steens"
 	"bootstrap/internal/synth"
 )
+
+// NoRefinement is a threshold above every partition size: the sweep's
+// point where no partition gets Andersen clustering.
+const NoRefinement = 1 << 30
 
 // Options tune a harness run.
 type Options struct {
 	// Scale shrinks the paper-sized workloads (1.0 = full size).
 	Scale float64
-	// Parts is the simulated machine count (paper: 5).
-	Parts int
 	// Budget caps worklist tuples for the *unclustered* run — the
 	// analogue of the paper's 15-minute timeout. Zero means 3e6. Tuples
 	// are counted at relevant Prog_P nodes only (fscs.WithBudget).
@@ -55,8 +59,8 @@ type Options struct {
 	// benchtab invocations (a second run against the same directory
 	// starts fully warm).
 	CacheDir string
-	// Tracer and Metrics, when non-nil, observe the per-cluster scheduler
-	// runs (cluster/attempt/cache spans, outcome counters).
+	// Tracer and Metrics, when non-nil, observe every cascade run
+	// (phase, cluster, attempt and cache spans; outcome counters).
 	Tracer  *obs.Tracer
 	Metrics *obs.Metrics
 }
@@ -64,9 +68,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Scale <= 0 {
 		o.Scale = 1
-	}
-	if o.Parts <= 0 {
-		o.Parts = 5
 	}
 	if o.Budget <= 0 {
 		o.Budget = 3_000_000
@@ -87,27 +88,56 @@ func (o *Options) threshold() int {
 	return t
 }
 
+// lower generates b's synthetic workload at the run's scale and lowers
+// it. Every cascade run of a row analyzes the one lowered program.
+func (o *Options) lower(b synth.Benchmark) (*ir.Program, error) {
+	prog, err := frontend.LowerSource(synth.Generate(b, o.Scale))
+	if err != nil {
+		return nil, fmt.Errorf("bench %s: %w", b.Name, err)
+	}
+	return prog, nil
+}
+
+// analyze runs core's cascade over prog with cfg's mode, selection and
+// cache, under the harness's threshold (unless cfg sets one), deadline,
+// retries and observers. Workers stay at GOMAXPROCS.
+func (o *Options) analyze(prog *ir.Program, cfg core.Config) (*core.Analysis, error) {
+	if cfg.AndersenThreshold == 0 {
+		cfg.AndersenThreshold = o.threshold()
+	}
+	cfg.ClusterTimeout = o.ClusterTimeout
+	cfg.Retries = o.Retries
+	cfg.Tracer = o.Tracer
+	cfg.Metrics = o.Metrics
+	return core.AnalyzeProgramContext(context.TODO(), prog, cfg)
+}
+
 // HealthCounts aggregates the scheduler's per-cluster health over one
 // cover run.
 type HealthCounts struct {
 	OK, Retried, Recovered, Exhausted, TimedOut, Degraded int
 }
 
-func (h *HealthCounts) add(s core.HealthStatus) {
-	switch s {
-	case core.HealthOK:
-		h.OK++
-	case core.HealthRetried:
-		h.Retried++
-	case core.HealthRecovered:
-		h.Recovered++
-	case core.HealthExhausted:
-		h.Exhausted++
-	case core.HealthTimedOut:
-		h.TimedOut++
-	case core.HealthDegraded:
-		h.Degraded++
+// healthOf counts a's per-cluster health by status.
+func healthOf(a *core.Analysis) HealthCounts {
+	var h HealthCounts
+	for _, ch := range a.Health {
+		switch ch.Status {
+		case core.HealthOK:
+			h.OK++
+		case core.HealthRetried:
+			h.Retried++
+		case core.HealthRecovered:
+			h.Recovered++
+		case core.HealthExhausted:
+			h.Exhausted++
+		case core.HealthTimedOut:
+			h.TimedOut++
+		case core.HealthDegraded:
+			h.Degraded++
+		}
 	}
+	return h
 }
 
 // Demoted counts the clusters that lost their engine and fell back to
@@ -132,26 +162,28 @@ func (h HealthCounts) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// Row is one measured Table 1 row.
+// Row is one measured Table 1 row. Every time is read off the Timing
+// of one cascade run on GOMAXPROCS workers.
 type Row struct {
 	Bench    synth.Benchmark
 	Pointers int // measured abstract-object count
 
 	SteensTime  time.Duration // partitioning (column 4)
-	ClusterTime time.Duration // Andersen clustering (column 5)
+	ClusterTime time.Duration // Andersen clustering, cover only (column 5)
 
 	NoClusterTime     time.Duration // column 6
 	NoClusterTimedOut bool
+	NoClusterSkipped  bool
 
 	SteensNum  int           // column 7 (#cluster)
 	SteensMax  int           // column 8 (Max)
-	SteensFSCS time.Duration // column 9 (simulated 5-part time)
+	SteensWall time.Duration // column 9: the cover and its FSCS stage, pipelined
 
 	AndersenNum  int           // column 10
 	AndersenMax  int           // column 11
-	AndersenFSCS time.Duration // column 12
+	AndersenWall time.Duration // column 12
 
-	// AndersenWarm re-measures the Andersen cover against a warm result
+	// AndersenWarm re-measures the Andersen run against a warm result
 	// cache: every cluster's fingerprint hits, so this is the incremental
 	// reanalysis cost of an unchanged program.
 	AndersenWarm time.Duration
@@ -164,89 +196,64 @@ type Row struct {
 	AndersenHealth  HealthCounts
 }
 
-// runCover runs the per-cluster FSCS engines sequentially through the
-// fault-tolerant scheduler, returning the per-cluster times (for the
-// machine simulation) and the aggregated health report.
-func runCover(prog *ir.Program, cg *callgraph.Graph, sa *steens.Analysis,
-	cs []*cluster.Cluster, budget int64, opt Options, cc *cache.Cache) ([]time.Duration, HealthCounts) {
-	times := make([]time.Duration, len(cs))
-	var hc HealthCounts
-	cfg := core.Config{
-		ClusterBudget:  budget,
-		ClusterTimeout: opt.ClusterTimeout,
-		Retries:        opt.Retries,
-		Cache:          cc,
-		Tracer:         opt.Tracer,
-		Metrics:        opt.Metrics,
-	}
-	for i, c := range cs {
-		t := time.Now()
-		_, h := core.RunCluster(context.Background(), prog, cg, sa, c, nil, cfg)
-		times[i] = time.Since(t)
-		hc.add(h.Status)
-	}
-	return times, hc
-}
-
-func sum(ds []time.Duration) time.Duration {
-	var t time.Duration
-	for _, d := range ds {
-		t += d
-	}
-	return t
-}
-
 // RunRow generates b's synthetic workload and measures one Table 1 row.
 func RunRow(b synth.Benchmark, opt Options) (Row, error) {
 	opt.fill()
-	src := synth.Generate(b, opt.Scale)
-	prog, err := frontend.LowerSource(src)
+	prog, err := opt.lower(b)
+	if err != nil {
+		return Row{}, err
+	}
+	// run keeps the first error and skips every run after it.
+	run := func(cfg core.Config) *core.Analysis {
+		if err != nil {
+			return nil
+		}
+		var a *core.Analysis
+		a, err = opt.analyze(prog, cfg)
+		return a
+	}
+	row := Row{Bench: b, Pointers: prog.NumVars(), NoClusterSkipped: opt.SkipNoClustering}
+
+	// Column 6: FSCS without clustering, budgeted like the paper's
+	// 15-minute cap.
+	var none *core.Analysis
+	if !opt.SkipNoClustering {
+		none = run(core.Config{Mode: core.ModeNone, ClusterBudget: opt.Budget})
+	}
+	steens := run(core.Config{Mode: core.ModeSteensgaard})
+	andersen := run(core.Config{Mode: core.ModeAndersen})
+	// A Lazy run returns once its cover is admitted; an eager run's
+	// clustering time also counts the wait for free workers.
+	lazy := run(core.Config{Mode: core.ModeAndersen, Lazy: true})
+	// The warm rerun serves from a cache that one more run fills: the
+	// measured Andersen run above stays uncached, so neither the store
+	// cost nor a -cache-dir warmed by an earlier invocation reaches it.
+	cc := cache.New(cache.Options{Dir: opt.CacheDir})
+	run(core.Config{Mode: core.ModeAndersen, Cache: cc})
+	warm := run(core.Config{Mode: core.ModeAndersen, Cache: cc})
 	if err != nil {
 		return Row{}, fmt.Errorf("bench %s: %w", b.Name, err)
 	}
-	row := Row{Bench: b, Pointers: prog.NumVars()}
 
-	t0 := time.Now()
-	sa := steens.Analyze(prog)
-	row.SteensTime = time.Since(t0)
-	cg := callgraph.Build(prog)
-
-	// Column 6: FSCS without clustering (budgeted, like the 15-min cap).
-	if !opt.SkipNoClustering {
-		whole := []*cluster.Cluster{cluster.BuildWhole(prog, sa)}
-		times, hc := runCover(prog, cg, sa, whole, opt.Budget, opt, nil)
-		row.NoClusterTime = sum(times)
-		row.NoClusterHealth = hc
-		row.NoClusterTimedOut = hc.Demoted() > 0
+	if none != nil {
+		row.NoClusterTime = none.Timing.Wall
+		row.NoClusterHealth = healthOf(none)
+		row.NoClusterTimedOut = row.NoClusterHealth.Demoted() > 0
 	}
-
-	// Columns 7-9: Steensgaard clustering.
-	steensCover := cluster.BuildSteensgaard(prog, sa)
-	ss := cluster.CoverStats(steensCover)
+	row.SteensTime = steens.Timing.Steensgaard
+	ss := cluster.CoverStats(steens.Clusters)
 	row.SteensNum, row.SteensMax = ss.NumClusters, ss.MaxSize
-	stimes, shc := runCover(prog, cg, sa, steensCover, 0, opt, nil)
-	row.SteensHealth = shc
-	row.SteensFSCS = core.SimulateParallel(steensCover, stimes, opt.Parts)
+	row.SteensWall = steens.Timing.Wall
+	row.SteensHealth = healthOf(steens)
 
-	// Columns 5, 10-12: Andersen clustering.
-	t1 := time.Now()
-	andersenCover := cluster.BuildAndersen(prog, sa, opt.threshold())
-	row.ClusterTime = time.Since(t1)
-	as := cluster.CoverStats(andersenCover)
+	row.ClusterTime = lazy.Timing.Clustering
+	as := cluster.CoverStats(andersen.Clusters)
 	row.AndersenNum, row.AndersenMax = as.NumClusters, as.MaxSize
-	atimes, ahc := runCover(prog, cg, sa, andersenCover, 0, opt, nil)
-	row.AndersenHealth = ahc
-	row.AndersenFSCS = core.SimulateParallel(andersenCover, atimes, opt.Parts)
+	row.AndersenWall = andersen.Timing.Wall
+	row.AndersenHealth = healthOf(andersen)
 
-	// Warm rerun: populate the result cache with one pass over the
-	// Andersen cover, then measure the rerun that serves from it.
-	cc := cache.New(cache.Options{Dir: opt.CacheDir})
-	runCover(prog, cg, sa, andersenCover, 0, opt, cc)
-	before := cc.Stats()
-	wtimes, _ := runCover(prog, cg, sa, andersenCover, 0, opt, cc)
-	row.AndersenWarm = sum(wtimes)
-	row.WarmCache = cc.Stats().Sub(before)
-
+	row.AndersenWarm = warm.Timing.Wall
+	row.WarmCache = warm.CacheStats
 	return row, nil
 }
 
@@ -298,6 +305,15 @@ func fmtDur(d time.Duration, timedOut bool) string {
 	return fmt.Sprintf("%dµs", d.Microseconds())
 }
 
+// noCluster renders the unclustered column: its time, "> budget", or
+// "skipped" when the row did not run it.
+func (r Row) noCluster() string {
+	if r.NoClusterSkipped {
+		return "skipped"
+	}
+	return fmtDur(r.NoClusterTime, r.NoClusterTimedOut)
+}
+
 // FormatTable renders measured rows in the layout of the paper's Table 1.
 func FormatTable(rows []Row) string {
 	var b strings.Builder
@@ -309,9 +325,9 @@ func FormatTable(rows []Row) string {
 		fmt.Fprintf(&b, "%-16s %6.1f %9d | %9s %9s | %10s | %8d %5d %9s | %8d %5d %9s\n",
 			r.Bench.Name, r.Bench.KLOC, r.Pointers,
 			fmtDur(r.SteensTime, false), fmtDur(r.ClusterTime, false),
-			fmtDur(r.NoClusterTime, r.NoClusterTimedOut),
-			r.SteensNum, r.SteensMax, fmtDur(r.SteensFSCS, false),
-			r.AndersenNum, r.AndersenMax, fmtDur(r.AndersenFSCS, false))
+			r.noCluster(),
+			r.SteensNum, r.SteensMax, fmtDur(r.SteensWall, false),
+			r.AndersenNum, r.AndersenMax, fmtDur(r.AndersenWall, false))
 	}
 	return b.String()
 }
@@ -319,7 +335,7 @@ func FormatTable(rows []Row) string {
 // coverOrder fixes the order of the per-cover timing columns. Columns
 // are emitted from this slice, never by ranging over a map, so repeated
 // benchtab runs diff cleanly.
-var coverOrder = []string{"steens-partition", "andersen-cluster", "no-clustering", "steens-fscs", "andersen-fscs", "andersen-warm", "warm-cache"}
+var coverOrder = []string{"steens-partition", "andersen-cluster", "no-clustering", "steens-wall", "andersen-wall", "andersen-warm", "warm-cache"}
 
 // FormatTimings renders one timing column per cover stage, per row, in
 // the fixed coverOrder, with the warm rerun's cache traffic last.
@@ -335,9 +351,9 @@ func FormatTimings(rows []Row) string {
 		cols := map[string]string{
 			"steens-partition": fmtDur(r.SteensTime, false),
 			"andersen-cluster": fmtDur(r.ClusterTime, false),
-			"no-clustering":    fmtDur(r.NoClusterTime, r.NoClusterTimedOut),
-			"steens-fscs":      fmtDur(r.SteensFSCS, false),
-			"andersen-fscs":    fmtDur(r.AndersenFSCS, false),
+			"no-clustering":    r.noCluster(),
+			"steens-wall":      fmtDur(r.SteensWall, false),
+			"andersen-wall":    fmtDur(r.AndersenWall, false),
 			"andersen-warm":    fmtDur(r.AndersenWarm, false),
 			"warm-cache":       fmt.Sprintf("%dh/%dm", r.WarmCache.Hits, r.WarmCache.Misses),
 		}
@@ -358,12 +374,11 @@ func FormatComparison(rows []Row) string {
 		"Example", "max part (paper/ours)", "max clus (paper/ours)", "no-clustering (paper/ours)")
 	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 96))
 	for _, r := range rows {
-		ours := fmtDur(r.NoClusterTime, r.NoClusterTimedOut)
 		fmt.Fprintf(&b, "%-16s | %10d / %-9d | %10d / %-9d | %12s / %-11s\n",
 			r.Bench.Name,
 			r.Bench.SteensMax, r.SteensMax,
 			r.Bench.AndersenMax, r.AndersenMax,
-			r.Bench.PaperNoClusterTime, ours)
+			r.Bench.PaperNoClusterTime, r.noCluster())
 	}
 	return b.String()
 }
@@ -375,26 +390,26 @@ type HistPoint struct {
 }
 
 // Figure1 computes the cluster-size frequency series (Steensgaard vs
-// Andersen) for one benchmark — the data behind the paper's Figure 1.
+// Andersen) for one benchmark — the data behind the paper's Figure 1 —
+// from the covers of two Lazy cascade runs, which solve no cluster.
 func Figure1(b synth.Benchmark, opt Options) (steensHist, andersenHist []HistPoint, err error) {
 	opt.fill()
-	src := synth.Generate(b, opt.Scale)
-	prog, err := frontend.LowerSource(src)
+	prog, err := opt.lower(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	sa := steens.Analyze(prog)
-	toPoints := func(h map[int]int) []HistPoint {
-		var out []HistPoint
-		for size, count := range h {
-			out = append(out, HistPoint{Size: size, Count: count})
+	series := make([][]HistPoint, 2)
+	for i, mode := range []core.Mode{core.ModeSteensgaard, core.ModeAndersen} {
+		a, err := opt.analyze(prog, core.Config{Mode: mode, Lazy: true})
+		if err != nil {
+			return nil, nil, fmt.Errorf("bench %s: %w", b.Name, err)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Size < out[j].Size })
-		return out
+		for size, count := range cluster.SizeHistogram(a.Clusters) {
+			series[i] = append(series[i], HistPoint{Size: size, Count: count})
+		}
+		sort.Slice(series[i], func(x, y int) bool { return series[i][x].Size < series[i][y].Size })
 	}
-	steensHist = toPoints(cluster.SizeHistogram(cluster.BuildSteensgaard(prog, sa)))
-	andersenHist = toPoints(cluster.SizeHistogram(cluster.BuildAndersen(prog, sa, opt.threshold())))
-	return steensHist, andersenHist, nil
+	return series[0], series[1], nil
 }
 
 // FormatHistogram renders the two series side by side, with a crude
@@ -447,48 +462,53 @@ type ThresholdPoint struct {
 	Threshold   int
 	NumClusters int
 	MaxSize     int
-	ClusterTime time.Duration
-	FSCSSimTime time.Duration
+	ClusterTime time.Duration // a Lazy run's cover construction
+	Wall        time.Duration // an eager run's cover and FSCS stage
 }
 
 // ThresholdSweep measures the Andersen-threshold ablation: clustering cost
-// and simulated FSCS time as the threshold varies (the paper fixes 60
-// empirically; this sweep regenerates the evidence).
+// and the analysis' wall clock as the threshold varies (the paper fixes
+// 60 empirically; this sweep regenerates the evidence).
 func ThresholdSweep(b synth.Benchmark, thresholds []int, opt Options) ([]ThresholdPoint, error) {
 	opt.fill()
-	src := synth.Generate(b, opt.Scale)
-	prog, err := frontend.LowerSource(src)
+	prog, err := opt.lower(b)
 	if err != nil {
 		return nil, err
 	}
-	sa := steens.Analyze(prog)
-	cg := callgraph.Build(prog)
 	var out []ThresholdPoint
 	for _, th := range thresholds {
-		t0 := time.Now()
-		cover := cluster.BuildAndersen(prog, sa, th)
-		ct := time.Since(t0)
-		stats := cluster.CoverStats(cover)
-		times, _ := runCover(prog, cg, sa, cover, 0, opt, nil)
+		lazy, err := opt.analyze(prog, core.Config{Mode: core.ModeAndersen, AndersenThreshold: th, Lazy: true})
+		if err != nil {
+			return nil, fmt.Errorf("bench %s: %w", b.Name, err)
+		}
+		eager, err := opt.analyze(prog, core.Config{Mode: core.ModeAndersen, AndersenThreshold: th})
+		if err != nil {
+			return nil, fmt.Errorf("bench %s: %w", b.Name, err)
+		}
+		stats := cluster.CoverStats(lazy.Clusters)
 		out = append(out, ThresholdPoint{
 			Threshold:   th,
 			NumClusters: stats.NumClusters,
 			MaxSize:     stats.MaxSize,
-			ClusterTime: ct,
-			FSCSSimTime: core.SimulateParallel(cover, times, opt.Parts),
+			ClusterTime: lazy.Timing.Clustering,
+			Wall:        eager.Timing.Wall,
 		})
 	}
 	return out, nil
 }
 
-// FormatSweep renders a threshold sweep.
+// FormatSweep renders a threshold sweep; NoRefinement prints as "inf".
 func FormatSweep(points []ThresholdPoint) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%9s %9s %6s %12s %12s\n", "threshold", "#clusters", "max", "clusterTime", "fscsSimTime")
+	fmt.Fprintf(&b, "%9s %9s %6s %12s %12s\n", "threshold", "#clusters", "max", "clusterTime", "wall")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%9d %9d %6d %12s %12s\n",
-			p.Threshold, p.NumClusters, p.MaxSize,
-			fmtDur(p.ClusterTime, false), fmtDur(p.FSCSSimTime, false))
+		th := fmt.Sprint(p.Threshold)
+		if p.Threshold >= NoRefinement {
+			th = "inf"
+		}
+		fmt.Fprintf(&b, "%9s %9d %6d %12s %12s\n",
+			th, p.NumClusters, p.MaxSize,
+			fmtDur(p.ClusterTime, false), fmtDur(p.Wall, false))
 	}
 	return b.String()
 }

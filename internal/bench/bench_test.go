@@ -1,15 +1,19 @@
 package bench
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
 
+	"bootstrap/internal/cluster"
+	"bootstrap/internal/frontend"
+	"bootstrap/internal/steens"
 	"bootstrap/internal/synth"
 )
 
 func smallOpt() Options {
-	return Options{Scale: 0.15, Parts: 5, Budget: 200_000}
+	return Options{Scale: 0.15, Budget: 200_000}
 }
 
 func TestRunRowShape(t *testing.T) {
@@ -46,8 +50,59 @@ func TestClusteringBeatsMonolithic(t *testing.T) {
 	if !row.NoClusterTimedOut {
 		t.Skip("monolithic run finished within budget at this scale; shape check not applicable")
 	}
-	if row.SteensFSCS <= 0 || row.AndersenFSCS <= 0 {
+	if row.SteensWall <= 0 || row.AndersenWall <= 0 {
 		t.Error("clustered runs should complete")
+	}
+}
+
+// TestCoversMatchBuilders pins what the harness reads off the cascade
+// to the cluster package's builders over an independently lowered
+// program: RunRow's #cluster and Max columns are the stats of
+// BuildSteensgaard's and BuildAndersen's covers at the scaled threshold,
+// and Figure1's two series are those covers' size histograms.
+func TestCoversMatchBuilders(t *testing.T) {
+	opt := Options{Scale: 0.12, SkipNoClustering: true}
+	for _, name := range []string{"sock", "autofs", "raid", "mt_daapd"} {
+		b, _ := synth.FindBenchmark(name)
+		prog, err := frontend.LowerSource(synth.Generate(b, opt.Scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sa := steens.Analyze(prog)
+		sc := cluster.BuildSteensgaard(prog, sa)
+		ac := cluster.BuildAndersen(prog, sa, opt.threshold())
+		ss, as := cluster.CoverStats(sc), cluster.CoverStats(ac)
+
+		row, err := RunRow(b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.SteensNum != ss.NumClusters || row.SteensMax != ss.MaxSize {
+			t.Errorf("%s: Steensgaard #cluster/Max = %d/%d, builder %d/%d",
+				name, row.SteensNum, row.SteensMax, ss.NumClusters, ss.MaxSize)
+		}
+		if row.AndersenNum != as.NumClusters || row.AndersenMax != as.MaxSize {
+			t.Errorf("%s: Andersen #cluster/Max = %d/%d, builder %d/%d",
+				name, row.AndersenNum, row.AndersenMax, as.NumClusters, as.MaxSize)
+		}
+
+		sh, ah, err := Figure1(b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []struct {
+			name   string
+			series []HistPoint
+			cover  []*cluster.Cluster
+		}{{"Steensgaard", sh, sc}, {"Andersen", ah, ac}} {
+			got := map[int]int{}
+			for _, p := range s.series {
+				got[p.Size] = p.Count
+			}
+			if want := cluster.SizeHistogram(s.cover); !maps.Equal(got, want) {
+				t.Errorf("%s: Figure 1 %s series %v, builder %v", name, s.name, got, want)
+			}
+		}
 	}
 }
 

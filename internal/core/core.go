@@ -2,10 +2,10 @@
 // the cascade of increasingly precise analyses (Steensgaard → [One-Flow] →
 // Andersen → summarization-based FSCS), where each stage runs only on the
 // pointer subsets produced by the previous stage; per-cluster slicing via
-// Algorithm 1; parallel execution of the independent per-cluster analyses;
-// the paper's greedy k-machine simulation; and the demand-driven mode that
-// analyzes only clusters whose pointers an application cares about (e.g.
-// lock pointers for race detection).
+// Algorithm 1; parallel execution of the independent per-cluster analyses
+// on in-process workers; and the demand-driven mode that analyzes only
+// clusters whose pointers an application cares about (e.g. lock pointers
+// for race detection).
 //
 // This is the public facade of the repository: parse/lower a program, call
 // Analyze, and query flow- and context-sensitive aliases.
@@ -158,7 +158,9 @@ func (cfg Config) steensOpts() []steens.Option {
 }
 
 // Timing records where the analysis spent its time, mirroring the columns
-// of the paper's Table 1.
+// of the paper's Table 1: package bench reads its Steens column from
+// Steensgaard, AndClust from a Lazy run's Clustering, and each cover's
+// Time from an eager run's Wall. Per-cluster times are in Health.
 type Timing struct {
 	Lower       time.Duration // frontend (parse + lower + devirtualize)
 	Steensgaard time.Duration // partitioning
@@ -166,7 +168,6 @@ type Timing struct {
 	Clustering  time.Duration // cover construction, until its last cluster is admitted (eager: handed to the FSCS workers)
 	FSCS        time.Duration // total sequential per-cluster FSCS time
 	Wall        time.Duration // wall-clock of the cover and the FSCS stage it streams into (parallel)
-	PerCluster  []time.Duration
 }
 
 // Analysis is a completed bootstrapped analysis with query access.
@@ -523,40 +524,3 @@ func (a *Analysis) Engine(clusterID int) *fscs.Engine {
 
 // ClustersOf returns the IDs of the analyzed clusters containing p.
 func (a *Analysis) ClustersOf(p ir.VarID) []int { return a.byPointer[p] }
-
-// SimulateParallel reproduces the paper's experiment setup: distribute the
-// clusters into k parts with the greedy heuristic (accumulate clusters
-// until a part's pointer count reaches total/k), time each part as the sum
-// of its per-cluster times, and return the maximum over parts — the
-// simulated wall-clock on k machines.
-func SimulateParallel(clusters []*cluster.Cluster, times []time.Duration, k int) time.Duration {
-	if len(clusters) == 0 || k <= 0 {
-		return 0
-	}
-	total := 0
-	for _, c := range clusters {
-		total += c.Size()
-	}
-	perPart := total / k
-	if perPart == 0 {
-		perPart = 1
-	}
-	var maxPart, curTime time.Duration
-	curSize := 0
-	for i, c := range clusters {
-		curSize += c.Size()
-		if i < len(times) {
-			curTime += times[i]
-		}
-		if curSize >= perPart {
-			if curTime > maxPart {
-				maxPart = curTime
-			}
-			curSize, curTime = 0, 0
-		}
-	}
-	if curTime > maxPart {
-		maxPart = curTime
-	}
-	return maxPart
-}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"bootstrap/internal/cluster"
 	"bootstrap/internal/faults"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/fscs"
@@ -150,9 +149,9 @@ func TestDemandDrivenLocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Timing.PerCluster) >= len(full.Timing.PerCluster) {
+	if len(a.Health) >= len(full.Health) {
 		t.Errorf("demand mode ran %d engines, full mode %d — expected fewer",
-			len(a.Timing.PerCluster), len(full.Timing.PerCluster))
+			len(a.Health), len(full.Health))
 	}
 }
 
@@ -489,37 +488,6 @@ func TestAliasesUnion(t *testing.T) {
 	}
 }
 
-func TestSimulateParallel(t *testing.T) {
-	mk := func(sizes ...int) []*cluster.Cluster {
-		a, err := AnalyzeSource(testProgram, Config{Mode: ModeSteensgaard, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = a
-		var cs []*cluster.Cluster
-		for range sizes {
-			cs = append(cs, a.Clusters[0])
-		}
-		return cs
-	}
-	cs := mk(1, 1, 1, 1, 1)
-	times := []time.Duration{10, 20, 30, 40, 50}
-	tot := SimulateParallel(cs, times, 1)
-	if tot != 150 {
-		t.Errorf("k=1 should serialize: got %v, want 150", tot)
-	}
-	five := SimulateParallel(cs, times, 5)
-	if five >= tot {
-		t.Errorf("k=5 (%v) should beat k=1 (%v)", five, tot)
-	}
-	if five < 50 {
-		t.Errorf("k=5 (%v) cannot beat the largest single cluster", five)
-	}
-	if got := SimulateParallel(nil, nil, 5); got != 0 {
-		t.Errorf("empty cluster list: got %v, want 0", got)
-	}
-}
-
 func TestEngineAccessors(t *testing.T) {
 	a, err := AnalyzeSource(testProgram, Config{Mode: ModeSteensgaard, Workers: 1})
 	if err != nil {
@@ -558,8 +526,8 @@ func TestLazyMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No eager engine runs.
-	if len(a.Timing.PerCluster) != 0 {
-		t.Errorf("lazy mode ran %d engines eagerly", len(a.Timing.PerCluster))
+	if len(a.Health) != 0 {
+		t.Errorf("lazy mode ran %d engines eagerly", len(a.Health))
 	}
 	exit := exitLoc(a)
 	// First query creates exactly the engines of l1's clusters and still
@@ -615,8 +583,8 @@ func TestHybridSizeLimit(t *testing.T) {
 	}
 	// Fewer engines ran than without the limit.
 	full, _ := AnalyzeSource(testProgram, Config{Mode: ModeSteensgaard, Workers: 1})
-	if len(a.Timing.PerCluster) >= len(full.Timing.PerCluster) {
-		t.Errorf("hybrid ran %d engines, full %d", len(a.Timing.PerCluster), len(full.Timing.PerCluster))
+	if len(a.Health) >= len(full.Health) {
+		t.Errorf("hybrid ran %d engines, full %d", len(a.Health), len(full.Health))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"bootstrap/internal/cluster"
 	"bootstrap/internal/fscs"
@@ -118,12 +117,10 @@ func (a *Analysis) runEager(ctx context.Context, in <-chan *cluster.Cluster, cfg
 	return hs
 }
 
-// recordEager books a cascade's eager FSCS stage: per-cluster times in
-// scheduling order, their sum, and Health sorted by cluster ID.
+// recordEager books a cascade's eager FSCS stage: the sum of its
+// per-cluster times, and Health sorted by cluster ID.
 func (a *Analysis) recordEager(hs []ClusterHealth) {
-	a.Timing.PerCluster = make([]time.Duration, len(hs))
-	for i, h := range hs {
-		a.Timing.PerCluster[i] = h.Elapsed
+	for _, h := range hs {
 		a.Timing.FSCS += h.Elapsed
 	}
 	a.Health = append(a.Health, hs...)
