@@ -78,6 +78,11 @@ func TestRunFigure1Smoke(t *testing.T) {
 			t.Errorf("missing %q:\n%s", want, out.String())
 		}
 	}
+
+	_ = flag.Set("sweep", "autofs")
+	if err := run(&out); err == nil {
+		t.Error("-figure1 with -sweep should error, not run only one of them")
+	}
 }
 
 func TestRunFigure1UnknownBench(t *testing.T) {

@@ -15,8 +15,9 @@
 // The public facade is internal/core: parse and analyze with
 // core.AnalyzeSource, then query MayAlias / MustAlias / Aliases / PointsTo.
 // The paper's evaluation artifacts are regenerated by cmd/benchtab
-// (Table 1), cmd/clusterfig (Figure 1) and the benchmarks in bench_test.go;
-// examples/figures reproduces the illustrative Figures 2–5.
+// (Table 1; Figure 1 with -figure1; the threshold sweep with -sweep),
+// which runs core's cascade once per column, and by the benchmarks in
+// bench_test.go; examples/figures reproduces the illustrative Figures 2–5.
 //
 // See DESIGN.md for the system inventory and per-experiment index, and
 // EXPERIMENTS.md for paper-vs-measured results.
