@@ -203,57 +203,58 @@ func RunRow(b synth.Benchmark, opt Options) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	// run keeps the first error and skips every run after it.
-	run := func(cfg core.Config) *core.Analysis {
+	row := Row{Bench: b, Pointers: prog.NumVars(), NoClusterSkipped: opt.SkipNoClustering}
+	// run analyzes prog under cfg and hands the analysis to read, so no
+	// run's engines outlive it; the first error skips every later run.
+	run := func(cfg core.Config, read func(a *core.Analysis)) {
 		if err != nil {
-			return nil
+			return
 		}
 		var a *core.Analysis
-		a, err = opt.analyze(prog, cfg)
-		return a
+		if a, err = opt.analyze(prog, cfg); err == nil {
+			read(a)
+		}
 	}
-	row := Row{Bench: b, Pointers: prog.NumVars(), NoClusterSkipped: opt.SkipNoClustering}
 
 	// Column 6: FSCS without clustering, budgeted like the paper's
 	// 15-minute cap.
-	var none *core.Analysis
 	if !opt.SkipNoClustering {
-		none = run(core.Config{Mode: core.ModeNone, ClusterBudget: opt.Budget})
+		run(core.Config{Mode: core.ModeNone, ClusterBudget: opt.Budget}, func(a *core.Analysis) {
+			row.NoClusterTime = a.Timing.Wall
+			row.NoClusterHealth = healthOf(a)
+			row.NoClusterTimedOut = row.NoClusterHealth.Demoted() > 0
+		})
 	}
-	steens := run(core.Config{Mode: core.ModeSteensgaard})
-	andersen := run(core.Config{Mode: core.ModeAndersen})
+	run(core.Config{Mode: core.ModeSteensgaard}, func(a *core.Analysis) {
+		row.SteensTime = a.Timing.Steensgaard
+		st := cluster.CoverStats(a.Clusters)
+		row.SteensNum, row.SteensMax = st.NumClusters, st.MaxSize
+		row.SteensWall = a.Timing.Wall
+		row.SteensHealth = healthOf(a)
+	})
+	run(core.Config{Mode: core.ModeAndersen}, func(a *core.Analysis) {
+		st := cluster.CoverStats(a.Clusters)
+		row.AndersenNum, row.AndersenMax = st.NumClusters, st.MaxSize
+		row.AndersenWall = a.Timing.Wall
+		row.AndersenHealth = healthOf(a)
+	})
 	// A Lazy run returns once its cover is admitted; an eager run's
 	// clustering time also counts the wait for free workers.
-	lazy := run(core.Config{Mode: core.ModeAndersen, Lazy: true})
+	run(core.Config{Mode: core.ModeAndersen, Lazy: true}, func(a *core.Analysis) {
+		row.ClusterTime = a.Timing.Clustering
+	})
 	// The warm rerun serves from a cache that one more run fills: the
 	// measured Andersen run above stays uncached, so neither the store
 	// cost nor a -cache-dir warmed by an earlier invocation reaches it.
 	cc := cache.New(cache.Options{Dir: opt.CacheDir})
-	run(core.Config{Mode: core.ModeAndersen, Cache: cc})
-	warm := run(core.Config{Mode: core.ModeAndersen, Cache: cc})
+	run(core.Config{Mode: core.ModeAndersen, Cache: cc}, func(*core.Analysis) {})
+	run(core.Config{Mode: core.ModeAndersen, Cache: cc}, func(a *core.Analysis) {
+		row.AndersenWarm = a.Timing.Wall
+		row.WarmCache = a.CacheStats
+	})
 	if err != nil {
 		return Row{}, fmt.Errorf("bench %s: %w", b.Name, err)
 	}
-
-	if none != nil {
-		row.NoClusterTime = none.Timing.Wall
-		row.NoClusterHealth = healthOf(none)
-		row.NoClusterTimedOut = row.NoClusterHealth.Demoted() > 0
-	}
-	row.SteensTime = steens.Timing.Steensgaard
-	ss := cluster.CoverStats(steens.Clusters)
-	row.SteensNum, row.SteensMax = ss.NumClusters, ss.MaxSize
-	row.SteensWall = steens.Timing.Wall
-	row.SteensHealth = healthOf(steens)
-
-	row.ClusterTime = lazy.Timing.Clustering
-	as := cluster.CoverStats(andersen.Clusters)
-	row.AndersenNum, row.AndersenMax = as.NumClusters, as.MaxSize
-	row.AndersenWall = andersen.Timing.Wall
-	row.AndersenHealth = healthOf(andersen)
-
-	row.AndersenWarm = warm.Timing.Wall
-	row.WarmCache = warm.CacheStats
 	return row, nil
 }
 
