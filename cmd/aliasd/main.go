@@ -13,10 +13,10 @@
 //
 //	POST /v1/mayalias {"p":"x","q":"y","at":"main"}
 //	POST /v1/pointsto {"p":"x"}
-//	POST /v1/lockset  {}
 //	POST /check       {"pass":"lockset"}  run a checker pass (lockset,
 //	                  deadlock, nullcheck, uaf) against the live snapshot;
 //	                  findings carry aliaslint fingerprints + snapshot id
+//	POST /v1/lockset  {}  the lockset pass's /check answer, from the same run
 //	GET  /v1/info     GET /v1/vars
 //	POST /reload      {"source": "..."} or {"variant": 3} (re-reads the
 //	                  program file / re-synthesizes the workload)

@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"bootstrap/internal/cluster"
 	"bootstrap/internal/core"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/obs"
@@ -235,35 +234,6 @@ func (c *Core) DerefState(ctx context.Context, p ir.VarID, loc ir.Loc) (objs []i
 // Reachable lists the functions reachable from the program entry.
 func (c *Core) Reachable() []ir.FuncID {
 	return c.a.CallGraph.Reachable(c.prog.Entry)
-}
-
-// Warm pre-solves every selected cluster containing a variable the
-// predicate accepts — the footprint→cluster mapping made eager, so a
-// pass's queries run against solved engines. It returns the number of
-// clusters touched; an expired ctx leaves the remainder cold (queries
-// then degrade per cluster).
-func (c *Core) Warm(ctx context.Context, pred func(*ir.Var) bool) int {
-	touched := 0
-	for _, cl := range c.clustersFor(pred) {
-		c.a.EnsureCluster(ctx, cl.ID)
-		touched++
-	}
-	return touched
-}
-
-// clustersFor lists the analysis clusters containing at least one
-// variable the predicate accepts.
-func (c *Core) clustersFor(pred func(*ir.Var) bool) []*cluster.Cluster {
-	var out []*cluster.Cluster
-	for _, cl := range c.a.Clusters {
-		for _, p := range cl.Pointers {
-			if pred(c.prog.Var(p)) {
-				out = append(out, cl)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // funcName names the function enclosing loc.

@@ -18,11 +18,10 @@ import (
 // AnalysisFlags is the cascade-configuration flag group: everything a
 // binary needs to build a core.Config. Zero value + Register = ready.
 type AnalysisFlags struct {
-	Mode       string
-	Threshold  int
-	UseOneFlow bool
-	Workers    int
-	Budget     int64
+	Mode      string
+	Threshold int
+	Workers   int
+	Budget    int64
 
 	RunTimeout     time.Duration
 	ClusterTimeout time.Duration
@@ -36,7 +35,6 @@ type AnalysisFlags struct {
 func (f *AnalysisFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Mode, "mode", "andersen", "clustering mode: none|steensgaard|andersen|syntactic")
 	fs.IntVar(&f.Threshold, "threshold", 0, "Andersen threshold (0 or less = default 60)")
-	fs.BoolVar(&f.UseOneFlow, "oneflow", false, "insert the One-Flow cascade stage (-mode andersen only)")
 	fs.IntVar(&f.Workers, "workers", 0, "parallel cluster workers (0 = GOMAXPROCS)")
 	fs.Int64Var(&f.Budget, "budget", 0, "per-cluster work budget in FSCS worklist tuples, one per (token, condition) transferred at a relevant node of the cluster's slice (0 = unlimited)")
 
@@ -82,10 +80,12 @@ func (f *AnalysisFlags) Config() (core.Config, error) {
 	if f.Workers < 0 {
 		return core.Config{}, fmt.Errorf("-workers %d: want 0 (GOMAXPROCS) or more", f.Workers)
 	}
+	if f.Budget < 0 {
+		return core.Config{}, fmt.Errorf("-budget %d: want 0 (unlimited) or more", f.Budget)
+	}
 	cfg := core.Config{
 		Mode:              m,
 		AndersenThreshold: f.Threshold,
-		UseOneFlow:        f.UseOneFlow,
 		Workers:           f.Workers,
 		ClusterBudget:     f.Budget,
 		ClusterTimeout:    f.ClusterTimeout,

@@ -77,6 +77,15 @@ func TestAnalysisFlagsConfig(t *testing.T) {
 		t.Errorf("-workers 0 means GOMAXPROCS: %v", err)
 	}
 
+	af.Budget = -1
+	if _, err := af.Config(); err == nil {
+		t.Error("negative -budget should error")
+	}
+	af.Budget = 0
+	if _, err := af.Config(); err != nil {
+		t.Errorf("-budget 0 means unlimited: %v", err)
+	}
+
 	af.Mode = "bogus"
 	if _, err := af.Config(); err == nil {
 		t.Error("bad mode should error")

@@ -42,10 +42,9 @@ const (
 	KindSteensgaard
 	KindAndersen
 	KindSyntactic
-	KindOneFlow // a One-Level-Flow refinement piece (cascade extension)
 )
 
-var kindNames = [...]string{"whole", "steensgaard", "andersen", "syntactic", "oneflow"}
+var kindNames = [...]string{"whole", "steensgaard", "andersen", "syntactic"}
 
 func (k Kind) String() string { return kindNames[k] }
 
@@ -251,13 +250,6 @@ func (ix *Index) RelevantStatements(P []ir.VarID) ([]ir.VarID, []ir.Loc) {
 	}
 	sort.Slice(stmts, func(i, j int) bool { return stmts[i] < stmts[j] })
 	return vars, stmts
-}
-
-// New assembles a cluster from an explicit pointer set, running
-// Algorithm 1 for its slice. Cover builders use it internally; it is
-// exported for custom cascade stages (e.g. One-Flow refinement pieces).
-func New(p *ir.Program, sa *steens.Analysis, id int, kind Kind, pointers []ir.VarID) *Cluster {
-	return newCluster(NewIndex(p, sa), id, kind, pointers)
 }
 
 // newCluster assembles a Cluster, running Algorithm 1 for its slice.

@@ -1,7 +1,7 @@
 // Package core implements the paper's bootstrapping framework end to end:
-// the cascade of increasingly precise analyses (Steensgaard → [One-Flow] →
-// Andersen → summarization-based FSCS), where each stage runs only on the
-// pointer subsets produced by the previous stage; per-cluster slicing via
+// the cascade of increasingly precise analyses (Steensgaard → Andersen →
+// summarization-based FSCS), where each stage runs only on the pointer
+// subsets produced by the previous stage; per-cluster slicing via
 // Algorithm 1; parallel execution of the independent per-cluster analyses
 // on in-process workers; and the demand-driven mode that analyzes only
 // clusters whose pointers an application cares about (e.g. lock pointers
@@ -27,7 +27,6 @@ import (
 	"bootstrap/internal/fscs"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/obs"
-	"bootstrap/internal/oneflow"
 	"bootstrap/internal/steens"
 )
 
@@ -58,12 +57,6 @@ type Config struct {
 	// AndersenThreshold is the partition size above which Andersen
 	// clustering kicks in (paper: 60). Zero or less selects the default.
 	AndersenThreshold int
-	// UseOneFlow inserts Das's One-Level-Flow analysis between
-	// Steensgaard and Andersen, refining which partitions are considered
-	// oversized (the cascade extension the paper suggests in Section 4).
-	// Only ModeAndersen's cover has that stage; other modes ignore it and
-	// do not run One-Flow.
-	UseOneFlow bool
 	// Workers bounds the per-cluster parallelism. Zero or negative means
 	// GOMAXPROCS; 1 forces sequential execution.
 	Workers int
@@ -133,7 +126,7 @@ type Config struct {
 	// (Faults) bypasses it.
 	Cache *cache.Cache
 	// Tracer, when non-nil, records one span per cascade phase (parse,
-	// Steensgaard, One-Flow, clustering, FSCS stage, and the fallback
+	// Steensgaard, clustering, FSCS stage, and the fallback
 	// solve once a query reads it), per scheduled cluster and ladder
 	// attempt (with cluster id, size, worker and outcome — solved, cached
 	// or demoted), and per cache probe/import/store, in the Chrome trace
@@ -164,7 +157,6 @@ func (cfg Config) steensOpts() []steens.Option {
 type Timing struct {
 	Lower       time.Duration // frontend (parse + lower + devirtualize)
 	Steensgaard time.Duration // partitioning
-	OneFlow     time.Duration // optional cascade stage
 	Clustering  time.Duration // cover construction, until its last cluster is admitted (eager: handed to the FSCS workers)
 	FSCS        time.Duration // total sequential per-cluster FSCS time
 	Wall        time.Duration // wall-clock of the cover and the FSCS stage it streams into (parallel)
@@ -305,15 +297,6 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*
 	a.CallGraph = callgraph.Build(prog)
 	a.Andersen = deferredFallback(prog, cfg)
 
-	var of *oneflow.Analysis
-	if cfg.UseOneFlow && cfg.Mode == ModeAndersen {
-		t := time.Now()
-		sp := tr.Start("phase", "oneflow", obs.TIDMain)
-		of = oneflow.AnalyzeWith(prog, sa)
-		sp.End()
-		a.Timing.OneFlow = time.Since(t)
-	}
-
 	// The fscs span opens first so that it encloses the clustering span
 	// the cover overlaps.
 	t1 := time.Now()
@@ -322,7 +305,7 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*
 		fsp = tr.Start("phase", "fscs", obs.TIDMain).Arg("workers", cfg.Workers)
 	}
 	csp := tr.Start("phase", "clustering", obs.TIDMain).Arg("mode", cfg.Mode.String())
-	cover := coverStream(ctx, prog, sa, of, cfg)
+	cover := coverStream(ctx, prog, sa, cfg)
 	admitCover := func(work chan<- *cluster.Cluster) {
 		for c := range cover {
 			a.Clusters = append(a.Clusters, c)
@@ -422,10 +405,9 @@ func steensFront(prog *ir.Program, cfg Config) (*steens.Analysis, error) {
 // coverStream delivers the run's alias cover in cover order, with final
 // cluster IDs. The Andersen cover streams from cluster.StreamAndersen as
 // partitions are refined on cfg.Workers goroutines; every other cover
-// (the baselines, and the One-Flow refinement when of is set) is built
-// whole and fed. The cover is built under ctx, never under the
-// RunTimeout deadline (see stageContext).
-func coverStream(ctx context.Context, prog *ir.Program, sa *steens.Analysis, of *oneflow.Analysis, cfg Config) <-chan *cluster.Cluster {
+// (the baselines) is built whole and fed. The cover is built under ctx,
+// never under the RunTimeout deadline (see stageContext).
+func coverStream(ctx context.Context, prog *ir.Program, sa *steens.Analysis, cfg Config) <-chan *cluster.Cluster {
 	switch cfg.Mode {
 	case ModeNone:
 		return feed([]*cluster.Cluster{cluster.BuildWhole(prog, sa)})
@@ -433,9 +415,6 @@ func coverStream(ctx context.Context, prog *ir.Program, sa *steens.Analysis, of 
 		return feed(cluster.BuildSteensgaard(prog, sa))
 	case ModeSyntactic:
 		return feed(cluster.BuildSyntactic(prog, sa))
-	}
-	if of != nil {
-		return feed(buildWithOneFlow(prog, sa, of, cfg.AndersenThreshold))
 	}
 	return cluster.StreamAndersen(obs.ContextWithTracer(ctx, cfg.Tracer), prog, sa,
 		cfg.AndersenThreshold, cfg.Workers)
@@ -446,71 +425,6 @@ func maxCondOrDefault(n int) int {
 		return 8
 	}
 	return n
-}
-
-// buildWithOneFlow refines the oversized judgement with One-Flow: an
-// oversized Steensgaard partition whose largest One-Flow refinement is
-// within the threshold is split along the One-Flow refinement instead of
-// paying for an Andersen run.
-func buildWithOneFlow(prog *ir.Program, sa *steens.Analysis, of *oneflow.Analysis, threshold int) []*cluster.Cluster {
-	var out []*cluster.Cluster
-	andersenCover := cluster.BuildAndersen(prog, sa, threshold)
-	// BuildAndersen already keeps small partitions; reuse it, but first
-	// check the One-Flow split for the oversized ones. For simplicity the
-	// One-Flow stage only changes which partitions get the expensive
-	// Andersen treatment; correctness is unchanged (both are alias
-	// covers). When One-Flow refines an oversized partition into pieces
-	// within the threshold, those pieces are used directly.
-	// partKey identifies a partition by the base representative of its
-	// first non-sink member. Under the precise-Steensgaard overlapping
-	// cover, a multi-membership sink's Rep points at its *base* partition,
-	// so keying blindly by element 0 could collide two distinct expanded
-	// partitions and drop a needed Andersen cluster. Non-sink members are
-	// unambiguous; a group with no non-sink member (all overlay sinks)
-	// gets no key and is never replaced — keeping it is sound, merely
-	// redundant.
-	partKey := func(vs []ir.VarID) int {
-		for _, v := range vs {
-			if sa.SinkClasses(v) == nil {
-				return sa.Rep(v)
-			}
-		}
-		return -1
-	}
-	refined := map[int]bool{}
-	for _, part := range sa.Partitions() {
-		if len(part) <= threshold {
-			continue
-		}
-		key := partKey(part)
-		if key < 0 {
-			continue
-		}
-		pieces := of.Refine(part)
-		max := 0
-		for _, p := range pieces {
-			if len(p) > max {
-				max = len(p)
-			}
-		}
-		if max <= threshold && len(pieces) > 1 {
-			refined[key] = true
-			for _, piece := range pieces {
-				out = append(out, cluster.New(prog, sa, len(out), cluster.KindOneFlow, piece))
-			}
-		}
-	}
-	for _, c := range andersenCover {
-		if len(c.Pointers) > 0 && c.Kind == cluster.KindAndersen {
-			if key := partKey(c.Pointers); key >= 0 && refined[key] {
-				continue // replaced by One-Flow pieces
-			}
-		}
-		cc := *c
-		cc.ID = len(out)
-		out = append(out, &cc)
-	}
-	return out
 }
 
 // Engine returns the solved (or cache-imported) FSCS engine of a

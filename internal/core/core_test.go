@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/fscs"
 	"bootstrap/internal/ir"
-	"bootstrap/internal/obs"
 )
 
 func errorsIsBudget(err error) bool { return errors.Is(err, fscs.ErrBudget) }
@@ -384,61 +382,6 @@ func TestTimingLowerDirect(t *testing.T) {
 	}
 	if a.Timing.Lower <= 0 {
 		t.Errorf("Timing.Lower = %v, want > 0", a.Timing.Lower)
-	}
-}
-
-func TestOneFlowMode(t *testing.T) {
-	a, err := AnalyzeSource(testProgram, Config{
-		Mode: ModeAndersen, UseOneFlow: true, Workers: 1, AndersenThreshold: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exit := exitLoc(a)
-	if !mustAlias(a, v(t, a, "l1"), v(t, a, "l2"), exit) {
-		t.Error("one-flow cascade should preserve lock must-alias")
-	}
-	base, err := AnalyzeSource(testProgram, Config{Mode: ModeAndersen, Workers: 1, AndersenThreshold: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]string{{"x", "y"}, {"x", "p"}, {"y", "p"}} {
-		got := mayAlias(a, v(t, a, pair[0]), v(t, a, pair[1]), exit)
-		want := mayAlias(base, v(t, base, pair[0]), v(t, base, pair[1]), exit)
-		if got != want {
-			t.Errorf("one-flow cascade changed MayAlias(%s,%s): %v vs %v", pair[0], pair[1], got, want)
-		}
-	}
-}
-
-// TestOneFlowOnlyUnderAndersen: only ModeAndersen's cover consults
-// One-Flow, so any other mode must not run it at all — no oneflow span,
-// no One-Flow time — and must build its plain cover.
-func TestOneFlowOnlyUnderAndersen(t *testing.T) {
-	tr := obs.NewTracer()
-	a, err := AnalyzeSource(testProgram, Config{
-		Mode: ModeSteensgaard, UseOneFlow: true, Workers: 1, AndersenThreshold: 2, Tracer: tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(eventNames(tr.Events())["oneflow"]); n != 0 {
-		t.Errorf("%d oneflow spans under ModeSteensgaard, want 0", n)
-	}
-	if a.Timing.OneFlow != 0 {
-		t.Errorf("Timing.OneFlow = %v under ModeSteensgaard, want 0", a.Timing.OneFlow)
-	}
-	plain, err := AnalyzeSource(testProgram, Config{Mode: ModeSteensgaard, Workers: 1, AndersenThreshold: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Clusters) != len(plain.Clusters) {
-		t.Fatalf("%d clusters with -oneflow, %d without", len(a.Clusters), len(plain.Clusters))
-	}
-	for i, c := range plain.Clusters {
-		if !slices.Equal(a.Clusters[i].Pointers, c.Pointers) {
-			t.Errorf("cluster %d: pointers %v with -oneflow, %v without", i, a.Clusters[i].Pointers, c.Pointers)
-		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"bootstrap/internal/cluster"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
-	"bootstrap/internal/oneflow"
 	"bootstrap/internal/steens"
 )
 
@@ -131,7 +130,7 @@ func TestDeterministicWithWarmCache(t *testing.T) {
 // selection (plain, demand, hybrid). A lazy analysis must give the eager
 // one's answers once EnsureCluster has solved every selected cluster.
 func TestPipelinedMatchesSerialCover(t *testing.T) {
-	const threshold = 2 // force Andersen (and One-Flow) refinement
+	const threshold = 2 // force Andersen refinement
 	modes := []struct {
 		name  string
 		cfg   Config
@@ -145,9 +144,6 @@ func TestPipelinedMatchesSerialCover(t *testing.T) {
 			return cluster.BuildAndersen(p, sa, threshold)
 		}},
 		{"syntactic", Config{Mode: ModeSyntactic}, cluster.BuildSyntactic},
-		{"oneflow", Config{Mode: ModeAndersen, UseOneFlow: true}, func(p *ir.Program, sa *steens.Analysis) []*cluster.Cluster {
-			return buildWithOneFlow(p, sa, oneflow.AnalyzeWith(p, sa), threshold)
-		}},
 	}
 	selections := []struct {
 		name  string

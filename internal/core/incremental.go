@@ -139,7 +139,7 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	switch {
 	case sum.Structural:
 		return fallback(sum.Reason)
-	case cfg.Mode != ModeAndersen || cfg.UseOneFlow:
+	case cfg.Mode != ModeAndersen:
 		return fallback("incremental path supports the default Andersen cascade only")
 	case cfg.Faults.Active():
 		return fallback("fault injection active")

@@ -407,6 +407,38 @@ func TestApplyEditStructuralFallback(t *testing.T) {
 	}
 }
 
+// TestApplyEditOtherModesFallBack: the incremental path maps edits onto
+// the Andersen cascade's cover only, so every other mode must fall back
+// to a full reanalysis, for that reason, and end where a fresh analysis
+// of the edited program does.
+func TestApplyEditOtherModesFallBack(t *testing.T) {
+	for _, mode := range []core.Mode{core.ModeNone, core.ModeSteensgaard, core.ModeSyntactic} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := core.Config{Mode: mode, Workers: 2}
+			a, err := core.AnalyzeProgram(incrProg(t), cfg)
+			if err != nil {
+				t.Fatalf("analyze: %v", err)
+			}
+			edits := randomStmtEdits(a.Prog, rand.New(rand.NewSource(7)), 5)
+			a2, rep, err := core.ApplyEdit(context.Background(), a, edits)
+			if err != nil {
+				t.Fatalf("ApplyEdit: %v", err)
+			}
+			if want := "incremental path supports the default Andersen cascade only"; !rep.FellBack || rep.Reason != want {
+				t.Fatalf("report %+v, want a fallback because %q", rep, want)
+			}
+			fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), cfg)
+			if err != nil {
+				t.Fatalf("fresh: %v", err)
+			}
+			tag := mode.String()
+			diffFingerprints(t, tag, a2.Fingerprints(), fresh.Fingerprints())
+			diffAndersen(t, tag, a2, fresh)
+			sampleQueries(t, tag, a2, fresh)
+		})
+	}
+}
+
 // TestApplyEditLazy: lazy analyses stay lazy across edits — no eager
 // re-solving when no engine was ever materialized — and still answer
 // identically to a fresh lazy analysis.

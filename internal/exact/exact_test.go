@@ -10,7 +10,6 @@ import (
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/fscs"
 	"bootstrap/internal/ir"
-	"bootstrap/internal/oneflow"
 	"bootstrap/internal/steens"
 	"bootstrap/internal/synth"
 )
@@ -162,7 +161,6 @@ type analysisBundle struct {
 	prog *ir.Program
 	sa   *steens.Analysis
 	aa   *andersen.Analysis
-	of   *oneflow.Analysis
 	eng  *fscs.Engine
 }
 
@@ -182,7 +180,7 @@ func analyzeAll(t *testing.T, src string) *analysisBundle {
 	cg := callgraph.Build(p)
 	whole := cluster.BuildWhole(p, sa)
 	eng := fscs.NewEngine(p, cg, sa, whole, fscs.WithFallback(aa), fscs.WithBudget(2_000_000))
-	return &analysisBundle{prog: p, sa: sa, aa: aa, of: oneflow.AnalyzeWith(p, sa), eng: eng}
+	return &analysisBundle{prog: p, sa: sa, aa: aa, eng: eng}
 }
 
 // checkSoundnessLattice verifies exact ⊆ FSCS ⊆(values) Andersen ⊆
@@ -211,21 +209,6 @@ func checkSoundnessLattice(t *testing.T, src string) {
 			for _, o := range exactPts {
 				if !b.aa.PointsToSet(pv).Has(int(o)) {
 					t.Errorf("UNSOUND Andersen: %s may point to %s at L%d but Andersen misses it\nprogram:\n%s",
-						b.prog.VarName(pv), b.prog.VarName(o), loc, src)
-					return
-				}
-			}
-			// One-Flow must cover exact too (it sits between Steensgaard
-			// and Andersen in the cascade).
-			for _, o := range exactPts {
-				found := false
-				for _, oo := range b.of.PointsToVars(pv) {
-					if oo == o {
-						found = true
-					}
-				}
-				if !found {
-					t.Errorf("UNSOUND One-Flow: %s may point to %s at L%d but One-Flow misses it\nprogram:\n%s",
 						b.prog.VarName(pv), b.prog.VarName(o), loc, src)
 					return
 				}

@@ -92,21 +92,9 @@ type VarsResponse struct {
 	Partitions [][]string `json:"partitions,omitempty"`
 }
 
-// LocksetResponse is the body of POST /v1/lockset. When the detector is
-// still running at the query's deadline, Ready is false and the caller
-// should retry; the computation continues server-side and is shared by
-// all callers of the same snapshot.
-type LocksetResponse struct {
-	Ready        bool     `json:"ready"`
-	Threads      int      `json:"threads,omitempty"`
-	Accesses     int      `json:"accesses,omitempty"`
-	Races        []string `json:"races,omitempty"`
-	Snapshot     int64    `json:"snapshot"`
-	RetryAfterMS int64    `json:"retry_after_ms,omitempty"`
-}
-
 // CheckRequest is the body of POST /check (and /v1/check): run one
-// named static-analysis pass against the live snapshot.
+// named static-analysis pass against the live snapshot. POST /v1/lockset
+// reads only TimeoutMS; its pass is lockset.
 type CheckRequest struct {
 	// Pass names the checker pass: lockset, deadlock, nullcheck or uaf.
 	Pass string `json:"pass"`
@@ -127,9 +115,9 @@ type CheckFinding struct {
 	Snapshot    int64  `json:"snapshot"`
 }
 
-// CheckResponse is the body of POST /check. Like /v1/lockset the pass
-// runs once per (snapshot, pass) pair; a request whose deadline fires
-// first gets ready=false and a retry hint while the run continues
+// CheckResponse is the body of POST /check and of POST /v1/lockset. The
+// pass runs once per (snapshot, pass) pair; a request whose deadline
+// fires first gets ready=false and a retry hint while the run continues
 // server-side.
 type CheckResponse struct {
 	Ready bool   `json:"ready"`

@@ -18,8 +18,8 @@ import (
 //
 //	POST /v1/mayalias   {"p":..,"q":..,"at":..}        may-alias query
 //	POST /v1/pointsto   {"p":..,"at":..}               points-to query
-//	POST /v1/lockset    {}                             race report (computed once per snapshot)
 //	POST /check         {"pass":"lockset"}             run one checker pass (also /v1/check)
+//	POST /v1/lockset    {}                             race report: /check with the lockset pass
 //	GET  /v1/info                                      snapshot + server state
 //	GET  /v1/vars                                      query population for load drivers
 //	POST /reload        {"source":..} | {"variant":n}  snapshot swap
@@ -42,9 +42,12 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("POST /v1/pointsto", func(w http.ResponseWriter, r *http.Request) {
 			s.handleQuery(w, r, kindPointsTo)
 		})
-		mux.HandleFunc("POST /v1/lockset", s.handleLockset)
-		mux.HandleFunc("POST /v1/check", s.handleCheck)
-		mux.HandleFunc("POST /check", s.handleCheck)
+		mux.HandleFunc("POST /v1/lockset", func(w http.ResponseWriter, r *http.Request) {
+			s.handleCheck(w, r, "lockset")
+		})
+		byBody := func(w http.ResponseWriter, r *http.Request) { s.handleCheck(w, r, "") }
+		mux.HandleFunc("POST /v1/check", byBody)
+		mux.HandleFunc("POST /check", byBody)
 		mux.HandleFunc("GET /v1/info", s.handleInfo)
 		mux.HandleFunc("GET /v1/vars", s.handleVars)
 		mux.HandleFunc("POST /reload", s.handleReload)
@@ -270,53 +273,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, kind queryK
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleLockset serves the snapshot's race report. The heavy work
-// (solving every cluster, then the lockset fixpoint) runs once per
-// snapshot; a request whose deadline fires first gets ready=false and a
-// retry hint while the computation keeps going.
-func (s *Server) handleLockset(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "draining"})
-		return
-	}
-	sn := s.snap.Load()
-	if sn == nil {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "no program loaded"})
-		return
-	}
-	var req QueryRequest // only timeout_ms is honored
-	if r.ContentLength != 0 {
-		if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-			return
-		}
-	}
-	qctx, cancel := context.WithTimeout(r.Context(), s.queryDeadline(req.TimeoutMS))
-	defer cancel()
-	res, ready := sn.Lockset(qctx, s)
-	if !ready {
-		writeJSON(w, http.StatusOK, LocksetResponse{
-			Ready:        false,
-			Snapshot:     sn.ID,
-			RetryAfterMS: s.retryAfter().Milliseconds(),
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, LocksetResponse{
-		Ready:    true,
-		Threads:  res.threads,
-		Accesses: res.accesses,
-		Races:    res.races,
-		Snapshot: sn.ID,
-	})
-}
-
 // handleCheck runs one named checker pass against the live snapshot —
 // the served face of the aliaslint engine. The pass runs once per
 // (snapshot, pass) pair with its footprint clusters pre-solved through
 // the solve semaphore; every finding is stamped with the snapshot id
-// and carries the same fingerprint the batch run would produce.
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+// and carries the same fingerprint the batch run would produce. A
+// non-empty fixed names the pass in place of the body's: /v1/lockset is
+// /check with the lockset pass, and its body may be empty.
+func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, fixed string) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "draining"})
 		return
@@ -327,9 +291,14 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CheckRequest
-	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
+	if r.ContentLength != 0 {
+		if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+			return
+		}
+	}
+	if fixed != "" {
+		req.Pass = fixed
 	}
 	pass, ok := check.Lookup(req.Pass)
 	if !ok {

@@ -5,13 +5,17 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bootstrap/internal/core"
+	"bootstrap/internal/ir"
+	"bootstrap/internal/lockset"
 	"bootstrap/internal/obs"
+	"bootstrap/internal/synth"
 )
 
 // testProgram mirrors the core package's canonical sample: x/y/p all
@@ -479,25 +483,72 @@ func TestPanicBarrier(t *testing.T) {
 	}
 }
 
+// TestLocksetEndpoint: POST /v1/lockset answers from the snapshot's
+// memoized lockset pass. It solves only the clusters that hold a lock
+// pointer, and a later /check {"pass":"lockset"} reads the same run:
+// one pass execution, the same findings.
 func TestLocksetEndpoint(t *testing.T) {
-	s := newTestServer(t, testProgram, nil)
-	var resp LocksetResponse
-	// Retry until the once-per-snapshot computation lands.
+	src, _ := synth.LockHeavy(synth.LockHeavyWorkloads()[0].Cfg)
+	m := obs.NewMetrics()
+	s := newTestServer(t, src, func(c *Config) { c.Metrics = m })
+	sn := s.Snapshot()
+	locked := 0
+	for _, c := range sn.A.Clusters {
+		if slices.ContainsFunc(c.Pointers, func(p ir.VarID) bool { return lockset.LockDemand(sn.Prog.Var(p)) }) {
+			locked++
+		}
+	}
+	if locked == 0 || locked == len(sn.A.Clusters) {
+		t.Fatalf("%d of %d clusters hold a lock pointer; the test needs both kinds", locked, len(sn.A.Clusters))
+	}
+
+	races := pollCheck(t, s, "/v1/lockset", `{}`)
+	solved := 0
+	for _, c := range sn.A.Clusters {
+		if sn.A.ClusterSolved(c.ID) {
+			solved++
+		}
+	}
+	if solved != locked {
+		t.Errorf("/v1/lockset solved %d clusters, want the %d that hold a lock pointer", solved, locked)
+	}
+	if races.Pass != "lockset" || races.Snapshot != sn.ID || len(races.Findings) == 0 {
+		t.Errorf("/v1/lockset = %+v, want lockset findings on snapshot %d", races, sn.ID)
+	}
+
+	checked := pollCheck(t, s, "/check", `{"pass":"lockset"}`)
+	if n := m.Counter("check_pass_runs_total", "").Value(); n != 1 {
+		t.Errorf("check_pass_runs_total = %d after /v1/lockset and /check, want 1", n)
+	}
+	fingerprints := func(fs []CheckFinding) []string {
+		var out []string
+		for _, f := range fs {
+			out = append(out, f.Fingerprint)
+		}
+		return out
+	}
+	if got, want := fingerprints(checked.Findings), fingerprints(races.Findings); !slices.Equal(got, want) {
+		t.Errorf("/check fingerprints %v, /v1/lockset %v", got, want)
+	}
+}
+
+// pollCheck posts body to a checker endpoint until its memoized run is
+// ready.
+func pollCheck(t *testing.T, s *Server, path, body string) CheckResponse {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if code := do(t, s, "POST", "/v1/lockset", `{}`, &resp); code != http.StatusOK {
-			t.Fatalf("lockset: status %d", code)
+		var resp CheckResponse
+		if code := do(t, s, "POST", path, body, &resp); code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, code)
 		}
 		if resp.Ready {
-			break
+			return resp
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("lockset never became ready")
+			t.Fatalf("%s never became ready", path)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if resp.Snapshot != 1 {
-		t.Errorf("lockset snapshot = %d, want 1", resp.Snapshot)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"bootstrap/internal/core"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
-	"bootstrap/internal/lockset"
 )
 
 // Snapshot is one immutable loaded program plus its (lazily solved)
@@ -29,15 +28,10 @@ type Snapshot struct {
 	Prog *ir.Program
 	A    *core.Analysis
 
-	// Lockset results are snapshot-scoped and computed at most once, by
-	// whichever request arrives first; later requests (and requests that
-	// time out waiting) share the same computation.
-	lockOnce sync.Once
-	lockDone chan struct{}
-	lockRes  *locksetResult
-
-	// Checker runs are snapshot-scoped and memoized per pass name, with
-	// the same compute-once/share semantics as the lockset result.
+	// Checker runs are snapshot-scoped and memoized per pass name: the
+	// first request for a pass starts its run, and later requests (and
+	// requests that time out waiting) share it. POST /v1/lockset and
+	// POST /check {"pass":"lockset"} read the same run.
 	checkMu   sync.Mutex
 	checkRuns map[string]*checkRun
 }
@@ -46,12 +40,6 @@ type Snapshot struct {
 type checkRun struct {
 	done chan struct{}
 	rep  *check.Report
-}
-
-type locksetResult struct {
-	threads  int
-	accesses int
-	races    []string
 }
 
 // buildSnapshot parses, lowers and analyzes src in the server's lazy
@@ -71,7 +59,6 @@ func (s *Server) buildSnapshot(ctx context.Context, id int64, desc, src string) 
 		Desc:      desc,
 		Prog:      prog,
 		A:         a,
-		lockDone:  make(chan struct{}),
 		checkRuns: map[string]*checkRun{},
 	}, nil
 }
@@ -126,55 +113,6 @@ func (s *Server) swap(ctx context.Context, desc, src string) (*Snapshot, error) 
 		Clusters: len(sn.A.Clusters), Reloaded: true,
 	})
 	return sn, nil
-}
-
-// Lockset returns the snapshot's race-detection result, computing it on
-// first demand. The computation pre-solves every cluster (bounded by the
-// server's solve semaphore) and then runs the lockset detector; it
-// continues even if ctx expires — the caller gets ready=false and
-// retries while later callers reuse the finished result.
-func (sn *Snapshot) Lockset(ctx context.Context, s *Server) (*locksetResult, bool) {
-	sn.lockOnce.Do(func() {
-		go sn.computeLockset(s)
-	})
-	select {
-	case <-sn.lockDone:
-		return sn.lockRes, true
-	case <-ctx.Done():
-		return nil, false
-	}
-}
-
-func (sn *Snapshot) computeLockset(s *Server) {
-	defer close(sn.lockDone)
-	// Pre-solve the whole cover so the detector's PointsTo probes are
-	// warm; each solve holds one solve-semaphore slot, sharing capacity
-	// fairly with cold user queries.
-	var wg sync.WaitGroup
-	for _, c := range sn.A.Clusters {
-		if sn.A.ClusterSolved(c.ID) {
-			continue
-		}
-		wg.Add(1)
-		s.solveSem <- struct{}{}
-		go func(id int) {
-			defer wg.Done()
-			defer func() { <-s.solveSem }()
-			sn.A.EnsureCluster(context.Background(), id)
-		}(c.ID)
-	}
-	wg.Wait()
-
-	det := lockset.NewDetector(sn.A, lockset.Config{})
-	races, accesses := det.Detect()
-	res := &locksetResult{
-		threads:  len(det.Threads()),
-		accesses: len(accesses),
-	}
-	for _, r := range races {
-		res.races = append(res.races, r.Format(sn.Prog))
-	}
-	sn.lockRes = res
 }
 
 // CheckPass runs one named checker pass against this snapshot, at most
