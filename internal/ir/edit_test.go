@@ -1,6 +1,8 @@
 package ir_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bootstrap/internal/frontend"
@@ -41,6 +43,66 @@ func findStmt(t *testing.T, p *ir.Program, op ir.Op, dst string) ir.Loc {
 	return ir.NoLoc
 }
 
+// cloneProg has several functions, parameters and calls, so a clone's
+// shared Loc and VarID arrays hold many neighbouring lists.
+const cloneProg = `
+	int a, b, c;
+	int *x, *y, *p;
+	void f(int *q, int *r) {
+		x = q;
+		y = r;
+	}
+	void g(int *s) {
+		p = s;
+	}
+	void main() {
+		x = &a;
+		y = &b;
+		f(x, y);
+		g(p);
+		p = &c;
+	}
+`
+
+// lists renders every list a Program holds: each function's Params and
+// Nodes, and each node's Succs, Preds and call Args.
+func lists(p *ir.Program) string {
+	var b strings.Builder
+	for _, f := range p.Funcs {
+		fmt.Fprintf(&b, "func %s params=%v nodes=%v entry=%d exit=%d\n", f.Name, f.Params, f.Nodes, f.Entry, f.Exit)
+	}
+	for _, n := range p.Nodes {
+		fmt.Fprintf(&b, "L%d succs=%v preds=%v args=%v\n", n.Loc, n.Succs, n.Preds, n.Stmt.Args)
+	}
+	return b.String()
+}
+
+// growLists grows lists of p past their length: an insert after f's
+// first statement (a node appended to f.Nodes, which g's list follows),
+// an extra edge from that statement to f's exit (its Succs and the
+// exit's Preds), one more argument on every call and one more
+// parameter on g.
+func growLists(t *testing.T, p *ir.Program) {
+	t.Helper()
+	f := p.Func(p.FuncByName["f"])
+	anchor := findStmt(t, p, ir.OpCopy, "x")
+	if p.Node(anchor).Fn != f.ID {
+		t.Fatal("the anchor is not in f")
+	}
+	ins := ir.Stmt{Op: ir.OpCopy, Dst: p.VarByName["y"], Src: p.VarByName["x"], Callee: ir.NoFunc, FPtr: ir.NoVar}
+	if _, err := ir.ApplyEdits(p, []ir.Edit{{Kind: ir.EditInsertAfter, Loc: anchor, Stmt: ins}}); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	p.AddEdge(anchor, f.Exit)
+	for _, n := range p.Nodes {
+		if n.Stmt.Op == ir.OpCall {
+			n.Stmt.Args = append(n.Stmt.Args, p.VarByName["a"])
+		}
+	}
+	g := p.Func(p.FuncByName["g"])
+	g.Params = append(g.Params, p.VarByName["b"])
+}
+
 func TestCloneIndependent(t *testing.T) {
 	p := lower(t, editProgA)
 	q := p.Clone()
@@ -55,6 +117,39 @@ func TestCloneIndependent(t *testing.T) {
 	}
 	if err := q.Validate(); err != nil {
 		t.Fatalf("clone invalid: %v", err)
+	}
+
+	// Lists that grow on a clone, and on a clone of that clone, must
+	// neither reach the program cloned from nor overwrite the clone's
+	// neighbouring lists: each edited program must equal a freshly
+	// lowered one given the same edits, list for list.
+	render := func(p *ir.Program) string { return p.Dump() + lists(p) }
+	orig := lower(t, cloneProg)
+	before := render(orig)
+	want := lower(t, cloneProg)
+	c1 := orig.Clone()
+	growLists(t, want)
+	growLists(t, c1)
+	want1 := render(want)
+	c2 := c1.Clone()
+	growLists(t, want)
+	growLists(t, c2)
+	for _, c := range []struct {
+		name      string
+		got, want string
+	}{
+		{"original", render(orig), before},
+		{"clone", render(c1), want1},
+		{"clone of the clone", render(c2), render(want)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s after the edits:\n%s\nwant:\n%s", c.name, c.got, c.want)
+		}
+	}
+	for _, c := range []*ir.Program{c1, c2} {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("edited clone invalid: %v", err)
+		}
 	}
 }
 
