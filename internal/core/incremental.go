@@ -117,6 +117,10 @@ func recordEditMetrics(m *obs.Metrics, rep *EditReport) {
 }
 
 func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config) (*Analysis, *EditReport, error) {
+	var cacheBefore cache.Stats
+	if cfg.Cache != nil {
+		cacheBefore = cfg.Cache.Stats()
+	}
 	newProg := prev.Prog.Clone()
 	sum, err := ir.ApplyEdits(newProg, edits)
 	if err != nil {
@@ -360,7 +364,7 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	}
 	sort.Slice(a2.Health, func(i, j int) bool { return a2.Health[i].ClusterID < a2.Health[j].ClusterID })
 	if cfg.Cache != nil {
-		a2.CacheStats = cfg.Cache.Stats()
+		a2.CacheStats = cfg.Cache.Stats().Sub(cacheBefore)
 	}
 	return a2, rep, nil
 }
@@ -605,18 +609,22 @@ func collectSignals(prev *Analysis, sa2 *steens.Analysis, sum *ir.EditSummary, n
 // (PointsToVars, SamePartition, class comparisons) — modulo 64-bit hash
 // collisions, which the differential gate would surface.
 func steensSigs(sa *steens.Analysis, n int) []uint64 {
-	classMembers := map[int][]ir.VarID{}
+	// Class ids are dense ECR ids: hash each location class into a
+	// table indexed by id, sized to the largest class a variable names.
+	// A class with no program variable among its locations hashes to 0.
+	m := 0
 	for v := 0; v < n; v++ {
-		lc := sa.LocClass(ir.VarID(v))
-		classMembers[lc] = append(classMembers[lc], ir.VarID(v))
+		m = max(m, sa.LocClass(ir.VarID(v))+1, sa.ContentClass(ir.VarID(v))+1)
 	}
-	classHash := make(map[int]uint64, len(classMembers))
-	for cls, ms := range classMembers {
-		h := fnvOffset
-		for _, m := range ms { // ms is in increasing VarID order
-			h = fnvMix(h, uint64(m))
+	classHash := make([]uint64, m)
+	seen := make([]bool, m)
+	for v := 0; v < n; v++ { // members in increasing VarID order
+		lc := sa.LocClass(ir.VarID(v))
+		if !seen[lc] {
+			seen[lc] = true
+			classHash[lc] = fnvOffset
 		}
-		classHash[cls] = h
+		classHash[lc] = fnvMix(classHash[lc], uint64(v))
 	}
 	sigs := make([]uint64, n)
 	var sinks []int
@@ -630,7 +638,7 @@ func steensSigs(sa *steens.Analysis, n int) []uint64 {
 			sinks = append(sinks[:0], sc...)
 			sort.Ints(sinks)
 			h = fnvMix(h, uint64(len(sinks)))
-			for _, c := range sinks {
+			for _, c := range sinks { // each the content class of a partition id, so in the table
 				h = fnvMix(h, classHash[c])
 			}
 		}
