@@ -21,15 +21,7 @@ import (
 // a multi-cluster cover with calls, small enough for the knob matrix.
 func incrProg(t testing.TB) *ir.Program {
 	t.Helper()
-	b, ok := synth.FindBenchmark("sock")
-	if !ok {
-		t.Fatal("no sock benchmark")
-	}
-	p, err := frontend.LowerSource(synth.Generate(b, 0.05))
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	return p
+	return lowerRow(t, "sock", 0.05)
 }
 
 // randomStmtEdits picks n single-statement replace/delete edits on
