@@ -23,10 +23,24 @@ func New(n int) *Set {
 
 // ensure grows the word slice to hold bit i, in one step: a set
 // jumping to a high bit would otherwise reallocate once per doubling.
+// The grow is explicit rather than append(words, make(...)...), which
+// the compiler turns into one allocation only in builds without
+// instrumentation (not under -race). Capacity at least doubles, so a
+// set climbing bit by bit still grows in amortized constant time.
 func (s *Set) ensure(i int) {
-	if w := i/wordBits + 1; len(s.words) < w {
-		s.words = append(s.words, make([]uint64, w-len(s.words))...)
+	w := i/wordBits + 1
+	n := len(s.words)
+	if n >= w {
+		return
 	}
+	if w <= cap(s.words) {
+		s.words = s.words[:w]
+		clear(s.words[n:]) // never trust what lies past len
+		return
+	}
+	words := make([]uint64, w, max(w, 2*cap(s.words)))
+	copy(words, s.words)
+	s.words = words
 }
 
 // Add inserts i and reports whether it was newly added.
