@@ -10,8 +10,8 @@
 //   - BenchmarkSteensgaard / BenchmarkAndersen / BenchmarkAlgorithm1 —
 //     stage micro-benchmarks;
 //   - BenchmarkFingerprint / BenchmarkEngineShell — the fixed per-cluster
-//     set-up of a warm run (cache key) and of a cold one (engine before
-//     its first walk);
+//     set-up of a warm run (cache key, through one table per program
+//     and per call) and of a cold one (engine before its first walk);
 //   - BenchmarkAnalyzeProgram — the whole eager analysis;
 //   - BenchmarkClone / BenchmarkApplyEdit — the daemon's edit→answer
 //     path: the program copy every edit starts from, and a light edit
@@ -238,24 +238,45 @@ func BenchmarkAlgorithm1(b *testing.B) {
 	}
 }
 
-// BenchmarkFingerprint measures cache.NewCanon over every cluster of
-// the row's Andersen cover: the canonical slice encoding and its hash,
-// which a warm run pays per cluster before it can import.
+// BenchmarkFingerprint measures the cache keys of every cluster of the
+// row's Andersen cover, which a warm run pays before it can import, the
+// way an analysis computes them: one cache.Table for the program, so
+// each function's skeleton is hashed once, then one Canon per cluster.
+// The percall sub-benchmarks key each cluster through cache.NewCanon, a
+// table of its own, as core.RunCluster does outside an analysis.
 func BenchmarkFingerprint(b *testing.B) {
+	params := cache.Params{MaxCond: 8}
+	run := func(b *testing.B, name string, keyCover func(p prepared, cover []*cluster.Cluster)) {
+		p := prepare(b, name, benchScale)
+		cover := cluster.BuildAndersen(p.prog, p.sa, cluster.DefaultAndersenThreshold)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			keyCover(p, cover)
+		}
+		b.ReportMetric(float64(len(cover)), "clusters") // after ResetTimer, which drops metrics
+	}
 	for _, name := range benchRows {
 		b.Run(name, func(b *testing.B) {
-			p := prepare(b, name, benchScale)
-			cover := cluster.BuildAndersen(p.prog, p.sa, cluster.DefaultAndersenThreshold)
-			b.ReportMetric(float64(len(cover)), "clusters")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			run(b, name, func(p prepared, cover []*cluster.Cluster) {
+				tab := cache.NewTable(p.prog, p.sa, p.cg)
 				for _, c := range cover {
-					cache.NewCanon(p.prog, p.sa, p.cg, c, cache.Params{MaxCond: 8})
+					tab.Canon(c, params)
 				}
-			}
+			})
 		})
 	}
+	b.Run("percall", func(b *testing.B) {
+		for _, name := range benchRows {
+			b.Run(name, func(b *testing.B) {
+				run(b, name, func(p prepared, cover []*cluster.Cluster) {
+					for _, c := range cover {
+						cache.NewCanon(p.prog, p.sa, p.cg, c, params)
+					}
+				})
+			})
+		}
+	})
 }
 
 // BenchmarkEngineShell measures fscs.NewEngine without Run over every

@@ -112,6 +112,49 @@ func TestCacheColdThenWarmIdentical(t *testing.T) {
 	}
 }
 
+// TestFingerprintsMatchPerCallKeys: an analysis keys its clusters
+// through one table its workers share, built once devirtualization has
+// added its nodes and rewired its edges. On driver.cpl, whose indirect
+// call devirtualization expands, every key must equal the per-call
+// cache.NewCanon key of the final program, and a warm re-run must hit
+// every cluster. A run without a cache builds no table.
+func TestFingerprintsMatchPerCallKeys(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "driver.cpl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := frontend.LowerSource(string(src)); err != nil || !frontend.HasIndirectCalls(p) {
+		t.Fatalf("test premise broken: driver.cpl has no indirect call to devirtualize (err %v)", err)
+	}
+	cfg := Config{Mode: ModeAndersen, Workers: 2, Cache: cache.New(cache.Options{})}
+	cold, err := AnalyzeSource(string(src), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := cold.Fingerprints()
+	if len(fps) != len(cold.Clusters) {
+		t.Fatalf("%d fingerprints for %d clusters", len(fps), len(cold.Clusters))
+	}
+	params := cache.Params{MaxCond: maxCondOrDefault(cfg.MaxCond), Budget: cfg.ClusterBudget}
+	for _, c := range cold.Clusters {
+		want := cache.NewCanon(cold.Prog, cold.Steens, cold.CallGraph, c, params).Key().String()
+		if fps[c.ID] != want {
+			t.Errorf("cluster %d: Fingerprints %s, per-call NewCanon %s", c.ID, fps[c.ID], want)
+		}
+	}
+	warm, err := AnalyzeSource(string(src), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.CacheStats.Misses != 0 || warm.CacheStats.Hits != int64(len(warm.Clusters)) {
+		t.Errorf("warm run stats = %+v, want %d hits / 0 misses", warm.CacheStats, len(warm.Clusters))
+	}
+	cfg.Cache = nil
+	if bare, err := AnalyzeSource(string(src), cfg); err != nil || bare.canons != nil {
+		t.Errorf("run without a cache built a key table (err %v)", err)
+	}
+}
+
 // TestCacheEditInvalidatesExactly is the incremental acceptance check: a
 // one-statement edit inside locks() re-solves exactly the clusters whose
 // slice reaches locks; the int-pointer clusters still hit.

@@ -214,6 +214,10 @@ type Analysis struct {
 	// the next edit reuses it as its old-generation table. nil after a
 	// from-scratch run or a fallback.
 	steensSigs []uint64
+	// canons is the program part of the cache key of every cluster,
+	// shared by the run's workers and query-time solves. It is built
+	// once the program is final, and only when Config.Cache is set.
+	canons *cache.Table
 }
 
 // AnalyzeSource parses, lowers and analyzes CPL source text.
@@ -295,6 +299,9 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*
 	}
 
 	a.CallGraph = callgraph.Build(prog)
+	if cfg.Cache != nil {
+		a.canons = cache.NewTable(prog, sa, a.CallGraph)
+	}
 	a.Andersen = deferredFallback(prog, cfg)
 
 	// The fscs span opens first so that it encloses the clustering span

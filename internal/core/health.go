@@ -145,6 +145,13 @@ func runAttempt(prog *ir.Program, cg *callgraph.Graph, sa *steens.Analysis,
 // it, so a fallback not yet solved (Analysis.Andersen) stays unsolved.
 func RunCluster(ctx context.Context, prog *ir.Program, cg *callgraph.Graph, sa *steens.Analysis,
 	c *cluster.Cluster, fallback *andersen.Analysis, cfg Config) (*fscs.Engine, ClusterHealth) {
+	return runCluster(ctx, prog, cg, sa, c, fallback, cfg, nil)
+}
+
+// runCluster is RunCluster with the cache key drawn from tab, the
+// analysis' table over prog; nil keys c through a table of its own.
+func runCluster(ctx context.Context, prog *ir.Program, cg *callgraph.Graph, sa *steens.Analysis,
+	c *cluster.Cluster, fallback *andersen.Analysis, cfg Config, tab *cache.Table) (*fscs.Engine, ClusterHealth) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -152,7 +159,7 @@ func RunCluster(ctx context.Context, prog *ir.Program, cg *callgraph.Graph, sa *
 	tid := obs.WorkerTID(worker)
 	sp := cfg.Tracer.Start("cluster", fmt.Sprintf("cluster-%d", c.ID), tid).
 		Arg("cluster", c.ID).Arg("size", c.Size()).Arg("worker", worker)
-	eng, h := runLadder(ctx, prog, cg, sa, c, fallback, cfg, tid)
+	eng, h := runLadder(ctx, prog, cg, sa, c, fallback, cfg, tab, tid)
 	sp.Arg("attempts", h.Attempts).
 		Arg("status", h.Status.String()).
 		Arg("outcome", h.Outcome()).
@@ -183,7 +190,7 @@ func recordClusterMetrics(m *obs.Metrics, c *cluster.Cluster, h ClusterHealth) {
 // runLadder is RunCluster's body: the cache probe plus the degradation
 // ladder itself, emitting attempt and cache spans on the worker's track.
 func runLadder(ctx context.Context, prog *ir.Program, cg *callgraph.Graph, sa *steens.Analysis,
-	c *cluster.Cluster, fallback *andersen.Analysis, cfg Config, tid int) (*fscs.Engine, ClusterHealth) {
+	c *cluster.Cluster, fallback *andersen.Analysis, cfg Config, tab *cache.Table, tid int) (*fscs.Engine, ClusterHealth) {
 	tr := cfg.Tracer
 	budget := cfg.ClusterBudget
 	maxCond := maxCondOrDefault(cfg.MaxCond)
@@ -202,7 +209,10 @@ func runLadder(ctx context.Context, prog *ir.Program, cg *callgraph.Graph, sa *s
 	useCache := cfg.Cache != nil && !cfg.Faults.Active()
 	if useCache {
 		psp := tr.Start("cache", "cache.probe", tid).Arg("cluster", c.ID)
-		cn = cache.NewCanon(prog, sa, cg, c, cache.Params{MaxCond: maxCond, Budget: budget})
+		if tab == nil {
+			tab = cache.NewTable(prog, sa, cg)
+		}
+		cn = tab.Canon(c, cache.Params{MaxCond: maxCond, Budget: budget})
 		data, ok := cfg.Cache.Get(cn.Key())
 		psp.Arg("hit", ok).End()
 		if ok {

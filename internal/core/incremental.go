@@ -29,7 +29,6 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"time"
@@ -284,6 +283,9 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	a2.Steens = sa2
 	a2.Andersen = aa
 	a2.CallGraph = cg
+	if cfg.Cache != nil {
+		a2.canons = cache.NewTable(newProg, sa2, cg)
+	}
 	a2.Clusters = cover
 	a2.partBases = newBases
 	a2.steensSigs = sig.newSigs
@@ -411,12 +413,13 @@ func (a *Analysis) exportToCache(dst *cache.Cache) {
 		MaxCond: maxCondOrDefault(a.cfg.MaxCond),
 		Budget:  a.cfg.ClusterBudget,
 	}
+	tab := a.canonTable()
 	for id, eng := range a.engines {
 		c, ok := a.selected[id]
 		if !healthy[id] || !ok {
 			continue
 		}
-		cn := cache.NewCanon(a.Prog, a.Steens, a.CallGraph, c, params)
+		cn := tab.Canon(c, params)
 		if payload, ok := eng.ExportState(cn); ok {
 			dst.Put(cn.Key(), payload)
 		}
@@ -701,11 +704,19 @@ func (a *Analysis) Fingerprints() map[int]string {
 		sel[id] = c
 	}
 	a.mu.Unlock()
+	tab := a.canonTable()
 	out := make(map[int]string, len(sel))
 	for id, c := range sel {
-		cn := cache.NewCanon(a.Prog, a.Steens, a.CallGraph, c, params)
-		k := cn.Key()
-		out[id] = hex.EncodeToString(k[:])
+		out[id] = tab.Canon(c, params).Key().String()
 	}
 	return out
+}
+
+// canonTable returns the analysis' key table, or a fresh one over its
+// program when the run had no cache to key for.
+func (a *Analysis) canonTable() *cache.Table {
+	if a.canons != nil {
+		return a.canons
+	}
+	return cache.NewTable(a.Prog, a.Steens, a.CallGraph)
 }

@@ -83,7 +83,7 @@ func (a *Analysis) EnsureCluster(ctx context.Context, id int) (*fscs.Engine, Clu
 // solveCluster runs one detached single-flight solve and installs the
 // result.
 func (a *Analysis) solveCluster(id int, c *cluster.Cluster, s *inflight) {
-	eng, h := RunCluster(context.Background(), a.Prog, a.CallGraph, a.Steens, c, a.Andersen, a.cfg)
+	eng, h := runCluster(context.Background(), a.Prog, a.CallGraph, a.Steens, c, a.Andersen, a.cfg, a.canons)
 	a.mu.Lock()
 	if eng != nil {
 		a.engines[id] = eng

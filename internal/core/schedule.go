@@ -90,7 +90,7 @@ func (a *Analysis) runEager(ctx context.Context, in <-chan *cluster.Cluster, cfg
 			defer wg.Done()
 			wctx := obs.ContextWithWorker(ctx, w)
 			for j := range jobs {
-				j.eng, j.h = RunCluster(wctx, a.Prog, a.CallGraph, a.Steens, j.c, a.Andersen, cfg)
+				j.eng, j.h = runCluster(wctx, a.Prog, a.CallGraph, a.Steens, j.c, a.Andersen, cfg, a.canons)
 			}
 		}(w)
 	}
