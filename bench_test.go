@@ -31,6 +31,7 @@ import (
 	"bootstrap/internal/callgraph"
 	"bootstrap/internal/cluster"
 	"bootstrap/internal/core"
+	"bootstrap/internal/cpl"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/fscs"
 	"bootstrap/internal/ir"
@@ -75,6 +76,15 @@ func (w coverWork) report(b *testing.B) {
 	b.ReportMetric(float64(w.exhausted)/float64(b.N), "exhausted/op")
 }
 
+// reportCover adds the cover's cluster count and largest cluster to b's
+// metrics. Call it after the timed loop: b.ResetTimer drops metrics
+// reported before it.
+func reportCover(b *testing.B, cover []*cluster.Cluster) {
+	stats := cluster.CoverStats(cover)
+	b.ReportMetric(float64(stats.NumClusters), "clusters")
+	b.ReportMetric(float64(stats.MaxSize), "maxsize")
+}
+
 // runCover solves every cluster of cs and adds what the engines charged
 // to w.
 func runCover(b *testing.B, p prepared, cs []*cluster.Cluster, budget int64, w *coverWork) {
@@ -117,9 +127,6 @@ func BenchmarkTable1Steensgaard(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			p := prepare(b, name, benchScale)
 			cover := cluster.BuildSteensgaard(p.prog, p.sa)
-			stats := cluster.CoverStats(cover)
-			b.ReportMetric(float64(stats.NumClusters), "clusters")
-			b.ReportMetric(float64(stats.MaxSize), "maxsize")
 			b.ReportAllocs()
 			b.ResetTimer()
 			var w coverWork
@@ -127,6 +134,7 @@ func BenchmarkTable1Steensgaard(b *testing.B) {
 				runCover(b, p, cover, 0, &w)
 			}
 			w.report(b)
+			reportCover(b, cover)
 		})
 	}
 }
@@ -140,9 +148,6 @@ func BenchmarkTable1Andersen(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			p := prepare(b, name, benchScale)
 			cover := cluster.BuildAndersen(p.prog, p.sa, 8)
-			stats := cluster.CoverStats(cover)
-			b.ReportMetric(float64(stats.NumClusters), "clusters")
-			b.ReportMetric(float64(stats.MaxSize), "maxsize")
 			b.ReportAllocs()
 			b.ResetTimer()
 			var w coverWork
@@ -150,6 +155,7 @@ func BenchmarkTable1Andersen(b *testing.B) {
 				runCover(b, p, cover, 0, &w)
 			}
 			w.report(b)
+			reportCover(b, cover)
 			if w.tuples > 0 {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(w.tuples), "ns/tuple")
 			}
@@ -287,7 +293,6 @@ func BenchmarkEngineShell(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			p := prepare(b, name, benchScale)
 			cover := cluster.BuildAndersen(p.prog, p.sa, cluster.DefaultAndersenThreshold)
-			b.ReportMetric(float64(len(cover)), "clusters")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -295,21 +300,66 @@ func BenchmarkEngineShell(b *testing.B) {
 					fscs.NewEngine(p.prog, p.cg, p.sa, c)
 				}
 			}
+			b.ReportMetric(float64(len(cover)), "clusters") // after ResetTimer, which drops metrics
 		})
 	}
 }
 
-// BenchmarkFrontend measures parse + lowering throughput.
+// BenchmarkFrontend measures the front end on perfbench's program,
+// autofs@1.0, stage by stage: lex pulls every token through
+// cpl.Lexer.Next, parse runs cpl.Parse (lexing included), lower runs
+// frontend.Lower on a parsed file, and source runs frontend.LowerSource,
+// the whole serial step every analysis starts with.
 func BenchmarkFrontend(b *testing.B) {
 	row, _ := synth.FindBenchmark("autofs")
-	src := synth.Generate(row, 0.5)
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := frontend.LowerSource(src); err != nil {
+	src := synth.Generate(row, 1.0)
+	b.Run("lex", func(b *testing.B) {
+		b.SetBytes(int64(len(src)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lx := cpl.NewLexer(src)
+			for {
+				t, err := lx.Next()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if t.Kind == cpl.EOF {
+					break
+				}
+			}
+		}
+	})
+	b.Run("parse", func(b *testing.B) {
+		b.SetBytes(int64(len(src)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cpl.Parse(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lower", func(b *testing.B) {
+		file, err := cpl.Parse(src)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := frontend.Lower(file); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("source", func(b *testing.B) {
+		b.SetBytes(int64(len(src)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := frontend.LowerSource(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkAblationCycleElimination compares the baseline Andersen solver
