@@ -1,22 +1,29 @@
 package cpl
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Lexer turns CPL source text into tokens. It supports //-line and
-// /* */-block comments and reports positions for diagnostics.
+// /* */-block comments and reports positions for diagnostics. A column
+// counts bytes from the start of its line, so a tab and a \r count one
+// each.
 type Lexer struct {
-	src  string
-	off  int
-	line int
-	col  int
+	src       string
+	off       int
+	line      int
+	lineStart int // offset of the current line's first byte
 }
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1}
 }
 
 // Lex tokenizes the whole input, appending the terminating EOF token.
+// The parser pulls tokens from a Lexer as it goes and never builds this
+// slice; Lex is for tests and tools that want the whole stream.
 func Lex(src string) ([]Token, error) {
 	lx := NewLexer(src)
 	// The Table 1 programs lex at 3.3-4 bytes per token, so a third of the
@@ -35,67 +42,52 @@ func Lex(src string) ([]Token, error) {
 	}
 }
 
-func (lx *Lexer) peek() byte {
-	if lx.off >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.off]
-}
+func (lx *Lexer) pos() Pos { return Pos{Line: lx.line, Col: lx.off - lx.lineStart + 1} }
 
-func (lx *Lexer) peek2() byte {
-	if lx.off+1 >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.off+1]
-}
-
-func (lx *Lexer) advance() byte {
-	c := lx.src[lx.off]
-	lx.off++
-	if c == '\n' {
+// newlines accounts for the line breaks in src[lx.off:end] and moves the
+// cursor to end.
+func (lx *Lexer) newlines(end int) {
+	for {
+		i := strings.IndexByte(lx.src[lx.off:end], '\n')
+		if i < 0 {
+			break
+		}
+		lx.off += i + 1
 		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
+		lx.lineStart = lx.off
 	}
-	return c
+	lx.off = end
 }
 
 func (lx *Lexer) skipSpaceAndComments() error {
-	for lx.off < len(lx.src) {
-		c := lx.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
-		case c == '/' && lx.peek2() == '/':
-			for lx.off < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
+	src := lx.src
+	for lx.off < len(src) {
+		switch c := src[lx.off]; {
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.off++
+		case c == '\n':
+			lx.off++
+			lx.line++
+			lx.lineStart = lx.off
+		case c == '/' && lx.off+1 < len(src) && src[lx.off+1] == '/':
+			if i := strings.IndexByte(src[lx.off:], '\n'); i >= 0 {
+				lx.off += i
+			} else {
+				lx.off = len(src)
 			}
-		case c == '/' && lx.peek2() == '*':
+		case c == '/' && lx.off+1 < len(src) && src[lx.off+1] == '*':
 			start := lx.pos()
-			lx.advance()
-			lx.advance()
-			closed := false
-			for lx.off < len(lx.src) {
-				if lx.peek() == '*' && lx.peek2() == '/' {
-					lx.advance()
-					lx.advance()
-					closed = true
-					break
-				}
-				lx.advance()
-			}
-			if !closed {
+			i := strings.Index(src[lx.off+2:], "*/")
+			if i < 0 {
 				return fmt.Errorf("%s: unterminated block comment", start)
 			}
+			lx.newlines(lx.off + 2 + i + 2)
 		default:
 			return nil
 		}
 	}
 	return nil
 }
-
-func (lx *Lexer) pos() Pos { return Pos{Line: lx.line, Col: lx.col} }
 
 func isIdentStart(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
@@ -112,72 +104,78 @@ func (lx *Lexer) Next() (Token, error) {
 		return Token{}, err
 	}
 	p := lx.pos()
-	if lx.off >= len(lx.src) {
+	src := lx.src
+	if lx.off >= len(src) {
 		return Token{Kind: EOF, Pos: p}, nil
 	}
-	c := lx.peek()
+	c := src[lx.off]
+	start := lx.off
 	switch {
 	case isIdentStart(c):
-		start := lx.off
-		for lx.off < len(lx.src) && isIdentPart(lx.peek()) {
-			lx.advance()
+		lx.off++
+		for lx.off < len(src) && isIdentPart(src[lx.off]) {
+			lx.off++
 		}
-		text := lx.src[start:lx.off]
-		if kw, ok := keywords[text]; ok {
-			return Token{Kind: kw, Text: text, Pos: p}, nil
-		}
-		return Token{Kind: IDENT, Text: text, Pos: p}, nil
+		text := src[start:lx.off]
+		return Token{Kind: keyword(text), Text: text, Pos: p}, nil
 	case isDigit(c):
-		start := lx.off
-		for lx.off < len(lx.src) && isDigit(lx.peek()) {
-			lx.advance()
+		lx.off++
+		for lx.off < len(src) && isDigit(src[lx.off]) {
+			lx.off++
 		}
-		return Token{Kind: NUMBER, Text: lx.src[start:lx.off], Pos: p}, nil
+		return Token{Kind: NUMBER, Text: src[start:lx.off], Pos: p}, nil
 	}
-	lx.advance()
-	one := func(k Kind) (Token, error) { return Token{Kind: k, Pos: p}, nil }
+	lx.off++
+	var next byte
+	if lx.off < len(src) {
+		next = src[lx.off]
+	}
+	k := EOF
 	switch c {
 	case '(':
-		return one(LParen)
+		k = LParen
 	case ')':
-		return one(RParen)
+		k = RParen
 	case '{':
-		return one(LBrace)
+		k = LBrace
 	case '}':
-		return one(RBrace)
+		k = RBrace
 	case ';':
-		return one(Semi)
+		k = Semi
 	case ',':
-		return one(Comma)
+		k = Comma
 	case '*':
-		return one(Star)
+		k = Star
 	case '&':
-		return one(Amp)
+		k = Amp
 	case '+':
-		return one(Plus)
+		k = Plus
 	case '.':
-		return one(Dot)
+		k = Dot
 	case '<':
-		return one(Lt)
+		k = Lt
 	case '>':
-		return one(Gt)
+		k = Gt
 	case '-':
-		if lx.peek() == '>' {
-			lx.advance()
-			return one(Arrow)
+		k = Minus
+		if next == '>' {
+			lx.off++
+			k = Arrow
 		}
-		return one(Minus)
 	case '=':
-		if lx.peek() == '=' {
-			lx.advance()
-			return one(Eq)
+		k = Assign
+		if next == '=' {
+			lx.off++
+			k = Eq
 		}
-		return one(Assign)
 	case '!':
-		if lx.peek() == '=' {
-			lx.advance()
-			return one(Neq)
+		if next == '=' {
+			lx.off++
+			k = Neq
 		}
 	}
-	return Token{}, fmt.Errorf("%s: illegal character %q", p, string(c))
+	if k == EOF {
+		return Token{}, fmt.Errorf("%s: illegal character %q", p, string(c))
+	}
+	return Token{Kind: k, Pos: p}, nil
 }

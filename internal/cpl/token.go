@@ -73,12 +73,47 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-var keywords = map[string]Kind{
-	"int": KwInt, "lock": KwLock, "void": KwVoid, "struct": KwStruct,
-	"if": KwIf, "else": KwElse, "while": KwWhile, "return": KwReturn,
-	"malloc": KwMalloc, "free": KwFree, "null": KwNull,
-	// C spellings accepted as aliases.
-	"NULL": KwNull,
+// keyword returns the keyword kind an identifier spells, or IDENT. It
+// switches on the length first, so most identifiers are rejected
+// without a string comparison.
+func keyword(s string) Kind {
+	switch len(s) {
+	case 2:
+		if s == "if" {
+			return KwIf
+		}
+	case 3:
+		if s == "int" {
+			return KwInt
+		}
+	case 4:
+		switch s {
+		case "lock":
+			return KwLock
+		case "void":
+			return KwVoid
+		case "else":
+			return KwElse
+		case "free":
+			return KwFree
+		case "null", "NULL": // NULL: the C spelling, accepted as an alias
+			return KwNull
+		}
+	case 5:
+		if s == "while" {
+			return KwWhile
+		}
+	case 6:
+		switch s {
+		case "struct":
+			return KwStruct
+		case "return":
+			return KwReturn
+		case "malloc":
+			return KwMalloc
+		}
+	}
+	return IDENT
 }
 
 // Pos is a source position (1-based line and column).
