@@ -31,8 +31,7 @@ func (lw *lowerer) funcValue(f ir.FuncID) ir.VarID {
 		return v
 	}
 	name := "$fn:" + lw.prog.Func(f).Name
-	v := lw.prog.AddVar(name, ir.KindFunc, f)
-	lw.varTypes[v] = typeInfo{base: "void", stars: 0}
+	v := lw.addVar(name, ir.KindFunc, f, typeInfo{base: "void", stars: 0})
 	lw.prog.FuncValue[f] = v
 	return v
 }
@@ -337,13 +336,13 @@ func (lw *lowerer) lowerBinaryInto(dst ir.VarID, b *cpl.Binary) (bool, error) {
 		// Both operands are pointers: dst may alias either, chosen
 		// nondeterministically via a branch diamond.
 		branch := lw.emit(skipStmt("ptr-arith"))
-		lw.frontier = []ir.Loc{branch}
+		lw.frontier = lw.frontierOf(branch)
 		a1 := lw.emit(ir.Stmt{Op: ir.OpCopy, Dst: dst, Src: vx, Callee: ir.NoFunc, FPtr: ir.NoVar})
-		lw.frontier = []ir.Loc{branch}
+		lw.frontier = lw.frontierOf(branch)
 		a2 := lw.emit(ir.Stmt{Op: ir.OpCopy, Dst: dst, Src: vy, Callee: ir.NoFunc, FPtr: ir.NoVar})
-		lw.frontier = []ir.Loc{a1, a2}
-		join := lw.emit(skipStmt("endptr-arith"))
-		lw.frontier = []ir.Loc{join}
+		lw.frontier = lw.frontierWindow(2)
+		lw.frontier[0], lw.frontier[1] = a1, a2
+		lw.emit(skipStmt("endptr-arith"))
 		return true, nil
 	}
 }
