@@ -66,8 +66,11 @@ type Cluster struct {
 	// BuildPartitionWithBase). It disambiguates provenance where the
 	// pointer set cannot: a sink pointer belongs to several overlapping
 	// partitions, so a sink-only Andersen sub-cluster is attributable
-	// only through this record. Incremental reanalysis keys partition
-	// reuse on it.
+	// only through this record. Incremental reanalysis reads it only to
+	// seed the first edit's partition records from a from-scratch
+	// cover; after that the records, not Part, find a partition's
+	// clusters, and a cluster kept across edits may hold an equal list
+	// of an earlier program generation.
 	Part []ir.VarID
 }
 
@@ -98,16 +101,18 @@ func (c *Cluster) String() string {
 }
 
 // Index holds the per-program statement indexes Algorithm 1 consults:
-// direct-destination statements by destination, and stores by the content
+// direct-destination statements by destination, stores by the content
 // class of the pointer stored through (so store activation is O(1) when a
-// location class joins V_P). Build it once and share it across every
-// cluster of a program.
+// location class joins V_P), and assumes by function. Each is a
+// compressed array over a dense id — VarID, class id, FuncID — filled in
+// node order, so every list is in node order. Build it once and share it
+// across every cluster of a program.
 type Index struct {
-	prog          *ir.Program
-	sa            *steens.Analysis
-	byDst         map[ir.VarID][]ir.Loc
-	storesByClass map[int][]storeStmt
-	assumesByFn   map[ir.FuncID][]ir.Loc
+	prog    *ir.Program
+	sa      *steens.Analysis
+	byDst   rows[ir.Loc]
+	stores  rows[storeStmt]
+	assumes rows[ir.Loc]
 }
 
 type storeStmt struct {
@@ -115,24 +120,72 @@ type storeStmt struct {
 	q, r ir.VarID
 }
 
+// rows is a compressed array: row k is items[start[k]:start[k+1]].
+type rows[T any] struct {
+	start []int32
+	items []T
+}
+
+// row returns row k, empty for a k outside the array.
+func (t *rows[T]) row(k int) []T {
+	if k < 0 || k+1 >= len(t.start) {
+		return nil
+	}
+	return t.items[t.start[k]:t.start[k+1]]
+}
+
+// size allocates items for the row counts accumulated in start[k+1],
+// and leaves start[k+1] at the first slot of row k for fill to advance.
+func (t *rows[T]) size() {
+	for k := 1; k < len(t.start); k++ {
+		t.start[k] += t.start[k-1]
+	}
+	t.items = make([]T, t.start[len(t.start)-1])
+	copy(t.start[1:], t.start[:len(t.start)-1])
+}
+
+// fill appends x to row k. Once every row is filled, start[k] is the
+// first slot of row k again.
+func (t *rows[T]) fill(k int, x T) {
+	t.items[t.start[k+1]] = x
+	t.start[k+1]++
+}
+
 // NewIndex builds the Algorithm 1 statement indexes for a program.
 func NewIndex(p *ir.Program, sa *steens.Analysis) *Index {
-	ix := &Index{
-		prog:          p,
-		sa:            sa,
-		byDst:         map[ir.VarID][]ir.Loc{},
-		storesByClass: map[int][]storeStmt{},
-		assumesByFn:   map[ir.FuncID][]ir.Loc{},
+	classes := 0
+	for _, n := range p.Nodes {
+		if n.Stmt.Op == ir.OpStore {
+			classes = max(classes, sa.ContentClass(n.Stmt.Dst)+1)
+		}
 	}
+	ix := &Index{prog: p, sa: sa}
+	ix.byDst.start = make([]int32, p.NumVars()+1)
+	ix.stores.start = make([]int32, classes+1)
+	ix.assumes.start = make([]int32, len(p.Funcs)+1)
+	// Two passes: count each row (into start[k+1]), then fill in node
+	// order.
 	for _, n := range p.Nodes {
 		switch n.Stmt.Op {
 		case ir.OpCopy, ir.OpAddr, ir.OpLoad, ir.OpNullify:
-			ix.byDst[n.Stmt.Dst] = append(ix.byDst[n.Stmt.Dst], n.Loc)
+			ix.byDst.start[n.Stmt.Dst+1]++
 		case ir.OpStore:
-			cls := sa.ContentClass(n.Stmt.Dst)
-			ix.storesByClass[cls] = append(ix.storesByClass[cls], storeStmt{loc: n.Loc, q: n.Stmt.Dst, r: n.Stmt.Src})
+			ix.stores.start[sa.ContentClass(n.Stmt.Dst)+1]++
 		case ir.OpAssumeEq, ir.OpAssumeNeq:
-			ix.assumesByFn[n.Fn] = append(ix.assumesByFn[n.Fn], n.Loc)
+			ix.assumes.start[n.Fn+1]++
+		}
+	}
+	ix.byDst.size()
+	ix.stores.size()
+	ix.assumes.size()
+	for _, n := range p.Nodes {
+		switch n.Stmt.Op {
+		case ir.OpCopy, ir.OpAddr, ir.OpLoad, ir.OpNullify:
+			ix.byDst.fill(int(n.Stmt.Dst), n.Loc)
+		case ir.OpStore:
+			ix.stores.fill(sa.ContentClass(n.Stmt.Dst), storeStmt{loc: n.Loc, q: n.Stmt.Dst, r: n.Stmt.Src})
+		case ir.OpAssumeEq, ir.OpAssumeNeq:
+			ix.assumes.fill(int(n.Fn), n.Loc)
 		}
 	}
 	return ix
@@ -161,7 +214,6 @@ func RelevantStatements(p *ir.Program, sa *steens.Analysis, P []ir.VarID) ([]ir.
 // RelevantStatements is Algorithm 1 over a prebuilt index.
 func (ix *Index) RelevantStatements(P []ir.VarID) ([]ir.VarID, []ir.Loc) {
 	p, sa := ix.prog, ix.sa
-	byDst, storesByClass := ix.byDst, ix.storesByClass
 	inV := make(map[ir.VarID]bool, len(P)*2)
 	var work, added []ir.VarID
 
@@ -184,7 +236,7 @@ func (ix *Index) RelevantStatements(P []ir.VarID) ([]ir.VarID, []ir.Loc) {
 			v := work[len(work)-1]
 			work = work[:len(work)-1]
 
-			for _, loc := range byDst[v] {
+			for _, loc := range ix.byDst.row(int(v)) {
 				stmtSet[loc] = true
 				st := p.Node(loc).Stmt
 				switch st.Op {
@@ -204,7 +256,7 @@ func (ix *Index) RelevantStatements(P []ir.VarID) ([]ir.VarID, []ir.Loc) {
 			lc := sa.LocClass(v)
 			if !activatedClasses[lc] {
 				activatedClasses[lc] = true
-				for _, s := range storesByClass[lc] {
+				for _, s := range ix.stores.row(lc) {
 					stmtSet[s.loc] = true
 					add(s.q)
 					add(s.r)
@@ -217,7 +269,7 @@ func (ix *Index) RelevantStatements(P []ir.VarID) ([]ir.VarID, []ir.Loc) {
 	// slice touches contributes points-to constraints whose guard
 	// pointers the per-cluster engine must be able to resolve — pull them
 	// (and, transitively, their value sources) into V_P.
-	if len(ix.assumesByFn) > 0 {
+	if len(ix.assumes.items) > 0 {
 		doneFn := map[ir.FuncID]bool{}
 		for changed := true; changed; {
 			changed = false
@@ -230,7 +282,7 @@ func (ix *Index) RelevantStatements(P []ir.VarID) ([]ir.VarID, []ir.Loc) {
 					continue
 				}
 				doneFn[fn] = true
-				for _, loc := range ix.assumesByFn[fn] {
+				for _, loc := range ix.assumes.row(int(fn)) {
 					st := p.Node(loc).Stmt
 					stmtSet[loc] = true
 					add(st.Dst)

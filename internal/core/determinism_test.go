@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -43,11 +42,7 @@ func coverDump(cs []*cluster.Cluster) string {
 func answerDump(a *Analysis) string {
 	var b strings.Builder
 	exit := a.Prog.Func(a.Prog.Entry).Exit
-	var ptrs []ir.VarID
-	for p := range a.byPointer {
-		ptrs = append(ptrs, p)
-	}
-	sort.Slice(ptrs, func(i, j int) bool { return ptrs[i] < ptrs[j] })
+	ptrs := a.CoveredPointers()
 	ctx := context.Background()
 	for _, p := range ptrs {
 		objs, precise := a.PointsToContext(ctx, p, exit)
@@ -188,8 +183,10 @@ func TestPipelinedMatchesSerialCover(t *testing.T) {
 						}
 						a.mu.Lock()
 						var ids []int
-						for id := range a.selected {
-							ids = append(ids, id)
+						for id, c := range a.selected {
+							if c != nil {
+								ids = append(ids, id)
+							}
 						}
 						a.mu.Unlock()
 						for _, id := range ids {

@@ -11,6 +11,7 @@ import (
 	"bootstrap/internal/core"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
+	"bootstrap/internal/obs"
 	"bootstrap/internal/synth"
 )
 
@@ -178,5 +179,33 @@ func TestApplyEditRetainedHeapFlat(t *testing.T) {
 	if late > limit {
 		t.Errorf("retained heap grew from %d to %d bytes over %d edit/undo pairs, want at most 5%% growth",
 			early, late, totalPairs-warmPairs)
+	}
+}
+
+// TestApplyEditSlicesDirtyPartitionsOnly: an edit runs Algorithm 1 on
+// the partitions it dirties, not on every partition it cannot reuse by
+// lookup. On perfbench's program, after one warm-up edit, a light edit
+// and its undo each dirty a cluster or two, and each slices one or two
+// partitions, as incr_partitions_sliced_total reports: an alias-free
+// partition (802 of autofs@1.0's 1,885) is checked against the dirty
+// variables, not sliced again.
+func TestApplyEditSlicesDirtyPartitionsOnly(t *testing.T) {
+	m := obs.NewMetrics()
+	a, err := core.AnalyzeProgram(lowerRow(t, "autofs", 1), core.Config{Mode: core.ModeAndersen, Lazy: true, Metrics: m})
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	sliced := m.Counter("incr_partitions_sliced_total", "")
+	rng := rand.New(rand.NewSource(1))
+	warm, _ := donorEdit(t, a, rng, false)
+	a, _ = applyOK(t, a, warm)
+	edit, undo := donorEdit(t, a, rng, false)
+	for i, e := range []ir.Edit{edit, undo} {
+		before := sliced.Value()
+		var rep *core.EditReport
+		a, rep = applyOK(t, a, e)
+		if n := sliced.Value() - before; n < 1 || n > 2 {
+			t.Errorf("edit %d (%d dirty clusters) sliced %d partitions, want 1 or 2", i, rep.Dirty, n)
+		}
 	}
 }
