@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -31,6 +32,7 @@ func TestLowerErrorText(t *testing.T) {
 		{"unknown struct", "struct S s;", "1:10: unknown struct S"},
 		{"unknown field struct", "struct S { struct T t; }; struct S s;", "1:36: unknown struct T"},
 		{"recursive struct", "struct S { struct S s; }; struct S s;", "1:36: struct S nests too deeply (recursive by value?)"},
+		{"struct too wide", wideStructSrc, "1:342: struct S9 flattens to more than 4096 fields"},
 		{"no such field", "struct S { int *f; }; struct S s; int *x; void main() { x = s.g; }", "1:63: struct S has no field g"},
 		{"address of whole struct", "struct S { int *f; }; struct S s; int **p; void main() { p = &s; }", "1:62: taking the address of a whole struct is not supported; take a field's address"},
 		{"struct copy across types", "struct S { int *f; }; struct T { int *f; }; struct S s; struct T t; void main() { s = t; }", "1:83: struct assignment requires matching struct types"},
@@ -106,3 +108,14 @@ func TestLowerNameCollisions(t *testing.T) {
 		t.Errorf("inner s.f should resolve to main.s#2.f: %v", got)
 	}
 }
+
+// wideStructSrc declares nine structs, each holding four fields of the
+// previous one, and one S9: it would flatten to 4^8 * 4 = 262,144
+// variables.
+var wideStructSrc = func() string {
+	src := "struct S1 { int *a, *b, *c, *d; }; "
+	for i := 2; i <= 9; i++ {
+		src += fmt.Sprintf("struct S%d { struct S%d a, b, c, d; }; ", i, i-1)
+	}
+	return src + "struct S9 s;"
+}()

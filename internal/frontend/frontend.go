@@ -79,6 +79,7 @@ func (t typeInfo) isLockPtr() bool { return t.base == "lock" && t.stars >= 1 }
 type lowerer struct {
 	prog    *ir.Program
 	structs map[string]*cpl.StructDecl
+	leaves  map[structAt]leafCount // structLeaves' memo, made on first use
 	// varTypes is indexed by VarID: every variable the lowerer adds
 	// appends its type here.
 	varTypes []typeInfo
@@ -236,6 +237,9 @@ func (lw *lowerer) declare(vd *cpl.VarDecl, prefix string, kind ir.VarKind, fn i
 			}
 		}
 		if isStruct {
+			if n, _ := lw.structLeaves(vd.Type.Base, 0); n > maxStructLeaves {
+				return posErr(d.Pos, "struct %s flattens to more than %d fields", vd.Type.Base, maxStructLeaves)
+			}
 			if err := lw.flattenStruct(qname, vd.Type.Base, kind, fn, d.Pos, 0); err != nil {
 				return err
 			}
@@ -277,6 +281,59 @@ func (lw *lowerer) isStructRoot(v ir.VarID) (string, string, bool) {
 }
 
 const maxStructDepth = 16
+
+// maxStructLeaves bounds the variables one by-value struct declaration
+// flattens to. Nesting multiplies: nine structs each holding four fields
+// of the previous one flatten to 4^9 variables, so width needs its own
+// bound beside depth.
+const maxStructLeaves = 4096
+
+// structAt keys structLeaves' memo: a struct flattened at a depth.
+type structAt struct {
+	name  string
+	depth int
+}
+
+// leafCount is a memoized structLeaves result.
+type leafCount struct {
+	n     int
+	fails bool
+}
+
+// structLeaves returns how many variables flattenStruct creates for
+// struct structName at nesting depth depth before it finishes or fails,
+// saturating at maxStructLeaves+1, and whether it fails (an unknown,
+// recursive or too deeply nested struct). It is memoized by struct and
+// depth, so counting takes time linear in the declarations, however
+// many variables they flatten to.
+func (lw *lowerer) structLeaves(structName string, depth int) (n int, fails bool) {
+	sd, ok := lw.structs[structName]
+	if !ok || depth > maxStructDepth {
+		return 0, true
+	}
+	key := structAt{structName, depth}
+	if c, ok := lw.leaves[key]; ok {
+		return c.n, c.fails
+	}
+	if lw.leaves == nil {
+		lw.leaves = map[structAt]leafCount{}
+	}
+	defer func() { lw.leaves[key] = leafCount{n, fails} }()
+	for _, fieldDecl := range sd.Fields {
+		for _, d := range fieldDecl.Names {
+			if !fieldDecl.Type.IsStruct || d.Stars != 0 {
+				n = min(n+1, maxStructLeaves+1)
+				continue
+			}
+			m, f := lw.structLeaves(fieldDecl.Type.Base, depth+1)
+			n = min(n+m, maxStructLeaves+1)
+			if f {
+				return n, true
+			}
+		}
+	}
+	return n, false
+}
 
 func (lw *lowerer) flattenStruct(qname, structName string, kind ir.VarKind, fn ir.FuncID, pos cpl.Pos, depth int) error {
 	if depth > maxStructDepth {

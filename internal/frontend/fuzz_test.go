@@ -33,6 +33,7 @@ func FuzzLowerSource(f *testing.F) {
 	f.Add("int *p;\r\n\tvoid main() {\r\n\t\tp = malloc; p = malloc;\r\n}\r\n")
 	f.Add("struct S { int *f; }; void main() { { struct S s; } { struct S s; } }")
 	f.Add(shapesSrc)
+	f.Add(wideStructSrc)
 	b, _ := synth.FindBenchmark("sock")
 	f.Add(synth.Generate(b, 0.05))
 	f.Add(synth.RandomSource(rand.New(rand.NewSource(1)), synth.DefaultRandomConfig()))
