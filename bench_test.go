@@ -14,8 +14,8 @@
 //     and per call) and of a cold one (engine before its first walk);
 //   - BenchmarkAnalyzeProgram — the whole eager analysis;
 //   - BenchmarkClone / BenchmarkApplyEdit — the daemon's edit→answer
-//     path: the program copy every edit starts from, and a light edit
-//     with its undo on a solved lazy analysis.
+//     path: the program copy every edit starts from, and a light and a
+//     heavy edit, each with its undo, on a solved lazy analysis.
 package bootstrap_test
 
 import (
@@ -428,13 +428,15 @@ func BenchmarkClone(b *testing.B) {
 // cloneSink keeps BenchmarkClone's copies live.
 var cloneSink *ir.Program
 
-// lightEdit draws a light edit the way perfbench's `edit` workload
-// does: the source of a plain copy, address-of or load (outside call
-// bindings) whose destination lies in a partition at or under the
-// Andersen threshold is replaced by the source of another such
-// statement of the same function in the same Steensgaard partition. It
-// returns the edit and the edit that undoes it.
-func lightEdit(b *testing.B, a *core.Analysis, rng *rand.Rand) (edit, undo ir.Edit) {
+// donorEdit draws an edit the way perfbench's `edit` workload does: the
+// source of a plain copy, address-of or load (outside call bindings) is
+// replaced by the source of another such statement of the same function
+// in the same Steensgaard partition. A light edit's destination lies in
+// a partition at or under the Andersen threshold; a heavy one's, as in
+// every seventh perfbench edit, in a partition above it, whose Andersen
+// refinement the edit re-derives. It returns the edit and the edit that
+// undoes it.
+func donorEdit(b *testing.B, a *core.Analysis, rng *rand.Rand, heavy bool) (edit, undo ir.Edit) {
 	b.Helper()
 	prog := a.Prog
 	plain := func(n *ir.Node) bool {
@@ -446,7 +448,7 @@ func lightEdit(b *testing.B, a *core.Analysis, rng *rand.Rand) (edit, undo ir.Ed
 	}
 	var eligible []*ir.Node
 	for _, n := range prog.Nodes {
-		if plain(n) && len(a.Steens.PartitionOf(n.Stmt.Dst)) <= cluster.DefaultAndersenThreshold {
+		if plain(n) && (len(a.Steens.PartitionOf(n.Stmt.Dst)) > cluster.DefaultAndersenThreshold) == heavy {
 			eligible = append(eligible, n)
 		}
 	}
@@ -467,45 +469,59 @@ func lightEdit(b *testing.B, a *core.Analysis, rng *rand.Rand) (edit, undo ir.Ed
 		return ir.Edit{Kind: ir.EditReplaceStmt, Loc: n.Loc, Stmt: st},
 			ir.Edit{Kind: ir.EditReplaceStmt, Loc: n.Loc, Stmt: n.Stmt}
 	}
-	b.Fatal("no statement with a same-partition donor")
+	b.Fatalf("no statement with a same-partition donor (heavy=%v)", heavy)
 	return
 }
 
-// BenchmarkApplyEdit measures one light edit and its undo through
+// BenchmarkApplyEdit measures one edit and its undo through
 // core.ApplyEdit, from a lazy analysis with a result cache whose every
 // cluster is solved: what the daemon's /edit does. Each op starts from
-// the analysis the previous op's undo returned.
+// the analysis the previous op's undo returned. The light case edits a
+// partition kept whole, as six of perfbench's seven edits do; the heavy
+// case (autofs-heavy) edits the oversized partition, as the seventh
+// does, and re-derives its Andersen refinement. Select the light case
+// alone with -bench 'BenchmarkApplyEdit/autofs$'.
 func BenchmarkApplyEdit(b *testing.B) {
-	b.Run(editRow, func(b *testing.B) {
-		ctx := context.Background()
-		prog := prepare(b, editRow, 1).prog
-		a, err := core.AnalyzeProgramContext(ctx, prog, core.Config{
-			Mode: core.ModeAndersen, Lazy: true, Cache: cache.New(cache.Options{}),
-		})
-		if err != nil {
-			b.Fatal(err)
+	for _, heavy := range []bool{false, true} {
+		name := editRow
+		if heavy {
+			name += "-heavy"
 		}
-		for id := range a.Clusters {
-			a.EnsureCluster(ctx, id)
-		}
-		edit, undo := lightEdit(b, a, rand.New(rand.NewSource(1)))
-		pair := func() {
-			a1, rep, err := core.ApplyEdit(ctx, a, []ir.Edit{edit})
-			if err == nil && !rep.FellBack {
-				a, rep, err = core.ApplyEdit(ctx, a1, []ir.Edit{undo})
-			}
+		b.Run(name, func(b *testing.B) {
+			ctx := context.Background()
+			prog := prepare(b, editRow, 1).prog
+			a, err := core.AnalyzeProgramContext(ctx, prog, core.Config{
+				Mode: core.ModeAndersen, Lazy: true, Cache: cache.New(cache.Options{}),
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if rep.FellBack {
-				b.Fatalf("edit fell back to a full reanalysis: %s", rep.Reason)
+			for id := range a.Clusters {
+				a.EnsureCluster(ctx, id)
 			}
-		}
-		pair() // the first pair fills the cache with the edit's clusters
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pair()
-		}
-	})
+			seed := int64(1)
+			if heavy {
+				seed = 7
+			}
+			edit, undo := donorEdit(b, a, rand.New(rand.NewSource(seed)), heavy)
+			pair := func() {
+				a1, rep, err := core.ApplyEdit(ctx, a, []ir.Edit{edit})
+				if err == nil && !rep.FellBack {
+					a, rep, err = core.ApplyEdit(ctx, a1, []ir.Edit{undo})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.FellBack {
+					b.Fatalf("edit fell back to a full reanalysis: %s", rep.Reason)
+				}
+			}
+			pair() // the first pair fills the cache with the edit's clusters
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pair()
+			}
+		})
+	}
 }
