@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -126,6 +127,107 @@ func diffFingerprints(t *testing.T, tag string, got, want map[int]string) {
 			t.Fatalf("%s: cluster %d fingerprint %s != fresh %s", tag, id, got[id], fp)
 		}
 	}
+}
+
+// progDigest hashes everything an edit can write in p: every node's
+// statement (Args included), Succs, Preds and CallLoc, every
+// function's Params and Nodes, and the three name maps, whose entries
+// are summed so that map order does not count.
+func progDigest(p *ir.Program) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	num := func(x int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(x)) }
+	str := func(s string) { num(int64(len(s))); buf = append(buf, s...) }
+	locs := func(ls []ir.Loc) {
+		num(int64(len(ls)))
+		for _, l := range ls {
+			num(int64(l))
+		}
+	}
+	vars := func(vs []ir.VarID) {
+		num(int64(len(vs)))
+		for _, v := range vs {
+			num(int64(v))
+		}
+	}
+	flush := func() { h.Write(buf); buf = buf[:0] }
+	for _, v := range p.Vars {
+		num(int64(v.ID))
+		str(v.Name)
+		num(int64(v.Kind))
+		num(int64(v.Fn))
+		flush()
+	}
+	for _, n := range p.Nodes {
+		st := n.Stmt
+		num(int64(n.Loc))
+		num(int64(n.Fn))
+		num(int64(st.Op))
+		num(int64(st.Dst))
+		num(int64(st.Src))
+		num(int64(st.Callee))
+		num(int64(st.FPtr))
+		vars(st.Args)
+		str(st.Comment)
+		if st.Free {
+			num(1)
+		} else {
+			num(0)
+		}
+		locs(n.Succs)
+		locs(n.Preds)
+		num(int64(n.CallLoc))
+		flush()
+	}
+	for _, f := range p.Funcs {
+		num(int64(f.ID))
+		str(f.Name)
+		vars(f.Params)
+		num(int64(f.Ret))
+		num(int64(f.Entry))
+		num(int64(f.Exit))
+		locs(f.Nodes)
+		flush()
+	}
+	entry := func(k string, v int64) uint64 {
+		e := fnv.New64a()
+		e.Write([]byte(k))
+		e.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
+		return e.Sum64()
+	}
+	var varNames, funcNames, funcValues uint64
+	for k, v := range p.VarByName {
+		varNames += entry(k, int64(v))
+	}
+	for k, v := range p.FuncByName {
+		funcNames += entry(k, int64(v))
+	}
+	for k, v := range p.FuncValue {
+		funcValues += entry(fmt.Sprint(k), int64(v))
+	}
+	num(int64(len(p.VarByName)))
+	num(int64(varNames))
+	num(int64(len(p.FuncByName)))
+	num(int64(funcNames))
+	num(int64(len(p.FuncValue)))
+	num(int64(funcValues))
+	num(int64(p.Entry))
+	flush()
+	return h.Sum64()
+}
+
+// applyEditKeepsPrev runs core.ApplyEdit and fails the test if the call
+// wrote the previous analysis' program, which old-snapshot queries may
+// still be reading: its digest must read the same before and after,
+// whether the batch was applied, rejected or fell back.
+func applyEditKeepsPrev(t *testing.T, tag string, prev *core.Analysis, edits []ir.Edit) (*core.Analysis, *core.EditReport, error) {
+	t.Helper()
+	before := progDigest(prev.Prog)
+	a2, rep, err := core.ApplyEdit(context.Background(), prev, edits)
+	if after := progDigest(prev.Prog); after != before {
+		t.Fatalf("%s: ApplyEdit wrote the previous program (digest %x, then %x)", tag, before, after)
+	}
+	return a2, rep, err
 }
 
 // editArm applies edits to prev and checks the successor against a
@@ -400,6 +502,72 @@ func TestApplyEditStructuralFallback(t *testing.T) {
 	}
 }
 
+// fptrProg stores two functions in one function pointer and calls
+// through it; work's body calls nothing.
+const fptrProg = `
+	int a, b;
+	int *p, *q;
+	void *fp;
+	void set(int *v) { p = v; }
+	void other(int *v) { q = v; }
+	void work() { p = &a; }
+	void main() {
+		fp = &set;
+		fp = &other;
+		work();
+		(*fp)(q);
+		q = &b;
+	}
+`
+
+// TestApplyEditFallbackDevirtualizesClone: a rebuilt body that calls
+// through a function pointer takes the structural fallback, whose
+// reanalysis devirtualizes the edited program: Devirtualize expands the
+// new indirect call on the edited clone, and the previous program, which
+// the first analysis devirtualized already, is not written.
+func TestApplyEditFallbackDevirtualizesClone(t *testing.T) {
+	prog, err := frontend.LowerSource(fptrProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Mode: core.ModeAndersen, Workers: 2}
+	a, err := core.AnalyzeProgram(prog, cfg)
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	if frontend.HasIndirectCalls(a.Prog) {
+		t.Fatal("test premise broken: the analysis left an indirect call")
+	}
+	vr := func(name string) ir.VarID { return a.Prog.VarByName[name] }
+	skip := ir.Stmt{Op: ir.OpSkip, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar}
+	call := ir.Stmt{Op: ir.OpCall, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: vr("fp"), Args: []ir.VarID{vr("p")}}
+	ret := ir.Stmt{Op: ir.OpRet, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar}
+	edits := []ir.Edit{{Kind: ir.EditRebuildFunc, Spec: &ir.FuncSpec{
+		Name:     "work",
+		Stmts:    []ir.Stmt{skip, call, ret},
+		Succs:    [][]int{{1}, {2}, {}},
+		CallLocs: []int{-1, -1, -1},
+		Entry:    0,
+		Exit:     2,
+	}}}
+	a2, rep, err := applyEditKeepsPrev(t, "rebuild work", a, edits)
+	if err != nil {
+		t.Fatalf("ApplyEdit: %v", err)
+	}
+	if !rep.FellBack {
+		t.Fatal("a rebuilt function must fall back")
+	}
+	if frontend.HasIndirectCalls(a2.Prog) {
+		t.Fatal("the fallback left the new indirect call unexpanded")
+	}
+	fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), cfg)
+	if err != nil {
+		t.Fatalf("fresh: %v", err)
+	}
+	diffFingerprints(t, "fallback", a2.Fingerprints(), fresh.Fingerprints())
+	sampleQueries(t, "fallback", a2, fresh)
+}
+
 // TestApplyEditOtherModesFallBack: the incremental path maps edits onto
 // the Andersen cascade's cover only, so every other mode must fall back
 // to a full reanalysis, for that reason, and end where a fresh analysis
@@ -596,7 +764,8 @@ const fuzzEditProg = `
 // patches it (cone leak check included), and from one never read, whose
 // first successor must defer its solve. The check after the first batch
 // reads that successor's fallback, so the second batch patches in both
-// arms.
+// arms. Neither batch may write the program it edits a clone of
+// (applyEditKeepsPrev), rejected batches included.
 //
 // Each byte pair (i, k) edits eligible statement i: k%4 picks delete,
 // replace Src, replace Dst or insert a nullify of the destination, and
@@ -670,11 +839,11 @@ func FuzzApplyEdit(f *testing.F) {
 				a.Andersen.SolverStats()
 			}
 			for batch, chunk := range [][]byte{data[:split], data[split:]} {
-				a2, rep, err := core.ApplyEdit(context.Background(), a, decode(a.Prog, chunk))
+				tag := fmt.Sprintf("precise=%v read=%v batch %d", precise, read, batch)
+				a2, rep, err := applyEditKeepsPrev(t, tag, a, decode(a.Prog, chunk))
 				if err != nil {
 					t.Skip() // malformed batch; rejection is the contract
 				}
-				tag := fmt.Sprintf("precise=%v read=%v batch %d", precise, read, batch)
 				if rep.FellBack {
 					t.Fatalf("%s: statement edits fell back: %s", tag, rep.Reason)
 				}
@@ -790,7 +959,8 @@ const aliasFreeProg = `
 
 // TestApplyEditChainCoverMatchesFresh: after every edit of a chain, the
 // whole cover and the pointer index equal a fresh analysis of the edited
-// program (diffCover), not only the selected clusters' fingerprints.
+// program (diffCover), not only the selected clusters' fingerprints, and
+// the previous generation's program is as it was (applyEditKeepsPrev).
 // The rows run a seeded chain of 60 single-statement edits at threshold
 // 8, so oversized partitions take the Andersen refinement. The
 // hand-written chain gives each alias-free partition of aliasFreeProg
@@ -814,7 +984,7 @@ func TestApplyEditChainCoverMatchesFresh(t *testing.T) {
 		for i := 0; i < n; i++ {
 			e := next(a, i)
 			tag := fmt.Sprintf("edit %d (%v at L%d: %v)", i, e.Kind, e.Loc, e.Stmt)
-			a2, rep, err := core.ApplyEdit(context.Background(), a, []ir.Edit{e})
+			a2, rep, err := applyEditKeepsPrev(t, tag, a, []ir.Edit{e})
 			if err != nil {
 				t.Fatalf("%s: ApplyEdit: %v", tag, err)
 			}
