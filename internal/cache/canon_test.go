@@ -296,8 +296,9 @@ func TestCanonKeySensitivity(t *testing.T) {
 						for _, b := range skips[i+1:] {
 							if p.Node(a).Succs[0] != b {
 								return func(q *ir.Program) {
-									q.Node(a).Succs[0] = b
-									q.Node(b).Preds = append(q.Node(b).Preds, a)
+									q.MutNode(a).Succs[0] = b
+									nb := q.MutNode(b)
+									nb.Preds = append(nb.Preds, a)
 								}
 							}
 						}
@@ -315,7 +316,7 @@ func TestCanonKeySensitivity(t *testing.T) {
 					if fstar[n.Fn] && st.Op == ir.OpCall && st.Callee != ir.NoFunc &&
 						!fstar[st.Callee] && !c.HasStmt(n.Loc) {
 						loc := n.Loc
-						return func(q *ir.Program) { q.Node(loc).Stmt.Callee = c.Funcs[0] }
+						return func(q *ir.Program) { q.MutNode(loc).Stmt.Callee = c.Funcs[0] }
 					}
 				}
 				return nil
@@ -333,7 +334,7 @@ func TestCanonKeySensitivity(t *testing.T) {
 						if isSkip(fn, loc) && !c.HasStmt(loc) {
 							st := ir.Stmt{Op: ir.OpAssumeEq, Dst: c.Vars[0], Src: c.Vars[1],
 								Callee: ir.NoFunc, FPtr: ir.NoVar}
-							return func(q *ir.Program) { q.Node(loc).Stmt = st }
+							return func(q *ir.Program) { q.MutNode(loc).Stmt = st }
 						}
 					}
 				}
@@ -347,7 +348,7 @@ func TestCanonKeySensitivity(t *testing.T) {
 					if (st.Op == ir.OpCopy || st.Op == ir.OpLoad || st.Op == ir.OpStore) &&
 						st.Dst != st.Src && st.Dst != ir.NoVar && st.Src != ir.NoVar {
 						return func(q *ir.Program) {
-							n := q.Node(loc)
+							n := q.MutNode(loc)
 							n.Stmt.Dst, n.Stmt.Src = n.Stmt.Src, n.Stmt.Dst
 						}
 					}
@@ -373,7 +374,7 @@ func TestCanonKeySensitivity(t *testing.T) {
 					st := n.Stmt
 					if fstar[n.Fn] && st.Op == ir.OpCopy && !c.HasStmt(n.Loc) && st.Dst != st.Src {
 						loc := n.Loc
-						return func(q *ir.Program) { q.Node(loc).Stmt.Src = q.Node(loc).Stmt.Dst }
+						return func(q *ir.Program) { n := q.MutNode(loc); n.Stmt.Src = n.Stmt.Dst }
 					}
 				}
 				return nil

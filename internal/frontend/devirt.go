@@ -44,6 +44,10 @@ func Devirtualize(p *ir.Program, targets func(loc ir.Loc, fptr ir.VarID) []ir.Fu
 			viable = append(viable, c)
 		}
 
+		// p may be a clone (ir.Program.Clone): every node written is
+		// taken through MutNode, so the program it was cloned from is
+		// not, and the expansion's Args are n's own copy.
+		n = p.MutNode(n.Loc)
 		dst, args, fptr := n.Stmt.Dst, n.Stmt.Args, n.Stmt.FPtr
 
 		// Turn the placeholder into a dispatch skip and splice a join node
@@ -51,11 +55,11 @@ func Devirtualize(p *ir.Program, targets func(loc ir.Loc, fptr ir.VarID) []ir.Fu
 		n.Stmt = ir.Stmt{Op: ir.OpSkip, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar,
 			Comment: fmt.Sprintf("dispatch *%s", p.VarName(fptr))}
 		join := p.AddNode(n.Fn, ir.Stmt{Op: ir.OpSkip, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar, Comment: "endcall"})
-		jn := p.Node(join)
+		jn := p.MutNode(join)
 		// Move n's successors onto join.
 		jn.Succs = n.Succs
 		for _, s := range jn.Succs {
-			preds := p.Node(s).Preds
+			preds := p.MutNode(s).Preds
 			for i, pr := range preds {
 				if pr == n.Loc {
 					preds[i] = join
@@ -84,7 +88,7 @@ func Devirtualize(p *ir.Program, targets func(loc ir.Loc, fptr ir.VarID) []ir.Fu
 			cur = call
 			if dst != ir.NoVar && f.Ret != ir.NoVar {
 				ret := p.AddNode(n.Fn, ir.Stmt{Op: ir.OpCopy, Dst: dst, Src: f.Ret, Callee: ir.NoFunc, FPtr: ir.NoVar})
-				p.Node(ret).CallLoc = call
+				p.MutNode(ret).CallLoc = call
 				p.AddEdge(cur, ret)
 				cur = ret
 			}

@@ -9,6 +9,8 @@ package ir
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -144,6 +146,14 @@ type Func struct {
 }
 
 // Program is a whole translation unit in IR form.
+//
+// Every field is read directly. A program made by Clone shares its
+// variables, and until it writes them its nodes, functions and name
+// maps, with the program it was cloned from, so code that writes a node
+// or a function takes it through MutNode or MutFunc. AddVar, AddFunc,
+// AddNode, AddEdge and ApplyEdits do so themselves. Lowering, which
+// builds a program from scratch, owns all it holds and writes it
+// directly.
 type Program struct {
 	Vars  []*Var
 	Funcs []*Func
@@ -154,10 +164,23 @@ type Program struct {
 
 	// FuncValue maps a FuncID to the KindFunc variable representing that
 	// function as a value (for function pointers), NoVar if never taken.
+	// Only lowering fills it, so a clone always shares it.
 	FuncValue map[FuncID]VarID
 
 	// Entry is the program entry function ("main" when present).
 	Entry FuncID
+
+	// What a clone still shares with the program it was cloned from:
+	// the nodes and functions whose bits are set, and VarByName and
+	// FuncByName until it first adds a name.
+	sharedNodes     bits
+	sharedFuncs     bits
+	sharedVarNames  bool
+	sharedFuncNames bool
+
+	// cloned makes each variable, node and edge list a clone adds its
+	// own allocation (see chunk).
+	cloned bool
 
 	// The storage AddVar, AddNode and AddEdge carve from.
 	varSlab  slab[Var]
@@ -165,15 +188,28 @@ type Program struct {
 	locSlab  slab[Loc]
 }
 
-// How many elements one slab holds. A program keeps at most one
-// part-filled slab of each kind. A slab of 240 nodes (136 bytes each)
-// fills a 32 KB allocation size class; a larger one would be a large
-// object rounded up to whole pages.
+// How many elements one slab holds in a program built from scratch. A
+// program keeps at most one part-filled slab of each kind. A slab of
+// 240 nodes (136 bytes each) fills a 32 KB allocation size class; a
+// larger one would be a large object rounded up to whole pages.
 const (
 	varSlabLen  = 256
 	nodeSlabLen = 240
 	locSlabLen  = 2048
 )
+
+// chunk returns how many elements p starts a slab with: size when p was
+// built from scratch, where lowering adds thousands of elements, and
+// one in a clone. An element keeps its whole slab alive, and what a
+// clone adds lives on in every later clone that does not write it, so a
+// clone that carved its few additions from a fresh slab would pin one
+// slab per generation along an edit chain.
+func (p *Program) chunk(size int) int {
+	if p.cloned {
+		return 1
+	}
+	return size
+}
 
 // slab hands out elements of T from chunks of a fixed length, one
 // allocation per chunk. Only starting a chunk stores a pointer; taking
@@ -196,6 +232,37 @@ func (s *slab[T]) take(n, size int) []T {
 	return s.buf[i : i+n : i+n]
 }
 
+// bits is a set of small non-negative integers.
+type bits []uint64
+
+// allBits returns the set {0, ..., n-1}.
+func allBits(n int) bits {
+	b := make(bits, (n+63)/64)
+	for i := range b {
+		b[i] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		b[len(b)-1] = 1<<r - 1
+	}
+	return b
+}
+
+func (b bits) has(i int) bool {
+	w := i >> 6
+	return w < len(b) && b[w]&(1<<(i&63)) != 0
+}
+
+func (b bits) remove(i int) { b[i>>6] &^= 1 << (i & 63) }
+
+// own returns a copy of s in an allocation of its own, nil if s is
+// empty.
+func own[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append([]T(nil), s...)
+}
+
 // NewProgram returns an empty program.
 func NewProgram() *Program {
 	return &Program{
@@ -213,8 +280,12 @@ func (p *Program) AddVar(name string, kind VarKind, fn FuncID) VarID {
 	if _, dup := p.VarByName[name]; dup {
 		panic(fmt.Sprintf("ir: duplicate variable %q", name))
 	}
+	if p.sharedVarNames {
+		p.VarByName = maps.Clone(p.VarByName)
+		p.sharedVarNames = false
+	}
 	id := VarID(len(p.Vars))
-	v := &p.varSlab.take(1, varSlabLen)[0]
+	v := &p.varSlab.take(1, p.chunk(varSlabLen))[0]
 	*v = Var{ID: id, Name: name, Kind: kind, Fn: fn}
 	p.Vars = append(p.Vars, v)
 	p.VarByName[name] = id
@@ -238,6 +309,10 @@ func (p *Program) AddFunc(name string) *Func {
 	if _, dup := p.FuncByName[name]; dup {
 		panic(fmt.Sprintf("ir: duplicate function %q", name))
 	}
+	if p.sharedFuncNames {
+		p.FuncByName = maps.Clone(p.FuncByName)
+		p.sharedFuncNames = false
+	}
 	id := FuncID(len(p.Funcs))
 	f := &Func{ID: id, Name: name, Ret: NoVar, Entry: NoLoc, Exit: NoLoc}
 	p.Funcs = append(p.Funcs, f)
@@ -245,34 +320,67 @@ func (p *Program) AddFunc(name string) *Func {
 	return f
 }
 
-// Func returns the function with the given ID.
+// Func returns the function with the given ID, for reading.
 func (p *Program) Func(id FuncID) *Func { return p.Funcs[id] }
+
+// MutFunc returns the function with the given ID for writing. A
+// function p still shares with the program it was cloned from is first
+// replaced by a copy with its own Params and Nodes lists.
+func (p *Program) MutFunc(id FuncID) *Func {
+	f := p.Funcs[id]
+	if !p.sharedFuncs.has(int(id)) {
+		return f
+	}
+	p.sharedFuncs.remove(int(id))
+	c := new(Func)
+	*c = *f
+	c.Params = own(f.Params)
+	c.Nodes = own(f.Nodes)
+	p.Funcs[id] = c
+	return c
+}
 
 // AddNode appends a statement node to fn's CFG and returns its location.
 // No edges are added.
 func (p *Program) AddNode(fn FuncID, s Stmt) Loc {
 	loc := Loc(len(p.Nodes))
-	n := &p.nodeSlab.take(1, nodeSlabLen)[0]
+	n := &p.nodeSlab.take(1, p.chunk(nodeSlabLen))[0]
 	*n = Node{Loc: loc, Fn: fn, Stmt: s, CallLoc: NoLoc}
 	p.Nodes = append(p.Nodes, n)
-	f := p.Funcs[fn]
+	f := p.MutFunc(fn)
 	f.Nodes = append(f.Nodes, loc)
 	return loc
 }
 
-// Node returns the node at loc.
+// Node returns the node at loc, for reading.
 func (p *Program) Node(loc Loc) *Node { return p.Nodes[loc] }
+
+// MutNode returns the node at loc for writing. A node p still shares
+// with the program it was cloned from is first replaced by a copy with
+// its own Succs, Preds and Args lists.
+func (p *Program) MutNode(loc Loc) *Node {
+	n := p.Nodes[loc]
+	if !p.sharedNodes.has(int(loc)) {
+		return n
+	}
+	p.sharedNodes.remove(int(loc))
+	c := new(Node)
+	*c = *n
+	c.Succs = own(n.Succs)
+	c.Preds = own(n.Preds)
+	c.Stmt.Args = own(n.Stmt.Args)
+	p.Nodes[loc] = c
+	return c
+}
 
 // AddEdge adds a CFG edge from → to. Duplicate edges are ignored.
 func (p *Program) AddEdge(from, to Loc) {
-	nf := p.Nodes[from]
-	for _, s := range nf.Succs {
-		if s == to {
-			return
-		}
+	if slices.Contains(p.Nodes[from].Succs, to) {
+		return
 	}
+	nf := p.MutNode(from)
 	nf.Succs = p.appendLoc(nf.Succs, to)
-	nt := p.Nodes[to]
+	nt := p.MutNode(to)
 	nt.Preds = p.appendLoc(nt.Preds, from)
 }
 
@@ -285,7 +393,7 @@ func (p *Program) appendLoc(s []Loc, l Loc) []Loc {
 	if len(s) < cap(s) {
 		return append(s, l)
 	}
-	w := p.locSlab.take(max(2*len(s), 1), locSlabLen)[:len(s)+1]
+	w := p.locSlab.take(max(2*len(s), 1), p.chunk(locSlabLen))[:len(s)+1]
 	copy(w, s)
 	w[len(s)] = l
 	return w
