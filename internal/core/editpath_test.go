@@ -131,11 +131,20 @@ func TestApplyEditCacheStatsWindow(t *testing.T) {
 // cache is bounded below what the first solve stores, so it is full
 // before the first reading. Not parallel: other tests' allocations
 // would enter the reading.
+//
+// A second chain then inserts one node per edit and never undoes it,
+// so each generation's additions live on in every later one, as do the
+// copies of the nodes and functions it writes; anything that shares an
+// allocation with them stays alive too. Each insert repeats its
+// anchor's statement, which changes no answer, so the analysis itself
+// does not grow.
 func TestApplyEditRetainedHeapFlat(t *testing.T) {
 	const (
-		warmPairs  = 10
-		totalPairs = 70
-		heavyEvery = 7
+		warmPairs    = 10
+		totalPairs   = 70
+		heavyEvery   = 7
+		warmInserts  = 10
+		totalInserts = 60
 	)
 	ctx := context.Background()
 	a, err := core.AnalyzeProgram(lowerRow(t, "autofs", 1), core.Config{
@@ -164,22 +173,39 @@ func TestApplyEditRetainedHeapFlat(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	for i := 0; i < warmPairs; i++ {
-		pair(i)
+	flat := func(what string, warm, total int, step func(i int)) {
+		for i := 0; i < warm; i++ {
+			step(i)
+		}
+		early := retained()
+		for i := warm; i < total; i++ {
+			step(i)
+		}
+		late := retained()
+		runtime.KeepAlive(a)
+		limit := early + early/20
+		t.Logf("retained after %d %s %.2f MB, after %d %s %.2f MB (limit %.2f MB)",
+			warm, what, float64(early)/(1<<20), total, what, float64(late)/(1<<20), float64(limit)/(1<<20))
+		if late > limit {
+			t.Errorf("retained heap grew from %d to %d bytes over %d %s, want at most 5%% growth",
+				early, late, total-warm, what)
+		}
 	}
-	early := retained()
-	for i := warmPairs; i < totalPairs; i++ {
-		pair(i)
-	}
-	late := retained()
-	runtime.KeepAlive(a)
-	limit := early + early/20
-	t.Logf("retained after %d pairs %.2f MB, after %d pairs %.2f MB (limit %.2f MB)",
-		warmPairs, float64(early)/(1<<20), totalPairs, float64(late)/(1<<20), float64(limit)/(1<<20))
-	if late > limit {
-		t.Errorf("retained heap grew from %d to %d bytes over %d edit/undo pairs, want at most 5%% growth",
-			early, late, totalPairs-warmPairs)
-	}
+	flat("edit/undo pairs", warmPairs, totalPairs, pair)
+	ins := rand.New(rand.NewSource(11))
+	flat("inserts", warmInserts, totalInserts, func(int) {
+		var plain []*ir.Node
+		for _, n := range a.Prog.Nodes {
+			switch n.Stmt.Op {
+			case ir.OpCopy, ir.OpAddr, ir.OpLoad:
+				if n.CallLoc == ir.NoLoc {
+					plain = append(plain, n)
+				}
+			}
+		}
+		n := plain[ins.Intn(len(plain))]
+		a, _ = applyOK(t, a, ir.Edit{Kind: ir.EditInsertAfter, Loc: n.Loc, Stmt: n.Stmt})
+	})
 }
 
 // TestApplyEditSlicesDirtyPartitionsOnly: an edit runs Algorithm 1 on

@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"bootstrap/internal/core"
+	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
 )
 
@@ -215,6 +219,149 @@ func TestEditCoalescing(t *testing.T) {
 	}
 	if got := prog.Node(locY).Stmt.Op; got != ir.OpSkip && got != ir.OpAddr {
 		t.Fatalf("locY op %v after coalesced edits", got)
+	}
+}
+
+// TestEditOldSnapshotQueriesUnderEdits: program generations share
+// nodes, functions and name maps (ir.Program.Clone), so a successor
+// /edit builds from replace and insert edits shares what queries still
+// running on older snapshots read, and copies it before it writes.
+// Goroutines pin a snapshot and keep querying its analysis directly
+// while later ones are published; others query the server. Every answer
+// must match the reference analysis of its own snapshot's program, a
+// fresh lowering with the same edits applied. Under -race, a successor
+// that wrote a node its predecessor shares races with the pinned
+// snapshot's queries.
+func TestEditOldSnapshotQueriesUnderEdits(t *testing.T) {
+	s := newTestServer(t, testProgram, nil)
+	first := s.Snapshot().ID
+	loc := func(dst string) int64 { return int64(findNode(t, s, ir.OpAddr, dst)) }
+	lx, ly, lp, lpx := loc("x"), loc("y"), loc("p"), loc("px")
+	specs := []EditSpec{
+		{Action: "replace", Loc: lp, Op: "addr", Dst: "p", Src: "a"},
+		{Action: "insert", Loc: ly, Op: "addr", Dst: "y", Src: "c"},
+		{Action: "replace", Loc: lx, Op: "addr", Dst: "x", Src: "c"},
+		{Action: "insert", Loc: lpx, Op: "addr", Dst: "px", Src: "y"},
+		{Action: "replace", Loc: lp, Op: "addr", Dst: "p", Src: "b"},
+		{Action: "insert", Loc: lx, Op: "nullify", Dst: "x"},
+		{Action: "replace", Loc: ly, Op: "copy", Dst: "y", Src: "p"},
+		{Action: "insert", Loc: lp, Op: "copy", Dst: "x", Src: "p"},
+	}
+	pairs := [][2]string{{"x", "y"}, {"x", "p"}, {"y", "p"}, {"l1", "l2"}}
+	// want[k][i]: does pairs[i] alias at main's exit after specs[:k]?
+	want := make([][]bool, len(specs)+1)
+	for k := range want {
+		prog, err := frontend.LowerSource(testProgram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edits, err := resolveEdits(prog, specs[:k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ir.ApplyEdits(prog, edits); err != nil {
+			t.Fatalf("reference edits %d: %v", k, err)
+		}
+		ref, err := core.AnalyzeProgram(prog, core.Config{Mode: core.ModeAndersen, Workers: 2, AndersenThreshold: 2})
+		if err != nil {
+			t.Fatalf("reference analysis %d: %v", k, err)
+		}
+		r := &reference{a: ref, exit: prog.Func(prog.Entry).Exit}
+		for _, pr := range pairs {
+			want[k] = append(want[k], r.mayAlias(t, pr[0], pr[1]))
+		}
+	}
+	changes := 0
+	for k := 1; k < len(want); k++ {
+		if !slices.Equal(want[k], want[k-1]) {
+			changes++
+		}
+	}
+	if changes < 3 {
+		t.Fatalf("the edits change the reference answers %d times; a stale answer would go unseen", changes)
+	}
+	// check holds an answer from snapshot id to that snapshot's
+	// reference: exact when precise, sound otherwise.
+	check := func(id int64, i int, may, precise bool) {
+		k := id - first
+		if k < 0 || k >= int64(len(want)) {
+			t.Errorf("answer from snapshot %d, outside the chain", id)
+			return
+		}
+		if w := want[k][i]; precise && may != w || !may && w {
+			t.Errorf("snapshot %d: mayalias(%s,%s) = %v (precise %v), reference %v",
+				id, pairs[i][0], pairs[i][1], may, precise, w)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var direct, served atomic.Int64
+	for g := 0; g < 2; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			var sn *Snapshot
+			for round := 0; ; round++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if round%4 == 0 {
+					sn = s.Snapshot()
+				}
+				exit := sn.Prog.Func(sn.Prog.Entry).Exit
+				for i, pr := range pairs {
+					pv, qv := sn.Prog.VarByName[pr[0]], sn.Prog.VarByName[pr[1]]
+					may, precise := sn.A.MayAliasContext(context.Background(), pv, qv, exit)
+					check(sn.ID, i, may, precise)
+					direct.Add(1)
+				}
+			}
+		}()
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; ; round++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := (g + round) % len(pairs)
+				body := fmt.Sprintf(`{"p":%q,"q":%q}`, pairs[i][0], pairs[i][1])
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/mayalias", strings.NewReader(body)))
+				if w.Code == http.StatusTooManyRequests {
+					continue
+				}
+				var resp QueryResponse
+				if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &resp) != nil || resp.MayAlias == nil {
+					t.Errorf("query during edits: status %d, body %q", w.Code, w.Body.String())
+					continue
+				}
+				check(resp.Snapshot, i, *resp.MayAlias, !resp.Degraded)
+				served.Add(1)
+			}
+		}(g)
+	}
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
+	for i, sp := range specs {
+		body, _ := json.Marshal(EditRequest{Edits: []EditSpec{sp}})
+		resp, code := postEdit(t, s, string(body))
+		if code != http.StatusOK || resp.FellBack {
+			t.Fatalf("edit %d: status %d, %+v", i, code, resp)
+		}
+		if resp.Snapshot != first+int64(i+1) {
+			t.Fatalf("edit %d published snapshot %d, want %d", i, resp.Snapshot, first+int64(i+1))
+		}
+		time.Sleep(5 * time.Millisecond) // let queries land on the new snapshot
+	}
+	halt()
+	t.Logf("%d direct and %d served answers checked over %d reference changes", direct.Load(), served.Load(), changes)
+	if direct.Load() == 0 || served.Load() == 0 {
+		t.Fatalf("%d direct and %d served answers checked; want some of each", direct.Load(), served.Load())
 	}
 }
 
