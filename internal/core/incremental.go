@@ -132,6 +132,9 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	if cfg.Cache != nil {
 		cacheBefore = cfg.Cache.Stats()
 	}
+	// The edited program shares every node, function and name map the
+	// batch does not write with prev.Prog, which queries on prev may
+	// still be reading; ir copies what it writes first.
 	newProg := prev.Prog.Clone()
 	sum, err := ir.ApplyEdits(newProg, edits)
 	if err != nil {
