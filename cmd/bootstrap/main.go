@@ -168,8 +168,8 @@ func run(path string) (err error) {
 		}
 		pp50, pp90, pmax := sizeHist(partSizes)
 		cp50, cp90, cmax := sizeHist(clusterSizes)
-		fmt.Printf("partitions: n=%d p50=%d p90=%d max=%d  precise=%v deferred=%d\n",
-			len(partSizes), pp50, pp90, pmax, analysisFlags.SteensPrecise, a.Steens.Stats().Deferred)
+		fmt.Printf("partitions: n=%d p50=%d p90=%d max=%d\n",
+			len(partSizes), pp50, pp90, pmax)
 		fmt.Printf("clusters: n=%d p50=%d p90=%d max=%d\n",
 			len(clusterSizes), cp50, cp90, cmax)
 		if cfg.Cache != nil {

@@ -370,16 +370,8 @@ func (t *Table) Canon(c *cluster.Cluster, params Params) *Canon {
 		buf = binary.AppendUvarint(buf, classRef(sa.ContentClass(v)))
 		buf = binary.AppendUvarint(buf, classRef(sa.LocClass(v)))
 		buf = binary.AppendUvarint(buf, uint64(sa.Depth(v)))
-		// Precise-mode overlay memberships. Sink status is a whole-program
-		// property (a var is a sink only if *no* statement anywhere reads
-		// it), so two structurally identical slices can disagree on it;
-		// without this the key would collide across programs and serve a
-		// summary computed under different partition semantics.
-		sinks := sa.SinkClasses(v)
-		buf = binary.AppendUvarint(buf, uint64(len(sinks)))
-		for _, g := range sinks {
-			buf = binary.AppendUvarint(buf, classRef(g))
-		}
+		// Always zero, where a retired partitioner wrote a count: keeps every v3 key and disk entry valid.
+		buf = binary.AppendUvarint(buf, 0)
 	}
 
 	// V_P and P membership over canonical indices.

@@ -99,31 +99,28 @@ var keyPrograms = []keyProgram{
 // keyFront runs what core's cascade runs before keying p's clusters:
 // Steensgaard, devirtualization, re-analysis, the call graph and the
 // default-threshold Andersen cover.
-func keyFront(t *testing.T, p *ir.Program, opts ...steens.Option) (*steens.Analysis, *callgraph.Graph, []*cluster.Cluster) {
+func keyFront(t *testing.T, p *ir.Program) (*steens.Analysis, *callgraph.Graph, []*cluster.Cluster) {
 	t.Helper()
-	sa := steens.Analyze(p, opts...)
+	sa := steens.Analyze(p)
 	if frontend.HasIndirectCalls(p) {
 		if err := frontend.Devirtualize(p, func(_ ir.Loc, fp ir.VarID) []ir.FuncID { return sa.Targets(fp) }); err != nil {
 			t.Fatal(err)
 		}
-		sa = steens.Analyze(p, opts...)
+		sa = steens.Analyze(p)
 	}
 	return sa, callgraph.Build(p), cluster.BuildAndersen(p, sa, cluster.DefaultAndersenThreshold)
 }
 
-// keyLines fingerprints every cluster of p's Andersen cover.
-func keyLines(t *testing.T, name string, p *ir.Program, precise bool) []string {
+// keyLines fingerprints every cluster of p's Andersen cover. Each line
+// keeps the golden's "default" mode column from when Steensgaard had two
+// modes.
+func keyLines(t *testing.T, name string, p *ir.Program) []string {
 	t.Helper()
-	var opts []steens.Option
-	mode := "default"
-	if precise {
-		opts, mode = []steens.Option{steens.Precise()}, "precise"
-	}
-	sa, cg, cover := keyFront(t, p, opts...)
+	sa, cg, cover := keyFront(t, p)
 	var out []string
 	for _, c := range cover {
 		cn := NewCanon(p, sa, cg, c, Params{MaxCond: 8})
-		out = append(out, fmt.Sprintf("%s %s %d %s", name, mode, c.ID, cn.Key()))
+		out = append(out, fmt.Sprintf("%s default %d %s", name, c.ID, cn.Key()))
 	}
 	return out
 }
@@ -166,15 +163,13 @@ func TestTableSharedMatchesNewCanon(t *testing.T) {
 }
 
 // TestCanonKeysGolden pins the cache key of every cluster of three
-// programs under both Steensgaard modes. A key that moves flushes every
-// cache entry built under it, so the canonical encoding may change only
-// together with encodingVersion and a rewritten golden (-update).
+// programs. A key that moves flushes every cache entry built under it,
+// so the canonical encoding may change only together with
+// encodingVersion and a rewritten golden (-update).
 func TestCanonKeysGolden(t *testing.T) {
 	var got []string
 	for _, kp := range keyPrograms {
-		for _, precise := range []bool{false, true} {
-			got = append(got, keyLines(t, kp.name, kp.lower(t), precise)...)
-		}
+		got = append(got, keyLines(t, kp.name, kp.lower(t))...)
 	}
 	if *update {
 		if err := os.WriteFile(keysGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {

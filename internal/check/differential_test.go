@@ -53,15 +53,14 @@ func diffSource(seed int64) string {
 
 // TestDifferentialKnobs: the seeded race and use-after-free are found
 // on every random program under every solver knob combination, and the
-// full fingerprint set is bit-identical across knobs — precision
-// switches and parallelism must change speed, never findings.
+// full fingerprint set is bit-identical across knobs — parallelism must
+// change speed, never findings.
 func TestDifferentialKnobs(t *testing.T) {
 	knobs := []struct {
 		name string
 		mut  func(*core.Config)
 	}{
 		{"default", func(*core.Config) {}},
-		{"steens-precise", func(c *core.Config) { c.SteensPrecise = true }},
 		{"workers-1", func(c *core.Config) { c.Workers = 1 }},
 		{"workers-8", func(c *core.Config) { c.Workers = 8 }},
 	}

@@ -27,8 +27,7 @@ type AnalysisFlags struct {
 	ClusterTimeout time.Duration
 	Retries        int
 
-	CacheDir      string
-	SteensPrecise bool
+	CacheDir string
 }
 
 // Register installs the analysis flags on fs.
@@ -43,7 +42,6 @@ func (f *AnalysisFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Retries, "retries", 1, "degradation-ladder retries per failed cluster, each halving budget and condition width (0 = demote immediately)")
 
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "directory for the persistent per-cluster result cache; warm re-runs import unchanged clusters instead of re-solving (results identical)")
-	fs.BoolVar(&f.SteensPrecise, "steens-precise", false, "oversharing-resistant Steensgaard: write-only sinks join source partitions via an overlay instead of unifying them (smaller max partition; sound, may be more precise)")
 }
 
 // ParseMode maps a -mode flag value to a core.Mode.
@@ -91,7 +89,6 @@ func (f *AnalysisFlags) Config() (core.Config, error) {
 		ClusterTimeout:    f.ClusterTimeout,
 		RunTimeout:        f.RunTimeout,
 		Retries:           LadderRetries(f.Retries),
-		SteensPrecise:     f.SteensPrecise,
 	}
 	if f.CacheDir != "" {
 		cfg.Cache = cache.New(cache.Options{Dir: f.CacheDir})

@@ -44,7 +44,7 @@ func TestAnalysisFlagsConfig(t *testing.T) {
 	dir := t.TempDir()
 	err := fs.Parse([]string{
 		"-mode", "steensgaard", "-threshold", "12", "-workers", "3",
-		"-budget", "500", "-retries", "0", "-steens-precise",
+		"-budget", "500", "-retries", "0",
 		"-cache-dir", dir,
 	})
 	if err != nil {
@@ -60,9 +60,6 @@ func TestAnalysisFlagsConfig(t *testing.T) {
 	}
 	if cfg.Retries != -1 {
 		t.Errorf("Retries = %d, want -1 (flag 0 means demote immediately)", cfg.Retries)
-	}
-	if !cfg.SteensPrecise {
-		t.Errorf("toggles not mapped: %+v", cfg)
 	}
 	if cfg.Cache == nil {
 		t.Error("cache-dir should create a cache")

@@ -60,18 +60,6 @@ type Cluster struct {
 	Vars     []ir.VarID  // V_P from Algorithm 1, sorted
 	Stmts    []ir.Loc    // St_P, sorted
 	Funcs    []ir.FuncID // functions containing St_P statements, sorted
-
-	// Part is the member list of the Steensgaard partition this cluster
-	// was carved from (shared, not copied; nil for covers built outside
-	// BuildPartitionWithBase). It disambiguates provenance where the
-	// pointer set cannot: a sink pointer belongs to several overlapping
-	// partitions, so a sink-only Andersen sub-cluster is attributable
-	// only through this record. Incremental reanalysis reads it only to
-	// seed the first edit's partition records from a from-scratch
-	// cover; after that the records, not Part, find a partition's
-	// clusters, and a cluster kept across edits may hold an equal list
-	// of an earlier program generation.
-	Part []ir.VarID
 }
 
 // Size returns |P|, the paper's cluster-size metric.
@@ -383,7 +371,6 @@ func NewWithIndex(ix *Index, id int, kind Kind, pointers []ir.VarID) *Cluster {
 // call runs its own Andersen solve, with aopts (see BuildAndersen).
 func BuildPartitionWithBase(ix *Index, part []ir.VarID, threshold int, aopts ...andersen.Option) (*Cluster, []*Cluster) {
 	base := newCluster(ix, 0, KindSteensgaard, part)
-	base.Part = part
 	if len(base.Stmts) == 0 {
 		return nil, nil // alias-free (see BuildSteensgaard)
 	}
@@ -428,9 +415,7 @@ func BuildPartitionWithBase(ix *Index, part []ir.VarID, threshold int, aopts ...
 	sort.Strings(keys)
 	out := make([]*Cluster, 0, len(keys))
 	for _, k := range keys {
-		c := newCluster(ix, 0, KindAndersen, sets[k])
-		c.Part = part
-		out = append(out, c)
+		out = append(out, newCluster(ix, 0, KindAndersen, sets[k]))
 	}
 	return base, out
 }

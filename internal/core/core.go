@@ -108,14 +108,6 @@ type Config struct {
 	// different pointer analysis methods to analyze different clusters
 	// based on their sizes and access densities").
 	HybridSizeLimit int
-	// SteensPrecise enables the oversharing-resistant Steensgaard
-	// variant: write-only sink variables no longer eagerly unify the
-	// partitions copied into them; instead the sink joins each source's
-	// partition through a post-fixpoint overlay, producing an overlapping
-	// alias cover with measurably smaller maximum partitions. Sound per
-	// the Theorem 7 overlap semantics the cascade already supports;
-	// results may be strictly more precise than the default.
-	SteensPrecise bool
 	// Cache, when non-nil, warm-starts the per-cluster FSCS stage: before
 	// a cluster is dispatched to an engine its slice fingerprint is looked
 	// up, hits import the stored summary tables and points-to sets instead
@@ -139,15 +131,6 @@ type Config struct {
 	// registry may be shared across runs — counters only ever add. Nil
 	// disables; engines then skip even the end-of-run flush.
 	Metrics *obs.Metrics
-}
-
-// steensOpts translates the config's partitioning knobs into Steensgaard
-// options.
-func (cfg Config) steensOpts() []steens.Option {
-	if cfg.SteensPrecise {
-		return []steens.Option{steens.Precise()}
-	}
-	return nil
 }
 
 // Timing records where the analysis spent its time, mirroring the columns
@@ -405,14 +388,14 @@ func deferredFallback(prog *ir.Program, cfg Config) *andersen.Analysis {
 // indirect calls with the resolved targets, and re-analyze when the
 // program changed.
 func steensFront(prog *ir.Program, cfg Config) (*steens.Analysis, error) {
-	sa := steens.Analyze(prog, cfg.steensOpts()...)
+	sa := steens.Analyze(prog)
 	if frontend.HasIndirectCalls(prog) {
 		if err := frontend.Devirtualize(prog, func(_ ir.Loc, fp ir.VarID) []ir.FuncID {
 			return sa.Targets(fp)
 		}); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		sa = steens.Analyze(prog, cfg.steensOpts()...)
+		sa = steens.Analyze(prog)
 	}
 	return sa, nil
 }

@@ -26,12 +26,11 @@ func aliasDump(a *Analysis) string {
 	return b.String()
 }
 
-// coverDump serializes a cover: each cluster's ID, kind, pointer set and
-// the Steensgaard partition it was built from.
+// coverDump serializes a cover: each cluster's ID, kind and pointer set.
 func coverDump(cs []*cluster.Cluster) string {
 	var b strings.Builder
 	for _, c := range cs {
-		fmt.Fprintf(&b, "cluster %d %s %v part=%v\n", c.ID, c.Kind, c.Pointers, c.Part)
+		fmt.Fprintf(&b, "cluster %d %s %v\n", c.ID, c.Kind, c.Pointers)
 	}
 	return b.String()
 }

@@ -167,8 +167,7 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 
 	// Every old cluster belongs to a partition record: prev's own, or
 	// records derived from prev's cover when prev was analyzed from
-	// scratch. The pointer set alone could not attribute clusters: sink
-	// pointers belong to several overlapping partitions.
+	// scratch.
 	oldParts := prev.parts
 	if oldParts == nil {
 		var ok bool
@@ -184,7 +183,7 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 	// fallback nobody read stays unread: the successor gets a deferred
 	// solve of the edited program.
 	tSteens := time.Now()
-	sa2 := steens.Analyze(newProg, cfg.steensOpts()...)
+	sa2 := steens.Analyze(newProg)
 	steensElapsed := time.Since(tSteens)
 
 	var aa *andersen.Analysis
@@ -282,9 +281,8 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 		if clean {
 			for oldID := int(old.first); oldID < int(old.end); oldID++ {
 				// A cluster whose ID stays is the same cluster: both
-				// generations share it (its Part is an equal list of an
-				// earlier generation). One whose ID moves is copied into
-				// the slab, sized for every old cluster left.
+				// generations share it. One whose ID moves is copied
+				// into the slab, sized for every old cluster left.
 				nc := prev.Clusters[oldID]
 				if nc.ID != len(cover) {
 					if slab == nil {
@@ -293,7 +291,6 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 					slab = append(slab, *nc)
 					nc = &slab[len(slab)-1]
 					nc.ID = len(cover)
-					nc.Part = part
 				}
 				moves = append(moves, transplant{newID: nc.ID, oldID: oldID})
 				cover = append(cover, nc)
@@ -474,18 +471,19 @@ func memberHash(members []ir.VarID) uint64 {
 
 // deriveParts builds the partition records of an analysis that has none
 // (a from-scratch run or a structural fallback) from its cover: a
-// partition's clusters are the run of consecutive clusters carved from
-// its member list (Cluster.Part), and a partition with no run is
-// alias-free. A KindSteensgaard cluster is its partition's base slice; a
-// refined partition's base was not kept. ok is false when the cover
-// does not follow the partitions.
+// partition's clusters are the run of consecutive clusters whose
+// pointers lie in it (the cover is disjoint, so the first pointer's Rep
+// names it), and a partition with no run is alias-free. A
+// KindSteensgaard cluster is its partition's base slice; a refined
+// partition's base was not kept. ok is false when the cover does not
+// follow the partitions.
 func deriveParts(a *Analysis) (recs []partRecord, ok bool) {
 	parts := a.Steens.Partitions()
 	recs = make([]partRecord, len(parts))
 	next := 0
 	for k, part := range parts {
 		r := partRecord{members: part, hash: memberHash(part), first: int32(next)}
-		for ; next < len(a.Clusters) && slices.Equal(a.Clusters[next].Part, part); next++ {
+		for ; next < len(a.Clusters) && a.Steens.Rep(a.Clusters[next].Pointers[0]) == int(part[0]); next++ {
 			if c := a.Clusters[next]; c.Kind == cluster.KindSteensgaard {
 				r.base = c
 			}
@@ -559,14 +557,11 @@ func (a *Analysis) exportToCache(dst *cache.Cache) {
 // Steensgaard partitions and downward along both points-to hierarchies.
 //
 // In either generation an Andersen fact is derived from facts in its
-// own partition (a copy, or a precise-mode sink listed among its
-// sources' members) and in the partitions above it (the pointer of a
-// load or store with a non-empty points-to set), so outside the cone
+// own partition (a copy) and in the partitions above it (the pointer of
+// a load or store with a non-empty points-to set), so outside the cone
 // both programs derive the same sets (DESIGN §15). One hierarchy is not
 // enough: a load x = *y whose pointer lost its last pointee fed x in
 // the old program, yet sa2 has no edge below y's partition.
-// PartitionOf of a sink partition id is the union over the sink's
-// memberships, which only widens the cone.
 func andersenCone(prev *Analysis, sa2 *steens.Analysis, sum *ir.EditSummary, newN int) []ir.VarID {
 	oldN := len(prev.Prog.Vars)
 	gens := []struct {
@@ -739,10 +734,10 @@ func (sg *editSignals) addEither(xs, ys []ir.VarID) {
 }
 
 // steensSigs computes one order-independent hash per variable over its
-// Steensgaard class structure: the member lists of its location class,
-// content class and sink classes, plus its chain depth. Two variables
-// with equal signatures across two analyses of id-stable programs get
-// identical answers from every class query the transfer functions make
+// Steensgaard class structure: the member lists of its location class
+// and content class, plus its chain depth. Two variables with equal
+// signatures across two analyses of id-stable programs get identical
+// answers from every class query the transfer functions make
 // (PointsToVars, SamePartition, class comparisons) — modulo 64-bit hash
 // collisions, which the differential gate would surface.
 func steensSigs(sa *steens.Analysis, n int) []uint64 {
@@ -764,21 +759,12 @@ func steensSigs(sa *steens.Analysis, n int) []uint64 {
 		classHash[lc] = fnvMix(classHash[lc], uint64(v))
 	}
 	sigs := make([]uint64, n)
-	var sinks []int
 	for v := 0; v < n; v++ {
 		id := ir.VarID(v)
 		h := fnvOffset
 		h = fnvMix(h, classHash[sa.LocClass(id)])
 		h = fnvMix(h, classHash[sa.ContentClass(id)])
 		h = fnvMix(h, uint64(sa.Depth(id)))
-		if sc := sa.SinkClasses(id); len(sc) > 0 {
-			sinks = append(sinks[:0], sc...)
-			sort.Ints(sinks)
-			h = fnvMix(h, uint64(len(sinks)))
-			for _, c := range sinks { // each the content class of a partition id, so in the table
-				h = fnvMix(h, classHash[c])
-			}
-		}
 		sigs[v] = h
 	}
 	return sigs

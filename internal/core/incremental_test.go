@@ -285,7 +285,6 @@ func TestApplyEditMatchesFreshMatrix(t *testing.T) {
 		{"default", core.Config{Mode: core.ModeAndersen}},
 		{"workers1", core.Config{Mode: core.ModeAndersen, Workers: 1}},
 		{"workers8", core.Config{Mode: core.ModeAndersen, Workers: 8}},
-		{"steens-precise", core.Config{Mode: core.ModeAndersen, SteensPrecise: true}},
 		{"warm-cache", core.Config{Mode: core.ModeAndersen, Cache: cache.New(cache.Options{})}},
 		// incrProg's largest partition (8) is under the default
 		// threshold; 4 sends its oversized partitions through the
@@ -678,9 +677,8 @@ func TestApplyEditAddedVarRewritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, arm := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
-		precise, read := arm[0], arm[1]
-		cfg := core.Config{Mode: core.ModeAndersen, Workers: 1, SteensPrecise: precise}
+	for _, read := range []bool{false, true} {
+		cfg := core.Config{Mode: core.ModeAndersen, Workers: 1}
 		a, err := core.AnalyzeProgram(base.Clone(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -712,7 +710,7 @@ func TestApplyEditAddedVarRewritten(t *testing.T) {
 			{{Kind: ir.EditReplaceStmt, Loc: store, Stmt: stmt(ir.OpStore, z, vr("y"))}},
 		}
 		for i, batch := range batches {
-			tag := fmt.Sprintf("precise=%v read=%v batch %d", precise, read, i)
+			tag := fmt.Sprintf("read=%v batch %d", read, i)
 			a2, rep, err := core.ApplyEdit(context.Background(), a, batch)
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
@@ -753,9 +751,9 @@ const fuzzEditProg = `
 `
 
 // FuzzApplyEdit feeds byte-derived edit sequences through ApplyEdit and
-// asserts bit-identity with a from-scratch analysis after every batch,
-// under both Steensgaard modes: same selected-cluster fingerprints, same
-// Andersen sets, same answers, and no fallback. The byte pairs split
+// asserts bit-identity with a from-scratch analysis after every batch:
+// same selected-cluster fingerprints, same Andersen sets, same answers,
+// and no fallback. The byte pairs split
 // into two batches: the first applies to a from-scratch analysis, the
 // second to the first's successor, which carries the partition records
 // a from-scratch analysis lacks, so the second batch reaches the reuse
@@ -828,9 +826,8 @@ func FuzzApplyEdit(f *testing.F) {
 			t.Skip()
 		}
 		split := (len(data)/2 + 1) / 2 * 2
-		for _, arm := range [][2]bool{{false, true}, {false, false}, {true, true}, {true, false}} {
-			precise, read := arm[0], arm[1]
-			cfg := core.Config{Mode: core.ModeAndersen, Workers: 1, SteensPrecise: precise}
+		for _, read := range []bool{true, false} {
+			cfg := core.Config{Mode: core.ModeAndersen, Workers: 1}
 			a, err := core.AnalyzeProgram(base.Clone(), cfg)
 			if err != nil {
 				t.Fatalf("analyze: %v", err)
@@ -839,7 +836,7 @@ func FuzzApplyEdit(f *testing.F) {
 				a.Andersen.SolverStats()
 			}
 			for batch, chunk := range [][]byte{data[:split], data[split:]} {
-				tag := fmt.Sprintf("precise=%v read=%v batch %d", precise, read, batch)
+				tag := fmt.Sprintf("read=%v batch %d", read, batch)
 				a2, rep, err := applyEditKeepsPrev(t, tag, a, decode(a.Prog, chunk))
 				if err != nil {
 					t.Skip() // malformed batch; rejection is the contract

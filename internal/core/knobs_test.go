@@ -11,11 +11,10 @@ import (
 	"bootstrap/internal/synth"
 )
 
-// TestPreciseCascadeSoundRandom runs the whole cascade under the
-// oversharing-resistant partitioner on random programs and checks every
-// exact alias pair is still reported: the overlapping cover must lose no
-// soundness end to end.
-func TestPreciseCascadeSoundRandom(t *testing.T) {
+// TestCascadeSoundRandom runs the whole cascade on random programs and
+// checks every exact alias pair is still reported: the refined cover
+// must lose no soundness end to end.
+func TestCascadeSoundRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test skipped in -short mode")
 	}
@@ -38,7 +37,6 @@ func TestPreciseCascadeSoundRandom(t *testing.T) {
 			Mode:              ModeAndersen,
 			Workers:           2,
 			AndersenThreshold: 4,
-			SteensPrecise:     true,
 			ClusterTimeout:    time.Second,
 			Retries:           -1,
 		}

@@ -23,7 +23,7 @@ var goldenRows = []string{"sock", "autofs", "raid", "mt_daapd"}
 
 // shapesSrc holds the shapes the synthetic rows lack at a small scale:
 // a self-loop (*p = p), a mutual cycle the hierarchy collapses (x = &y;
-// y = &x), a three-level chain and a write-only hub for precise mode.
+// y = &x), a three-level chain and a hub copied from two pointers.
 const shapesSrc = `
 	int a, b, c;
 	int *p, *x, *y, *hub, *s1, *s2;
@@ -47,9 +47,9 @@ const goldenScale = 0.05
 // renderResult writes a's whole partition-level result by name: one
 // line per partition (canonical member, depth, pointee partition,
 // self-loop flag, members), then one per variable (PointsToVars,
-// PartitionOf, Depth and the number of SinkClasses). A member list is
-// spelled out the first time it appears and named by its number after
-// that, so partitions shared by many variables cost one line each.
+// PartitionOf and Depth). A member list is spelled out the first time
+// it appears and named by its number after that, so partitions shared
+// by many variables cost one line each.
 func renderResult(b *strings.Builder, p *ir.Program, a *steens.Analysis) {
 	lists := map[string]int{}
 	list := func(vs []ir.VarID) string {
@@ -66,8 +66,8 @@ func renderResult(b *strings.Builder, p *ir.Program, a *steens.Analysis) {
 	}
 	part := func(c int) string { return p.VarName(ir.VarID(c)) }
 	st := a.Stats()
-	fmt.Fprintf(b, "stats unions=%d partitions=%d max=%d deferred=%d\n",
-		st.Unions, st.Partitions, st.MaxPartition, st.Deferred)
+	fmt.Fprintf(b, "stats unions=%d partitions=%d max=%d\n",
+		st.Unions, st.Partitions, st.MaxPartition)
 	// Partition ids are the variables that are their own Rep, in the
 	// order Partitions lists their member lists.
 	var ids []int
@@ -90,13 +90,14 @@ func renderResult(b *strings.Builder, p *ir.Program, a *steens.Analysis) {
 	}
 	for v := 0; v < p.NumVars(); v++ {
 		id := ir.VarID(v)
-		fmt.Fprintf(b, "var %s part=%s pts=%s of=%s depth=%d sinks=%d\n",
+		fmt.Fprintf(b, "var %s part=%s pts=%s of=%s depth=%d\n",
 			p.VarName(id), part(a.Rep(id)), list(a.PointsToVars(id)),
-			list(a.PartitionOf(id)), a.Depth(id), len(a.SinkClasses(id)))
+			list(a.PartitionOf(id)), a.Depth(id))
 	}
 }
 
-// goldenResults renders every golden program under both modes.
+// goldenResults renders every golden program. Each header keeps the
+// "default" mode name from when Steensgaard had two modes.
 func goldenResults(t *testing.T) string {
 	t.Helper()
 	type program struct {
@@ -121,19 +122,14 @@ func goldenResults(t *testing.T) string {
 		if err != nil {
 			t.Fatalf("%s: %v", pr.name, err)
 		}
-		for _, mode := range []struct {
-			name string
-			opts []steens.Option
-		}{{"default", nil}, {"precise", []steens.Option{steens.Precise()}}} {
-			fmt.Fprintf(&b, "== %s %s\n", pr.name, mode.name)
-			renderResult(&b, p, steens.Analyze(p, mode.opts...))
-		}
+		fmt.Fprintf(&b, "== %s default\n", pr.name)
+		renderResult(&b, p, steens.Analyze(p))
 	}
 	return b.String()
 }
 
-// TestResultGolden pins Steensgaard's whole result, in both modes, on
-// driver.cpl, shapesSrc and four small Table 1 rows: every partition's members,
+// TestResultGolden pins Steensgaard's whole result on driver.cpl,
+// shapesSrc and four small Table 1 rows: every partition's members,
 // depth, pointee and self-loop flag, and every variable's points-to
 // set, partition and depth. The file was written before the analysis
 // moved its partition-level structures from maps to arrays, and the
@@ -174,27 +170,35 @@ func TestAccessorsOutOfRange(t *testing.T) {
 		int a; int *x, *y; int **pp;
 		void main() { x = &a; y = x; pp = &x; *pp = y; }
 	`)
-	for _, a := range []*steens.Analysis{steens.Analyze(p), steens.Analyze(p, steens.Precise())} {
-		nonPart := -1
-		for v := 0; v < p.NumVars(); v++ {
-			if a.Rep(ir.VarID(v)) != v {
-				nonPart = v
-				break
-			}
-		}
-		if nonPart < 0 {
-			t.Fatal("every variable is its own partition; the program needs a shared one")
-		}
-		for _, c := range []int{-1, -1 << 20, p.NumVars(), p.NumVars() + 7, 1 << 30, nonPart} {
-			if t2, ok := a.PointsToPart(c); ok || t2 != 0 {
-				t.Errorf("PointsToPart(%d) = %d, %v; want 0, false", c, t2, ok)
-			}
-			if a.SelfLoop(c) {
-				t.Errorf("SelfLoop(%d) = true", c)
-			}
-			if d := a.PartDepth(c); d != 0 {
-				t.Errorf("PartDepth(%d) = %d, want 0", c, d)
-			}
+	a := steens.Analyze(p)
+	nonPart := -1
+	for v := 0; v < p.NumVars(); v++ {
+		if a.Rep(ir.VarID(v)) != v {
+			nonPart = v
+			break
 		}
 	}
+	if nonPart < 0 {
+		t.Fatal("every variable is its own partition; the program needs a shared one")
+	}
+	for _, c := range []int{-1, -1 << 20, p.NumVars(), p.NumVars() + 7, 1 << 30, nonPart} {
+		if t2, ok := a.PointsToPart(c); ok || t2 != 0 {
+			t.Errorf("PointsToPart(%d) = %d, %v; want 0, false", c, t2, ok)
+		}
+		if a.SelfLoop(c) {
+			t.Errorf("SelfLoop(%d) = true", c)
+		}
+		if d := a.PartDepth(c); d != 0 {
+			t.Errorf("PartDepth(%d) = %d, want 0", c, d)
+		}
+	}
+}
+
+func lower(t *testing.T, src string) *ir.Program {
+	t.Helper()
+	p, err := frontend.LowerSource(src)
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
+	return p
 }

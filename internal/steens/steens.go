@@ -22,44 +22,12 @@ package steens
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"bootstrap/internal/ir"
 	"bootstrap/internal/obs"
 	"bootstrap/internal/uf"
 )
-
-// Option configures Analyze.
-type Option func(*config)
-
-type config struct {
-	precise bool
-}
-
-// Precise enables the oversharing-resistant mode (after Kuderski et al.,
-// "Unification-based Pointer Analysis without Oversharing"): top-level
-// copies into *write-only sinks* — variables that are copy destinations
-// but are never read, dereferenced, address-taken, compared or passed —
-// are not unified eagerly. A deferred copy `x = y` cannot influence any
-// other flow (nothing ever reads x), so unifying pt(x) with pt(y) only
-// overshares: it fuses every community that writes into x through the
-// shared context node. Instead the deferral is recorded and, after the
-// fixpoint, x receives an overlay membership in the partition of every
-// deferred source. Because a sink is never read, sinks cannot chain
-// (x = y marks y as read), so the single-level overlay is complete.
-//
-// The result is a *disjunctive* partition cover (a variable may belong
-// to several partitions), exactly the overlap semantics the downstream
-// Andersen clusters already have (Theorem 7): SamePartition,
-// PointsToVars, Targets, PartitionOf and Partitions are all
-// membership-aware. ContentClass and LocClass keep their base meaning;
-// that is sound for every consumer because the `LocClass(o) ==
-// ContentClass(q)` transfer filters are only applied to dereferenced or
-// read variables, which are never sinks.
-func Precise() Option {
-	return func(c *config) { c.precise = true }
-}
 
 // signature is the lambda payload of an ECR holding function values.
 type signature struct {
@@ -85,10 +53,10 @@ type Analysis struct {
 	// indexed by dense ids: a partition id is a VarID (the partition's
 	// smallest member), a location class an ECR id. Entries for ids that
 	// are not partition ids stay nil, -1, false or 0. Each member list
-	// and each location-class list is its own allocation: callers keep
-	// single lists (PartitionOf, Partitions) alive across program
-	// generations, and a list carved from a shared array would pin the
-	// whole array of its generation.
+	// and each location-class list is its own allocation: a caller may
+	// keep a single list (PartitionOf, Partitions) alive after the rest
+	// of the analysis is dropped, and a list carved from a shared array
+	// would pin the whole array of its generation.
 	rep       []int32      // var -> canonical partition id (smallest member var)
 	members   [][]ir.VarID // partition id -> members, increasing
 	locVars   [][]ir.VarID // location-class rep -> program vars unified as locations
@@ -100,32 +68,14 @@ type Analysis struct {
 	locClass  []int32      // var -> location-class rep (frozen for concurrent reads)
 
 	unions int // ECR unifications performed (the analysis' unit of work)
-
-	// Precise (oversharing-resistant) mode state; see Precise.
-	precise  bool
-	sink     []bool                  // var -> deferred write-only sink
-	flowSrcs map[ir.VarID][]ir.VarID // sink -> deferred copy sources
-	deferred int                     // copies deferred instead of unified
-	memb     map[ir.VarID][]int32    // sink -> sorted canonical partition ids
-	sinkCls  map[ir.VarID][]int      // sink -> extra content classes (sorted)
-	sinkPT   map[ir.VarID][]ir.VarID // sink -> merged PointsToVars
-	sinkPart map[ir.VarID][]ir.VarID // sink -> merged PartitionOf
 }
 
 // Analyze runs the analysis over every statement of p.
-func Analyze(p *ir.Program, opts ...Option) *Analysis {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
+func Analyze(p *ir.Program) *Analysis {
 	a := &Analysis{
-		prog:    p,
-		forest:  uf.New(p.NumVars()),
-		sig:     map[int]*signature{},
-		precise: cfg.precise,
-	}
-	if a.precise {
-		a.findSinks()
+		prog:   p,
+		forest: uf.New(p.NumVars()),
+		sig:    map[int]*signature{},
 	}
 	a.target = make([]int32, p.NumVars())
 	for i := range a.target {
@@ -149,59 +99,6 @@ func Analyze(p *ir.Program, opts ...Option) *Analysis {
 	}
 	a.finish()
 	return a
-}
-
-// findSinks marks the write-only sinks: variables that appear as a copy
-// destination but are never used in any value-consuming position — read
-// as a copy/store/assume source, dereferenced as a load source or store
-// destination, address-taken, called through, passed as an argument, or
-// touched. Only such variables may have their incoming copies deferred.
-func (a *Analysis) findSinks() {
-	nv := a.prog.NumVars()
-	used := make([]bool, nv)
-	copyDst := make([]bool, nv)
-	mark := func(v ir.VarID) {
-		if v != ir.NoVar {
-			used[v] = true
-		}
-	}
-	for _, n := range a.prog.Nodes {
-		st := n.Stmt
-		switch st.Op {
-		case ir.OpCopy:
-			mark(st.Src)
-			if st.Dst != ir.NoVar && st.Dst != st.Src {
-				copyDst[st.Dst] = true
-			}
-		case ir.OpAddr:
-			mark(st.Src) // address taken: contents observable via aliases
-		case ir.OpLoad:
-			mark(st.Src)
-		case ir.OpStore:
-			mark(st.Dst)
-			mark(st.Src)
-		case ir.OpCall:
-			mark(st.FPtr)
-			for _, arg := range st.Args {
-				mark(arg)
-			}
-		case ir.OpAssumeEq, ir.OpAssumeNeq:
-			mark(st.Dst)
-			mark(st.Src)
-		case ir.OpTouch:
-			mark(st.Dst)
-			mark(st.Src)
-		}
-	}
-	// Function values carry signature payloads; keep them eager.
-	for _, fv := range a.prog.FuncValue {
-		used[fv] = true
-	}
-	a.sink = make([]bool, nv)
-	for v := 0; v < nv; v++ {
-		a.sink[v] = copyDst[v] && !used[v]
-	}
-	a.flowSrcs = map[ir.VarID][]ir.VarID{}
 }
 
 func (a *Analysis) find(e int) int { return a.forest.Find(e) }
@@ -292,13 +189,6 @@ func (a *Analysis) join(e1, e2 int) {
 func (a *Analysis) stmt(s ir.Stmt) {
 	switch s.Op {
 	case ir.OpCopy:
-		if a.precise && s.Dst != s.Src && a.sink[s.Dst] {
-			// Deferred: x is a write-only sink, so the unification
-			// would only overshare. Record the flow for the overlay.
-			a.flowSrcs[s.Dst] = append(a.flowSrcs[s.Dst], s.Src)
-			a.deferred++
-			return
-		}
 		// x = y: unify pt(x) with pt(y) (bidirectional).
 		a.join(a.pt(int(s.Dst)), a.pt(int(s.Src)))
 	case ir.OpAddr:
@@ -384,79 +274,6 @@ func (a *Analysis) finish() {
 			}
 		}
 	}
-	if a.precise {
-		a.overlay()
-	}
-}
-
-// overlay materializes the precise mode's disjunctive cover: every sink
-// with deferred copies from outside its base partition becomes a member
-// of each source's partition too, and its points-to set is the union
-// over its memberships. Runs once, after the unification fixpoint and
-// the class freeze, so all query structures stay read-only afterwards.
-func (a *Analysis) overlay() {
-	a.memb = map[ir.VarID][]int32{}
-	a.sinkCls = map[ir.VarID][]int{}
-	a.sinkPT = map[ir.VarID][]ir.VarID{}
-	a.sinkPart = map[ir.VarID][]ir.VarID{}
-	for v, srcs := range a.flowSrcs {
-		ids := map[int32]bool{a.rep[v]: true}
-		for _, s := range srcs {
-			ids[a.rep[s]] = true
-		}
-		if len(ids) == 1 {
-			continue // every source already shares v's partition
-		}
-		memb := make([]int32, 0, len(ids))
-		for id := range ids {
-			memb = append(memb, id)
-		}
-		sort.Slice(memb, func(i, j int) bool { return memb[i] < memb[j] })
-		a.memb[v] = memb
-		cls := make([]int, 0, len(memb)-1)
-		for _, id := range memb {
-			if id != a.rep[v] {
-				cls = append(cls, int(a.ptClass[id]))
-			}
-		}
-		sort.Ints(cls)
-		a.sinkCls[v] = cls
-	}
-	// Expand member lists: each sink joins its extra partitions. Done
-	// after all memberships are known so merged views see every sink.
-	for v, memb := range a.memb {
-		for _, id := range memb {
-			if id == a.rep[v] {
-				continue
-			}
-			m := a.members[id]
-			i := sort.Search(len(m), func(i int) bool { return m[i] >= v })
-			m = append(m, 0)
-			copy(m[i+1:], m[i:])
-			m[i] = v
-			a.members[id] = m
-		}
-	}
-	for v, memb := range a.memb {
-		var pt, part []ir.VarID
-		for _, id := range memb {
-			pt = append(pt, a.locVars[a.ptClass[id]]...)
-			part = append(part, a.members[id]...)
-		}
-		a.sinkPT[v] = sortedUnique(pt)
-		a.sinkPart[v] = sortedUnique(part)
-	}
-}
-
-func sortedUnique(vs []ir.VarID) []ir.VarID {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	out := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != vs[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // build computes partitions and the partition graph; if the graph contains
@@ -579,53 +396,12 @@ func (a *Analysis) build() bool {
 // (the smallest VarID in the partition).
 func (a *Analysis) Rep(v ir.VarID) int { return int(a.rep[v]) }
 
-// SamePartition reports whether p and q may share a partition — the
-// necessary condition for them to alias. In precise mode a sink belongs
-// to several partitions; the check is membership intersection.
-func (a *Analysis) SamePartition(p, q ir.VarID) bool {
-	if a.rep[p] == a.rep[q] {
-		return true
-	}
-	if a.memb == nil {
-		return false
-	}
-	mp, mq := a.memb[p], a.memb[q]
-	switch {
-	case mp == nil && mq == nil:
-		return false
-	case mp == nil:
-		return containsID(mq, a.rep[p])
-	case mq == nil:
-		return containsID(mp, a.rep[q])
-	}
-	for i, j := 0, 0; i < len(mp) && j < len(mq); {
-		switch {
-		case mp[i] == mq[j]:
-			return true
-		case mp[i] < mq[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
-}
-
-func containsID(ids []int32, id int32) bool {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	return i < len(ids) && ids[i] == id
-}
+// SamePartition reports whether p and q share a partition — the
+// necessary condition for them to alias.
+func (a *Analysis) SamePartition(p, q ir.VarID) bool { return a.rep[p] == a.rep[q] }
 
 // PartitionOf returns the members of v's partition in increasing order.
-// For a precise-mode sink this is the union over its memberships.
-func (a *Analysis) PartitionOf(v ir.VarID) []ir.VarID {
-	if a.sinkPart != nil {
-		if m := a.sinkPart[v]; m != nil {
-			return m
-		}
-	}
-	return a.members[a.rep[v]]
-}
+func (a *Analysis) PartitionOf(v ir.VarID) []ir.VarID { return a.members[a.rep[v]] }
 
 // Partitions returns all partitions, ordered by canonical id; each
 // partition's members are in increasing order.
@@ -686,27 +462,7 @@ func (a *Analysis) Higher(q, p ir.VarID) bool {
 // PointsToVars returns the program variables p may point to under
 // Steensgaard's analysis: the variables unified, as locations, into p's
 // content class. It may be empty (p points only at synthetic locations).
-// For a precise-mode sink it is the union over the sink's memberships.
-func (a *Analysis) PointsToVars(p ir.VarID) []ir.VarID {
-	if a.sinkPT != nil {
-		if pt, ok := a.sinkPT[p]; ok {
-			return pt
-		}
-	}
-	return a.locVars[a.ptClass[p]]
-}
-
-// SinkClasses returns the extra content classes a precise-mode sink's
-// contents may draw from, sorted ascending — nil for non-sinks and
-// outside precise mode. Cache fingerprints must include them: two
-// structurally identical slices can differ in global sink status, and
-// membership-aware queries answer differently on them.
-func (a *Analysis) SinkClasses(v ir.VarID) []int {
-	if a.sinkCls == nil {
-		return nil
-	}
-	return a.sinkCls[v]
-}
+func (a *Analysis) PointsToVars(p ir.VarID) []ir.VarID { return a.locVars[a.ptClass[p]] }
 
 // ContentClass returns an opaque id of v's unified content class. Two
 // variables share a Steensgaard partition exactly when their content
@@ -784,7 +540,6 @@ type Stats struct {
 	Unions       int // ECR unifications performed
 	Partitions   int
 	MaxPartition int
-	Deferred     int // copies deferred by precise mode (0 otherwise)
 }
 
 // Stats returns the analysis' work and shape counters.
@@ -793,7 +548,6 @@ func (a *Analysis) Stats() Stats {
 		Unions:       a.unions,
 		Partitions:   a.NumPartitions(),
 		MaxPartition: a.MaxPartitionSize(),
-		Deferred:     a.deferred,
 	}
 }
 
@@ -807,6 +561,4 @@ func (a *Analysis) Record(m *obs.Metrics) {
 		"Steensgaard partitions in the latest analyzed program").Set(float64(s.Partitions))
 	m.Gauge("bootstrap_steens_max_partition",
 		"largest Steensgaard partition in the latest analyzed program").Set(float64(s.MaxPartition))
-	m.Counter("bootstrap_steens_deferred_copies_total",
-		"copies deferred into sink overlays by the precise Steensgaard mode").Add(int64(s.Deferred))
 }

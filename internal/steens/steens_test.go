@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"bootstrap/internal/andersen"
+	"bootstrap/internal/exact"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/synth"
@@ -176,6 +178,25 @@ func TestFigure5Partitions(t *testing.T) {
 	succ, ok := a.PointsToPart(p1)
 	if !ok || succ != p2 {
 		t.Errorf("PointsToPart(P1) = %d,%v, want %d", succ, ok, p2)
+	}
+}
+
+// TestHubCopiesUnify: copies into a pointer that nothing reads (a
+// write-only hub) still unify the contents of both sources, so x1 and
+// x2 share a partition although neither is copied into the other.
+func TestHubCopiesUnify(t *testing.T) {
+	p, a := analyze(t, `
+		int a, b;
+		int *x1, *x2, *hub;
+		void main() {
+			x1 = &a;
+			x2 = &b;
+			hub = x1;
+			hub = x2;
+		}
+	`)
+	if !a.SamePartition(v(t, p, "x1"), v(t, p, "x2")) {
+		t.Error("x1 and x2 should share a partition through the hub")
 	}
 }
 
@@ -475,5 +496,70 @@ func TestDot(t *testing.T) {
 	}
 	if !strings.Contains(dot, "style=dashed") {
 		t.Errorf("self-loop arc missing:\n%s", dot)
+	}
+}
+
+// TestSoundRandom checks Steensgaard against two sound references on
+// random programs: Andersen's sets (a refinement) are contained in
+// PointsToVars pointwise, and at every node every exact pointee is in
+// PointsToVars and every exact alias pair shares a partition. The
+// generator is wider than the default: with four pointers and many
+// copies every program unifies into a few partitions, and a dropped
+// load or store join goes unseen.
+func TestSoundRandom(t *testing.T) {
+	if testing.Short() {
+		t.Skip("property test skipped in -short mode")
+	}
+	cfg := synth.DefaultRandomConfig()
+	cfg.Funcs = 3
+	cfg.Recursion = true
+	cfg.Ptrs, cfg.PtrPtrs, cfg.Objects = 10, 4, 8
+	for seed := int64(0); seed < 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		src := synth.RandomSource(rng, cfg)
+		p, err := frontend.LowerSource(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := Analyze(p)
+		pts := make([]map[ir.VarID]bool, p.NumVars())
+		for v := range pts {
+			pts[v] = map[ir.VarID]bool{}
+			for _, o := range a.PointsToVars(ir.VarID(v)) {
+				pts[v][o] = true
+			}
+		}
+
+		an := andersen.Analyze(p)
+		for v := 0; v < p.NumVars(); v++ {
+			pv := ir.VarID(v)
+			for _, o := range an.PointsTo(pv) {
+				if !pts[v][o] {
+					t.Fatalf("seed %d: UNSOUND: Andersen has %s -> %s, Steensgaard misses it\nprogram:\n%s",
+						seed, p.VarName(pv), p.VarName(o), src)
+				}
+			}
+		}
+
+		r := exact.Explore(p, exact.Options{})
+		for _, n := range p.Nodes {
+			loc := n.Loc
+			for i := 0; i < p.NumVars(); i++ {
+				pi := ir.VarID(i)
+				for _, o := range r.PointsTo(pi, loc) {
+					if !pts[i][o] {
+						t.Fatalf("seed %d: UNSOUND: %s -> %s at L%d (exact) missed\nprogram:\n%s",
+							seed, p.VarName(pi), p.VarName(o), loc, src)
+					}
+				}
+				for j := i + 1; j < p.NumVars(); j++ {
+					pj := ir.VarID(j)
+					if r.MayAlias(pi, pj, loc) && !a.SamePartition(pi, pj) {
+						t.Fatalf("seed %d: UNSOUND partitioning: %s and %s alias at L%d but share no partition\nprogram:\n%s",
+							seed, p.VarName(pi), p.VarName(pj), loc, src)
+					}
+				}
+			}
+		}
 	}
 }
