@@ -279,7 +279,7 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, cfg Config) (*
 	// the cascade), plus function-pointer devirtualization.
 	t0 := time.Now()
 	sp := tr.Start("phase", "steensgaard", obs.TIDMain)
-	sa, err := steensFront(prog, cfg)
+	sa, err := steensFront(prog)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -387,7 +387,7 @@ func deferredFallback(prog *ir.Program, cfg Config) *andersen.Analysis {
 // steensFront runs the Steensgaard base stage: analyze, devirtualize
 // indirect calls with the resolved targets, and re-analyze when the
 // program changed.
-func steensFront(prog *ir.Program, cfg Config) (*steens.Analysis, error) {
+func steensFront(prog *ir.Program) (*steens.Analysis, error) {
 	sa := steens.Analyze(prog)
 	if frontend.HasIndirectCalls(prog) {
 		if err := frontend.Devirtualize(prog, func(_ ir.Loc, fp ir.VarID) []ir.FuncID {

@@ -156,7 +156,7 @@ func TestPipelinedMatchesSerialCover(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sa, err := steensFront(prog, Config{})
+					sa, err := steensFront(prog)
 					if err != nil {
 						t.Fatal(err)
 					}

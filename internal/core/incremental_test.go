@@ -753,11 +753,11 @@ const fuzzEditProg = `
 // FuzzApplyEdit feeds byte-derived edit sequences through ApplyEdit and
 // asserts bit-identity with a from-scratch analysis after every batch:
 // same selected-cluster fingerprints, same Andersen sets, same answers,
-// and no fallback. The byte pairs split
-// into two batches: the first applies to a from-scratch analysis, the
-// second to the first's successor, which carries the partition records
-// a from-scratch analysis lacks, so the second batch reaches the reuse
-// of records, alias-free partitions' included. Each input runs in two
+// and no fallback. The byte pairs split into two batches: the first
+// applies to a from-scratch analysis, the second to the first's
+// successor, which carries the partition records a from-scratch
+// analysis lacks, so the second batch reaches the reuse of records,
+// alias-free partitions' included. Each input runs in two
 // arms: from an analysis whose fallback was read first, so ApplyEdit
 // patches it (cone leak check included), and from one never read, whose
 // first successor must defer its solve. The check after the first batch
