@@ -203,8 +203,8 @@ func run(path string) (err error) {
 	}
 
 	if *races {
-		det := lockset.NewDetector(a, lockset.Config{})
-		found, accesses := det.Detect()
+		det := lockset.NewDetector(a)
+		found, accesses := det.Detect(ctx)
 		fmt.Printf("threads: %d, shared accesses: %d, races: %d\n",
 			len(det.Threads()), len(accesses), len(found))
 		for _, r := range found {
@@ -212,7 +212,7 @@ func run(path string) (err error) {
 		}
 	}
 	if *nullDeref {
-		warnings := nullcheck.Check(a)
+		warnings := nullcheck.Check(ctx, a)
 		fmt.Printf("suspicious dereferences: %d\n", len(warnings))
 		fmt.Print(nullcheck.FormatAll(a.Prog, warnings))
 	}

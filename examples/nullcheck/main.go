@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	warnings := nullcheck.Check(analysis)
+	warnings := nullcheck.Check(context.Background(), analysis)
 	fmt.Printf("%d suspicious dereferences:\n", len(warnings))
 	fmt.Print(nullcheck.FormatAll(analysis.Prog, warnings))
 	fmt.Println("\nnote: the dereference of `ok` is NOT reported — the")

@@ -3,22 +3,10 @@ package check
 import (
 	"context"
 
+	"bootstrap/internal/core"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/nullcheck"
 )
-
-// nullSrc adapts the Core handle to nullcheck.Source: dereference-state
-// queries ride the demand-driven cascade under the pass deadline.
-type nullSrc struct {
-	ctx context.Context
-	c   *Core
-}
-
-func (s nullSrc) Program() *ir.Program        { return s.c.Prog() }
-func (s nullSrc) ReachableFuncs() []ir.FuncID { return s.c.Reachable() }
-func (s nullSrc) DerefState(p ir.VarID, loc ir.Loc) ([]ir.VarID, bool, bool, bool) {
-	return s.c.DerefState(s.ctx, p, loc)
-}
 
 // derefFootprint collects every pointer the program dereferences: the
 // source of a load, the destination of a store, the pointer of a
@@ -62,9 +50,9 @@ func (p *NullcheckPass) Footprint(prog *ir.Program) func(*ir.Var) bool {
 // Run implements Pass. Fingerprints are preset with the warning's own
 // exported Fingerprint, so batch (aliaslint) and served (aliasd /check)
 // reports are byte-identical for the same snapshot.
-func (p *NullcheckPass) Run(ctx context.Context, c *Core) ([]Diagnostic, error) {
-	warnings := nullcheck.CheckSource(nullSrc{ctx: ctx, c: c})
-	prog := c.Prog()
+func (p *NullcheckPass) Run(ctx context.Context, a *core.Analysis) ([]Diagnostic, error) {
+	warnings := nullcheck.Check(ctx, a)
+	prog := a.Prog
 	out := make([]Diagnostic, 0, len(warnings))
 	for _, w := range warnings {
 		sev := SeverityWarning

@@ -1,6 +1,7 @@
 package lockset
 
 import (
+	"context"
 	"testing"
 
 	"bootstrap/internal/core"
@@ -37,14 +38,13 @@ const driverSrc = `
 	}
 `
 
-func detect(t *testing.T, src string, cfg Config) (*core.Analysis, []Race, []Access) {
+func detect(t *testing.T, src string) (*core.Analysis, []Race, []Access) {
 	t.Helper()
 	a, err := core.AnalyzeSource(src, core.Config{Mode: core.ModeSteensgaard, Workers: 1})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	d := NewDetector(a, cfg)
-	races, accesses := d.Detect()
+	races, accesses := NewDetector(a).Detect(context.Background())
 	return a, races, accesses
 }
 
@@ -59,7 +59,7 @@ func racesOn(a *core.Analysis, races []Race, name string) []Race {
 }
 
 func TestProtectedVsUnprotected(t *testing.T) {
-	a, races, accesses := detect(t, driverSrc, Config{})
+	a, races, accesses := detect(t, driverSrc)
 	if len(accesses) == 0 {
 		t.Fatal("no accesses collected")
 	}
@@ -94,7 +94,7 @@ func TestLockResolutionThroughAlias(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src, Config{})
+	a, races, _ := detect(t, src)
 	if got := racesOn(a, races, "shared"); len(got) != 0 {
 		t.Errorf("same lock through aliased pointers; got race: %s", got[0].Format(a.Prog))
 	}
@@ -121,7 +121,7 @@ func TestDifferentLocksRace(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src, Config{})
+	a, races, _ := detect(t, src)
 	if got := racesOn(a, races, "shared"); len(got) == 0 {
 		t.Error("different locks guard the accesses; expected a race")
 	}
@@ -148,7 +148,7 @@ func TestBranchLosesLock(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src, Config{})
+	a, races, _ := detect(t, src)
 	if got := racesOn(a, races, "shared"); len(got) == 0 {
 		t.Error("conditional acquire does not protect; expected a race")
 	}
@@ -178,7 +178,7 @@ func TestInterproceduralLockset(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src, Config{})
+	a, races, _ := detect(t, src)
 	if got := racesOn(a, races, "shared"); len(got) != 0 {
 		t.Errorf("helper runs under the lock; got race: %s", got[0].Format(a.Prog))
 	}
@@ -190,13 +190,9 @@ func TestSelfParallelDefault(t *testing.T) {
 		void thread_a() { shared = 1; }
 		void main() { thread_a(); }
 	`
-	a, races, _ := detect(t, src, Config{})
+	a, races, _ := detect(t, src)
 	if got := racesOn(a, races, "shared"); len(got) == 0 {
-		t.Error("a reentrant entry point races with itself by default")
-	}
-	_, races2, _ := detect(t, src, Config{SequentialSelf: true})
-	if len(races2) != 0 {
-		t.Error("SequentialSelf should suppress self races")
+		t.Error("a reentrant entry point races with itself")
 	}
 }
 
@@ -209,8 +205,7 @@ func TestDemandDrivenDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDetector(a, Config{})
-	races, _ := d.Detect()
+	races, _ := NewDetector(a).Detect(context.Background())
 	if got := racesOn(a, races, "counter"); len(got) != 0 {
 		t.Errorf("demand-driven: counter protected, got race %s", got[0].Format(a.Prog))
 	}
@@ -235,7 +230,7 @@ func TestHeapLockObjects(t *testing.T) {
 			thread_a();
 		}
 	`
-	a, races, _ := detect(t, src, Config{})
+	a, races, _ := detect(t, src)
 	// lp resolves to the single allocation site: a must-lock.
 	if got := racesOn(a, races, "shared"); len(got) != 0 {
 		t.Errorf("heap lock protects both instances; got race: %s", got[0].Format(a.Prog))
@@ -244,7 +239,7 @@ func TestHeapLockObjects(t *testing.T) {
 }
 
 func TestRaceFormat(t *testing.T) {
-	a, races, _ := detect(t, driverSrc, Config{})
+	a, races, _ := detect(t, driverSrc)
 	for _, r := range races {
 		s := r.Format(a.Prog)
 		if s == "" {
@@ -272,7 +267,7 @@ func TestUnknownReleaseClearsLockset(t *testing.T) {
 		void thread_b() { shared = 2; }
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src, Config{})
+	a, races, _ := detect(t, src)
 	if got := racesOn(a, races, "shared"); len(got) == 0 {
 		t.Error("after an ambiguous release nothing is definitely held; expected a race")
 	}
@@ -293,7 +288,7 @@ func TestUnknownAcquireDoesNotProtect(t *testing.T) {
 		void thread_b() { shared = 2; }
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src, Config{})
+	a, races, _ := detect(t, src)
 	if got := racesOn(a, races, "shared"); len(got) == 0 {
 		t.Error("an ambiguous acquire must not count as protection")
 	}
@@ -328,7 +323,7 @@ func TestNestedLocks(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, accesses := detect(t, src, Config{})
+	a, races, accesses := detect(t, src)
 	if len(races) != 0 {
 		t.Errorf("all accesses protected; got races: %v", races[0].Format(a.Prog))
 	}
@@ -363,7 +358,7 @@ func TestLoopLockset(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src, Config{})
+	a, races, _ := detect(t, src)
 	if got := racesOn(a, races, "shared"); len(got) != 0 {
 		t.Errorf("loop body runs under the lock; got %s", got[0].Format(a.Prog))
 	}
@@ -393,7 +388,7 @@ func TestAcquireInLoopBody(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src, Config{})
+	a, races, _ := detect(t, src)
 	if got := racesOn(a, races, "shared"); len(got) != 0 {
 		t.Errorf("both accesses protected by m; got %s", got[0].Format(a.Prog))
 	}
@@ -404,7 +399,7 @@ func TestNoThreads(t *testing.T) {
 		int shared;
 		void main() { shared = 1; }
 	`
-	_, races, accesses := detect(t, src, Config{})
+	_, races, accesses := detect(t, src)
 	if len(races) != 0 || len(accesses) != 0 {
 		t.Error("no thread entries: nothing to report")
 	}
@@ -418,7 +413,7 @@ func TestReadsDoNotRaceWithReads(t *testing.T) {
 		void thread_b() { sink = shared; }
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src, Config{})
+	a, races, _ := detect(t, src)
 	if got := racesOn(a, races, "shared"); len(got) != 0 {
 		t.Errorf("read-read pairs never race; got %s", got[0].Format(a.Prog))
 	}

@@ -109,36 +109,16 @@ func SortWarnings(ws []Warning) {
 	})
 }
 
-// Source is the analysis surface the checker consumes. Check adapts a
-// *core.Analysis queried without a deadline; the checker framework
-// adapts its deadline-scoped demand-driven handle.
-type Source interface {
-	Program() *ir.Program
-	ReachableFuncs() []ir.FuncID
-	DerefState(p ir.VarID, loc ir.Loc) (objs []ir.VarID, mayNull, mayUninit, precise bool)
-}
-
-// analysisSource adapts *core.Analysis to Source.
-type analysisSource struct{ *core.Analysis }
-
-func (s analysisSource) Program() *ir.Program { return s.Prog }
-func (s analysisSource) ReachableFuncs() []ir.FuncID {
-	return s.CallGraph.Reachable(s.Prog.Entry)
-}
-func (s analysisSource) DerefState(p ir.VarID, loc ir.Loc) (objs []ir.VarID, mayNull, mayUninit, precise bool) {
-	return s.DerefStateContext(context.Background(), p, loc)
-}
-
 // Check scans every dereference site reachable from the entry function
 // and reports suspicious ones, in SortWarnings order. The analysis
 // should have been built over the same program (any clustering mode).
-func Check(a *core.Analysis) []Warning { return CheckSource(analysisSource{a}) }
-
-// CheckSource is Check over any Source.
-func CheckSource(src Source) []Warning {
-	prog := src.Program()
+// Dereference states are queried under ctx; an expired deadline
+// degrades them to the fallback, where only a pointer with no candidate
+// object at all is reported.
+func Check(ctx context.Context, a *core.Analysis) []Warning {
+	prog := a.Prog
 	reachable := map[ir.FuncID]bool{}
-	for _, f := range src.ReachableFuncs() {
+	for _, f := range a.CallGraph.Reachable(prog.Entry) {
 		reachable[f] = true
 	}
 	var out []Warning
@@ -160,7 +140,7 @@ func CheckSource(src Source) []Warning {
 		if ptr == ir.NoVar {
 			continue
 		}
-		objs, mayNull, mayUninit, precise := src.DerefState(ptr, n.Loc)
+		objs, mayNull, mayUninit, precise := a.DerefStateContext(ctx, ptr, n.Loc)
 		switch {
 		case precise && (mayNull || mayUninit):
 			w := Warning{Loc: n.Loc, Ptr: ptr, Severity: MayBeNull, Uninit: !mayNull && mayUninit}

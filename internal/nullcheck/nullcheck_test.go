@@ -1,6 +1,7 @@
 package nullcheck
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func check(t *testing.T, src string) (*core.Analysis, []Warning) {
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	return a, Check(a)
+	return a, Check(context.Background(), a)
 }
 
 // warningsOn filters warnings whose pointer renders as name.
