@@ -135,7 +135,7 @@ func TestFingerprintsMatchPerCallKeys(t *testing.T) {
 	if len(fps) != len(cold.Clusters) {
 		t.Fatalf("%d fingerprints for %d clusters", len(fps), len(cold.Clusters))
 	}
-	params := cache.Params{MaxCond: maxCondOrDefault(cfg.MaxCond), Budget: cfg.ClusterBudget}
+	params := cache.Params{MaxCond: maxCond, Budget: cfg.ClusterBudget}
 	for _, c := range cold.Clusters {
 		want := cache.NewCanon(cold.Prog, cold.Steens, cold.CallGraph, c, params).Key().String()
 		if fps[c.ID] != want {
