@@ -394,24 +394,6 @@ func (e *Engine) ValuesInContext(p ir.VarID, loc ir.Loc, ctx Context) ([]ir.VarI
 	return vr.objs, !vr.unknown, nil
 }
 
-// MayAliasInContext reports whether p and q may alias at loc in the given
-// context.
-func (e *Engine) MayAliasInContext(p, q ir.VarID, loc ir.Loc, ctx Context) (bool, error) {
-	if err := e.ValidateContext(ctx, loc); err != nil {
-		return false, err
-	}
-	if p == q {
-		return true, nil
-	}
-	defer e.release(e.hold())
-	vp := e.collectValuesInContext(p, loc, ctx)
-	vq := e.collectValuesInContext(q, loc, ctx)
-	if vp.unknown || vq.unknown {
-		return e.fallbackMayAlias(p, q), nil
-	}
-	return intersects(vp.objs, vq.objs), nil
-}
-
 // MustAliasInContext is the context-sensitive must-alias predicate.
 func (e *Engine) MustAliasInContext(p, q ir.VarID, loc ir.Loc, ctx Context) (bool, error) {
 	if err := e.ValidateContext(ctx, loc); err != nil {
