@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"bootstrap/internal/cache"
 	"bootstrap/internal/cluster"
@@ -661,6 +663,48 @@ func TestApplyEditBadBatch(t *testing.T) {
 	}
 	if len(a.Prog.Nodes) != before {
 		t.Fatal("failed batch mutated the previous program")
+	}
+}
+
+// TestApplyEditExpiredDeadline: an edit whose ctx has already expired is
+// rejected, eager or lazy: the error wraps context.DeadlineExceeded, no
+// successor is returned, and the previous analysis still answers like a
+// fresh analysis of its program. The same batch then lands under a live
+// ctx, on the incremental path.
+func TestApplyEditExpiredDeadline(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		tag := fmt.Sprintf("lazy=%v", lazy)
+		cfg := core.Config{Mode: core.ModeAndersen, Lazy: lazy, Workers: 1}
+		prev, err := core.AnalyzeProgram(incrProg(t), cfg)
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", tag, err)
+		}
+		edits := randomStmtEdits(prev.Prog, rand.New(rand.NewSource(3)), 1)
+		before := progDigest(prev.Prog)
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		a2, _, err := core.ApplyEdit(ctx, prev, edits)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: ApplyEdit under an expired deadline: err = %v, want DeadlineExceeded", tag, err)
+		}
+		if a2 != nil {
+			t.Fatalf("%s: a rejected edit returned an analysis", tag)
+		}
+		if progDigest(prev.Prog) != before {
+			t.Fatalf("%s: the rejected edit wrote the previous program", tag)
+		}
+		fresh, err := core.AnalyzeProgram(prev.Prog.Clone(), cfg)
+		if err != nil {
+			t.Fatalf("%s: fresh: %v", tag, err)
+		}
+		sampleQueries(t, tag, prev, fresh)
+		_, rep, err := core.ApplyEdit(context.Background(), prev, edits)
+		if err != nil {
+			t.Fatalf("%s: the same batch under a live ctx: %v", tag, err)
+		}
+		if rep.FellBack {
+			t.Fatalf("%s: unexpected fallback: %s", tag, rep.Reason)
+		}
 	}
 }
 

@@ -67,8 +67,8 @@ type Config struct {
 
 	// EditTimeout bounds each POST /edit batch's incremental re-solve
 	// (default 15s; a request may lower it via timeout_ms). On expiry the
-	// affected clusters degrade through the analysis' retry ladder — the
-	// edit still lands and the snapshot still swaps.
+	// batch is rejected with 422 and the old snapshot keeps serving; the
+	// other batches of its group still land.
 	EditTimeout time.Duration
 
 	// Regen, when non-nil, lets POST /reload regenerate the program
