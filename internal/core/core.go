@@ -72,10 +72,10 @@ type Config struct {
 	// means no per-cluster deadline.
 	ClusterTimeout time.Duration
 	// RunTimeout bounds the wall-clock time of the whole per-cluster FSCS
-	// stage; when it expires, clusters still running (or not yet started)
-	// are demoted to the flow-insensitive fallback — the run completes
-	// with degraded precision instead of erroring. Zero means no
-	// whole-run deadline.
+	// stage, and of an eager ApplyEdit's re-solves; when it expires,
+	// clusters still running (or not yet started) are demoted to the
+	// flow-insensitive fallback — the run completes with degraded
+	// precision instead of erroring. Zero means no whole-run deadline.
 	RunTimeout time.Duration
 	// Retries is the degradation ladder's retry count after a failed
 	// attempt (budget, deadline or panic); each retry halves the
@@ -100,13 +100,6 @@ type Config struct {
 	// to pick and choose which clusters to explore ... adapted on-the-fly
 	// based on the demands of the application".
 	Lazy bool
-	// HybridSizeLimit, when positive, enables the paper's hybrid mode:
-	// clusters larger than the limit are not given the expensive FSCS
-	// treatment — queries on their pointers answer from the
-	// flow-insensitive Andersen result instead ("one may choose to engage
-	// different pointer analysis methods to analyze different clusters
-	// based on their sizes and access densities").
-	HybridSizeLimit int
 	// Cache, when non-nil, warm-starts the per-cluster FSCS stage: before
 	// a cluster is dispatched to an engine its slice fingerprint is looked
 	// up, hits import the stored summary tables and points-to sets instead

@@ -507,30 +507,6 @@ func TestLazyMode(t *testing.T) {
 	}
 }
 
-func TestHybridSizeLimit(t *testing.T) {
-	a, err := AnalyzeSource(testProgram, Config{
-		Mode: ModeSteensgaard, Workers: 1, HybridSizeLimit: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exit := exitLoc(a)
-	// The x/y/p cluster exceeds the limit: queries fall back to the
-	// flow-insensitive answer — still sound (may-aliases preserved).
-	if !mayAlias(a, v(t, a, "x"), v(t, a, "y"), exit) {
-		t.Error("hybrid fallback must keep sound may-aliases")
-	}
-	// The small lock cluster is still analyzed precisely.
-	if !mustAlias(a, v(t, a, "l1"), v(t, a, "l2"), exit) {
-		t.Error("small cluster should keep the precise treatment")
-	}
-	// Fewer engines ran than without the limit.
-	full, _ := AnalyzeSource(testProgram, Config{Mode: ModeSteensgaard, Workers: 1})
-	if len(a.Health) >= len(full.Health) {
-		t.Errorf("hybrid ran %d engines, full %d", len(a.Health), len(full.Health))
-	}
-}
-
 func TestValuesInContext(t *testing.T) {
 	src := `
 		int a1, a2;

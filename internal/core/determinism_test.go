@@ -121,8 +121,8 @@ func TestDeterministicWithWarmCache(t *testing.T) {
 // TestPipelinedMatchesSerialCover: every mode's streamed cover, eager
 // and lazy, must be the cluster builder's cover on the same program —
 // same clusters, same IDs, kinds and partitions, in order — under each
-// selection (plain, demand, hybrid). A lazy analysis must give the eager
-// one's answers once EnsureCluster has solved every selected cluster.
+// selection (plain, demand). A lazy analysis must give the eager one's
+// answers once EnsureCluster has solved every selected cluster.
 func TestPipelinedMatchesSerialCover(t *testing.T) {
 	const threshold = 2 // force Andersen refinement
 	modes := []struct {
@@ -145,7 +145,6 @@ func TestPipelinedMatchesSerialCover(t *testing.T) {
 	}{
 		{"plain", func(*Config) {}},
 		{"demand", func(c *Config) { c.Demand = func(v *ir.Var) bool { return v.IsLock } }},
-		{"hybrid", func(c *Config) { c.HybridSizeLimit = 2 }},
 	}
 	ctx := context.Background()
 	for _, sel := range selections {

@@ -24,11 +24,12 @@ package core
 // engine (rebound to the new program via fscs.Engine.Rebind), and its
 // health record. Partitions are found across generations through
 // partition records (partRecord), which also let an alias-free
-// partition be checked without slicing it again. Edits ApplyEdit cannot map — added/removed/rebuilt
-// functions, call/return rewrites, signature changes, indirect-call
-// programs, or a changed cluster-cover partition — fall back to a full
-// reanalysis (warm through the result cache, see reanalyze) instead of
-// ever producing a stale cover; EditReport.FellBack says so.
+// partition be checked without slicing it again. Edits ApplyEdit cannot
+// map — a call or return added, removed or rewritten, a call-binding
+// node rewritten, an indirect-call program, or a changed cluster-cover
+// partition — fall back to a full reanalysis (warm through the result
+// cache, see reanalyze) instead of ever producing a stale cover;
+// EditReport.FellBack says so.
 
 import (
 	"cmp"
@@ -93,7 +94,9 @@ type EditReport struct {
 // batch is rejected with an error wrapping ctx's error and a nil
 // analysis, and prev keeps answering queries. The configured
 // ClusterTimeout still degrades a re-solved cluster through the retry
-// ladder instead of rejecting the edit.
+// ladder instead of rejecting the edit, and in an eager analysis
+// RunTimeout bounds the re-solves as it bounds a from-scratch run's
+// FSCS stage: clusters it cuts off are demoted.
 func ApplyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit) (*Analysis, *EditReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -380,7 +383,16 @@ func applyEdit(ctx context.Context, prev *Analysis, edits []ir.Edit, cfg Config)
 		}
 	}
 
-	healths := a2.runEager(ctx, feed(solve), cfg)
+	// An eager edit's re-solves are an eager FSCS stage, bounded by
+	// RunTimeout as a from-scratch run's is. A lazy analysis solves at
+	// query time, where no stage deadline applies.
+	runCtx := ctx
+	if !cfg.Lazy {
+		var cancel context.CancelFunc
+		runCtx, cancel = stageContext(ctx, cfg)
+		defer cancel()
+	}
+	healths := a2.runEager(runCtx, feed(solve), cfg)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("core: applyedit cancelled: %w", err)
 	}
@@ -499,10 +511,10 @@ func deriveParts(a *Analysis) (recs []partRecord, ok bool) {
 // reanalyze is ApplyEdit's structural fallback: it re-runs the whole
 // cascade on newProg with prev's configuration, against a cache warmed
 // with prev's per-cluster results. It covers every batch the
-// cluster-dirtiness mapping cannot express — a function added, removed
-// or rebuilt, a call or return statement rewritten (any of which
-// changes a function signature or the shape of the call graph), or any
-// change that can alter the cluster cover itself. The fallback is still
+// cluster-dirtiness mapping cannot express — a call or return added,
+// removed or rewritten, or a call-binding node rewritten (any of which
+// changes the call graph or how a call binds its result), or any change
+// that can alter the cluster cover itself. The fallback is still
 // warm: per Theorem 6 a cluster's result depends only on its slice, so
 // clusters of newProg whose slices fingerprint-match a cluster of prev
 // (stable under VarID/Loc renumbering) import the stored result instead

@@ -464,51 +464,14 @@ func TestApplyEditKeepsDemotedIndexed(t *testing.T) {
 	}
 }
 
-// TestApplyEditStructuralFallback: edits ApplyEdit cannot map onto the
-// cluster cover degrade to a full, cache-warm reanalysis with FellBack
-// reported.
-func TestApplyEditStructuralFallback(t *testing.T) {
-	prog := incrProg(t)
-	cfg := core.Config{Mode: core.ModeAndersen, Workers: 2}
-	a, err := core.AnalyzeProgram(prog, cfg)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
-	}
-	g := a.Prog.Vars[0].ID
-	edits := []ir.Edit{{
-		Kind: ir.EditAddFunc,
-		Spec: &ir.FuncSpec{
-			Name:     "injected",
-			Stmts:    []ir.Stmt{{Op: ir.OpNullify, Dst: g, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar}},
-			Succs:    [][]int{{}},
-			CallLocs: []int{-1},
-			Entry:    0,
-			Exit:     0,
-		},
-	}}
-	a2, rep, err := core.ApplyEdit(context.Background(), a, edits)
-	if err != nil {
-		t.Fatalf("ApplyEdit: %v", err)
-	}
-	if !rep.FellBack || rep.Reason == "" {
-		t.Fatalf("adding a function must fall back, got %+v", rep)
-	}
-	fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), core.Config{Mode: core.ModeAndersen, Workers: 2})
-	if err != nil {
-		t.Fatalf("fresh: %v", err)
-	}
-	diffFingerprints(t, "fallback", a2.Fingerprints(), fresh.Fingerprints())
-	if _, ok := a2.Prog.FuncByName["injected"]; !ok {
-		t.Fatal("edit not applied")
-	}
-}
-
 // fptrProg stores two functions in one function pointer and calls
-// through it; work's body calls nothing.
+// through it; work's body calls nothing, and q = id(p) binds a call's
+// result.
 const fptrProg = `
 	int a, b;
 	int *p, *q;
 	void *fp;
+	int *id(int *v) { return v; }
 	void set(int *v) { p = v; }
 	void other(int *v) { q = v; }
 	void work() { p = &a; }
@@ -516,57 +479,90 @@ const fptrProg = `
 		fp = &set;
 		fp = &other;
 		work();
+		q = id(p);
 		(*fp)(q);
 		q = &b;
 	}
 `
 
-// TestApplyEditFallbackDevirtualizesClone: a rebuilt body that calls
-// through a function pointer takes the structural fallback, whose
-// reanalysis devirtualizes the edited program: Devirtualize expands the
-// new indirect call on the edited clone, and the previous program, which
-// the first analysis devirtualized already, is not written.
-func TestApplyEditFallbackDevirtualizesClone(t *testing.T) {
-	prog, err := frontend.LowerSource(fptrProg)
-	if err != nil {
-		t.Fatal(err)
+// TestApplyEditStructuralFallback: each statement edit ApplyEdit cannot
+// map onto the cluster cover takes the structural fallback, a full
+// cache-warm reanalysis, and reports FellBack with its reason: deleting
+// a direct call, deleting a call's return-binding node (the node with
+// CallLoc set), and inserting an indirect call. The fallback ends where a
+// fresh analysis of the edited program does, and never writes the
+// previous program: the inserted indirect call is devirtualized on the
+// edited clone, while the previous program was devirtualized by the
+// first analysis.
+func TestApplyEditStructuralFallback(t *testing.T) {
+	const callReason, bindingReason = "edit adds or removes a call/return", "edit rewrites a call-binding node"
+	rows := []struct {
+		name, reason string
+		edit         func(t *testing.T, p *ir.Program) ir.Edit
+	}{
+		{"delete-call", callReason, func(t *testing.T, p *ir.Program) ir.Edit {
+			work := p.FuncByName["work"]
+			return ir.Edit{Kind: ir.EditDeleteStmt, Loc: findNode(t, p, func(n *ir.Node) bool {
+				return n.Stmt.Op == ir.OpCall && n.Stmt.Callee == work
+			})}
+		}},
+		{"delete-call-binding", bindingReason, func(t *testing.T, p *ir.Program) ir.Edit {
+			return ir.Edit{Kind: ir.EditDeleteStmt, Loc: findNode(t, p, func(n *ir.Node) bool {
+				return n.CallLoc != ir.NoLoc && n.Stmt.Dst == p.VarByName["q"]
+			})}
+		}},
+		{"insert-indirect-call", callReason, func(_ *testing.T, p *ir.Program) ir.Edit {
+			call := ir.Stmt{Op: ir.OpCall, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc,
+				FPtr: p.VarByName["fp"], Args: []ir.VarID{p.VarByName["p"]}}
+			return ir.Edit{Kind: ir.EditInsertAfter, Loc: p.Func(p.FuncByName["work"]).Entry, Stmt: call}
+		}},
 	}
 	cfg := core.Config{Mode: core.ModeAndersen, Workers: 2}
-	a, err := core.AnalyzeProgram(prog, cfg)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			prog, err := frontend.LowerSource(fptrProg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := core.AnalyzeProgram(prog, cfg)
+			if err != nil {
+				t.Fatalf("analyze: %v", err)
+			}
+			if frontend.HasIndirectCalls(a.Prog) {
+				t.Fatal("test premise broken: the analysis left an indirect call")
+			}
+			a2, rep, err := applyEditKeepsPrev(t, row.name, a, []ir.Edit{row.edit(t, a.Prog)})
+			if err != nil {
+				t.Fatalf("ApplyEdit: %v", err)
+			}
+			if !rep.FellBack || rep.Reason != row.reason {
+				t.Fatalf("report %+v, want a fallback because %q", rep, row.reason)
+			}
+			if frontend.HasIndirectCalls(a2.Prog) {
+				t.Fatal("the fallback left an indirect call unexpanded")
+			}
+			fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), cfg)
+			if err != nil {
+				t.Fatalf("fresh: %v", err)
+			}
+			diffFingerprints(t, row.name, a2.Fingerprints(), fresh.Fingerprints())
+			diffAndersen(t, row.name, a2, fresh)
+			sampleQueries(t, row.name, a2, fresh)
+		})
 	}
-	if frontend.HasIndirectCalls(a.Prog) {
-		t.Fatal("test premise broken: the analysis left an indirect call")
+}
+
+// findNode returns the location of the first node of p that match
+// accepts.
+func findNode(t *testing.T, p *ir.Program, match func(*ir.Node) bool) ir.Loc {
+	t.Helper()
+	for _, n := range p.Nodes {
+		if match(n) {
+			return n.Loc
+		}
 	}
-	vr := func(name string) ir.VarID { return a.Prog.VarByName[name] }
-	skip := ir.Stmt{Op: ir.OpSkip, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar}
-	call := ir.Stmt{Op: ir.OpCall, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: vr("fp"), Args: []ir.VarID{vr("p")}}
-	ret := ir.Stmt{Op: ir.OpRet, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar}
-	edits := []ir.Edit{{Kind: ir.EditRebuildFunc, Spec: &ir.FuncSpec{
-		Name:     "work",
-		Stmts:    []ir.Stmt{skip, call, ret},
-		Succs:    [][]int{{1}, {2}, {}},
-		CallLocs: []int{-1, -1, -1},
-		Entry:    0,
-		Exit:     2,
-	}}}
-	a2, rep, err := applyEditKeepsPrev(t, "rebuild work", a, edits)
-	if err != nil {
-		t.Fatalf("ApplyEdit: %v", err)
-	}
-	if !rep.FellBack {
-		t.Fatal("a rebuilt function must fall back")
-	}
-	if frontend.HasIndirectCalls(a2.Prog) {
-		t.Fatal("the fallback left the new indirect call unexpanded")
-	}
-	fresh, err := core.AnalyzeProgram(a2.Prog.Clone(), cfg)
-	if err != nil {
-		t.Fatalf("fresh: %v", err)
-	}
-	diffFingerprints(t, "fallback", a2.Fingerprints(), fresh.Fingerprints())
-	sampleQueries(t, "fallback", a2, fresh)
+	t.Fatal("no matching node")
+	return ir.NoLoc
 }
 
 // TestApplyEditOtherModesFallBack: the incremental path maps edits onto
@@ -705,6 +701,64 @@ func TestApplyEditExpiredDeadline(t *testing.T) {
 		if rep.FellBack {
 			t.Fatalf("%s: unexpected fallback: %s", tag, rep.Reason)
 		}
+	}
+}
+
+// TestApplyEditRunTimeout: RunTimeout bounds an eager edit's re-solves
+// as it bounds a from-scratch run's FSCS stage, and a lazy edit's not at
+// all, since a lazy analysis solves at query time, where no stage
+// deadline applies. Under a one-nanosecond RunTimeout an edited analysis
+// must solve and demote what a fresh analysis of the edited program does,
+// with the same fingerprints and the same answers and precise flags at
+// main's exit. The lazy analyses are warmed by queries first, so the
+// edit re-solves its dirty clusters.
+func TestApplyEditRunTimeout(t *testing.T) {
+	ctx := context.Background()
+	for _, row := range []struct {
+		name string
+		lazy bool
+	}{{"eager", false}, {"lazy", true}} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := core.Config{Mode: core.ModeAndersen, Workers: 1, Lazy: row.lazy, RunTimeout: time.Nanosecond}
+			analyze := func(p *ir.Program) *core.Analysis {
+				a, err := core.AnalyzeProgram(p, cfg)
+				if err != nil {
+					t.Fatalf("analyze: %v", err)
+				}
+				if row.lazy {
+					exit := a.Prog.Func(a.Prog.Entry).Exit
+					for _, v := range a.CoveredPointers() {
+						a.PointsToContext(ctx, v, exit)
+					}
+				}
+				return a
+			}
+			a := analyze(incrProg(t))
+			a2, rep, err := core.ApplyEdit(ctx, a, randomStmtEdits(a.Prog, rand.New(rand.NewSource(3)), 1))
+			if err != nil {
+				t.Fatalf("ApplyEdit: %v", err)
+			}
+			if rep.FellBack || rep.Resolved == 0 {
+				t.Fatalf("want an incremental edit that re-solves clusters: %+v", rep)
+			}
+			fresh := analyze(a2.Prog.Clone())
+			gs, gd := a2.SolveStats()
+			ws, wd := fresh.SolveStats()
+			if gs != ws || gd != wd {
+				t.Fatalf("edited analysis: %d clusters solved, %d demoted; fresh %d and %d", gs, gd, ws, wd)
+			}
+			diffFingerprints(t, "run timeout", a2.Fingerprints(), fresh.Fingerprints())
+			exit := fresh.Prog.Func(fresh.Prog.Entry).Exit
+			for _, v := range fresh.CoveredPointers() {
+				wp, wprec := fresh.PointsToContext(ctx, v, exit)
+				gp, gprec := a2.PointsToContext(ctx, v, exit)
+				slices.Sort(wp)
+				slices.Sort(gp)
+				if gprec != wprec || !slices.Equal(gp, wp) {
+					t.Errorf("PointsTo(%s) = %v/%v, fresh %v/%v", fresh.Prog.Var(v).Name, gp, gprec, wp, wprec)
+				}
+			}
+		})
 	}
 }
 

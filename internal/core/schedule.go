@@ -15,16 +15,12 @@ import (
 
 // admit applies the run's cluster selection to c, the next cluster in
 // cover order: demand-driven mode keeps clusters holding at least one
-// demanded pointer, and the hybrid size cut-off leaves oversized ones to
-// the flow-insensitive answer. Both are local predicates, so streamed
-// clusters are admitted as they arrive. c's entry in a.selected is c
-// when selected and nil otherwise.
+// demanded pointer. The demand predicate is local to a cluster, so
+// streamed clusters are admitted as they arrive. c's entry in a.selected
+// is c when selected and nil otherwise.
 func (a *Analysis) admit(c *cluster.Cluster) bool {
-	cfg := a.cfg
-	ok := cfg.HybridSizeLimit <= 0 || c.Size() <= cfg.HybridSizeLimit
-	if ok && cfg.Demand != nil {
-		ok = slices.ContainsFunc(c.Pointers, func(v ir.VarID) bool { return cfg.Demand(a.Prog.Var(v)) })
-	}
+	demand := a.cfg.Demand
+	ok := demand == nil || slices.ContainsFunc(c.Pointers, func(v ir.VarID) bool { return demand(a.Prog.Var(v)) })
 	if !ok {
 		c = nil
 	}

@@ -110,32 +110,28 @@ func growLists(t *testing.T, p *ir.Program) {
 }
 
 // writersProg calls through a function pointer, which lowering leaves
-// unresolved for Devirtualize, and has functions to remove and rebuild.
+// unresolved for Devirtualize.
 const writersProg = `
 	int a, b, c;
 	int *x, *y, *p;
 	void *fp;
 	void f(int *q) { x = q; }
 	void g(int *s) { p = s; }
-	void h() { y = &b; }
-	void k() { y = &c; }
 	void main() {
 		x = &a;
 		y = &b;
 		fp = &g;
 		f(x);
-		h();
-		k();
 		(*fp)(y);
 		p = &c;
 	}
 `
 
 // writeAll runs every writer outside lowering on p, as generation gen of
-// an edit chain: Devirtualize expands the indirect calls p has, then
-// one edit of each kind. The insert adds an indirect call, so the next
-// generation's Devirtualize has one to expand; gen names the added
-// variable and function and picks the removed one.
+// an edit chain: Devirtualize expands the indirect calls p has, then one
+// edit of each kind, then the writers that build a function. The insert
+// adds an indirect call, so the next generation's Devirtualize has one to
+// expand; gen names the added variable and function.
 func writeAll(t *testing.T, p *ir.Program, gen int) {
 	t.Helper()
 	targets := []ir.FuncID{p.FuncByName["f"], p.FuncByName["g"]}
@@ -154,7 +150,6 @@ func writeAll(t *testing.T, p *ir.Program, gen int) {
 	stmt := func(op ir.Op, dst, src ir.VarID) ir.Stmt {
 		return ir.Stmt{Op: op, Dst: dst, Src: src, Callee: ir.NoFunc, FPtr: ir.NoVar}
 	}
-	skip, ret := stmt(ir.OpSkip, ir.NoVar, ir.NoVar), stmt(ir.OpRet, ir.NoVar, ir.NoVar)
 	main := p.Func(p.FuncByName["main"])
 	var plain []ir.Loc
 	for _, loc := range main.Nodes {
@@ -163,23 +158,24 @@ func writeAll(t *testing.T, p *ir.Program, gen int) {
 		}
 	}
 	call := ir.Stmt{Op: ir.OpCall, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: vr("fp"), Args: []ir.VarID{vr("x")}}
-	g := p.Func(p.FuncByName["g"])
 	apply(
 		ir.Edit{Kind: ir.EditReplaceStmt, Loc: plain[0], Stmt: stmt(ir.OpAddr, vr(v), vr("a"))},
 		ir.Edit{Kind: ir.EditDeleteStmt, Loc: plain[len(plain)-1]},
 		ir.Edit{Kind: ir.EditInsertAfter, Loc: main.Entry, Stmt: call},
-		ir.Edit{Kind: ir.EditAddFunc, Spec: &ir.FuncSpec{
-			Name:  fmt.Sprintf("fresh%d", gen),
-			Stmts: []ir.Stmt{skip, stmt(ir.OpAddr, vr(v), vr("b")), ret},
-			Succs: [][]int{{1}, {2}, {}}, CallLocs: []int{-1, -1, -1}, Entry: 0, Exit: 2,
-		}},
-		ir.Edit{Kind: ir.EditRemoveFunc, Name: []string{"h", "k"}[gen-1]},
-		ir.Edit{Kind: ir.EditRebuildFunc, Spec: &ir.FuncSpec{
-			Name:  "g",
-			Stmts: []ir.Stmt{skip, stmt(ir.OpCopy, vr("p"), g.Params[0]), ret},
-			Succs: [][]int{{1}, {2}, {}}, CallLocs: []int{-1, -1, -1}, Entry: 0, Exit: 2,
-		}},
 	)
+	// A fresh function, q = &b with a parameter q, built the way lowering
+	// builds one. On a clone AddFunc copies the function-name map first.
+	name := fmt.Sprintf("fresh%d", gen)
+	f := p.AddFunc(name).ID
+	entry := p.AddNode(f, stmt(ir.OpSkip, ir.NoVar, ir.NoVar))
+	q := p.AddVar(name+".q", ir.KindParam, f)
+	body := p.AddNode(f, stmt(ir.OpAddr, q, vr("b")))
+	exit := p.AddNode(f, stmt(ir.OpRet, ir.NoVar, ir.NoVar))
+	p.AddEdge(entry, body)
+	p.AddEdge(body, exit)
+	fn := p.MutFunc(f)
+	fn.Params = append(fn.Params, q)
+	fn.Entry, fn.Exit = entry, exit
 }
 
 func TestCloneIndependent(t *testing.T) {
@@ -290,9 +286,6 @@ func TestApplyReplaceDeleteInsert(t *testing.T) {
 			t.Fatalf("summary vars %v missing %d", sum.Vars, v)
 		}
 	}
-	if len(sum.ShapeFns) != 1 {
-		t.Fatalf("insert should record one shape-changed function, got %v", sum.ShapeFns)
-	}
 }
 
 func TestApplyEditErrors(t *testing.T) {
@@ -303,10 +296,6 @@ func TestApplyEditErrors(t *testing.T) {
 	p = lower(t, editProgA).Clone()
 	if _, err := ir.ApplyEdits(p, []ir.Edit{{Kind: ir.EditAddVar, Name: "x"}}); err == nil {
 		t.Fatal("duplicate variable accepted")
-	}
-	p = lower(t, editProgA).Clone()
-	if _, err := ir.ApplyEdits(p, []ir.Edit{{Kind: ir.EditRemoveFunc, Name: "nosuch"}}); err == nil {
-		t.Fatal("removing unknown function accepted")
 	}
 }
 
@@ -333,129 +322,5 @@ func TestCallEditIsStructural(t *testing.T) {
 	}
 	if !sum.Structural {
 		t.Fatal("deleting a call must be structural")
-	}
-}
-
-func TestDiffReplaceRoundTrip(t *testing.T) {
-	srcB := `
-	int a, b, c;
-	int *x, *y, *p;
-	void main() {
-		x = &a;
-		y = &c;
-		p = &c;
-		x = y;
-	}
-`
-	old := lower(t, editProgA)
-	new := lower(t, srcB)
-	edits, ok := ir.Diff(old, new)
-	if !ok {
-		t.Fatal("diff not expressible")
-	}
-	if len(edits) != 1 || edits[0].Kind != ir.EditReplaceStmt {
-		t.Fatalf("expected one replace edit, got %+v", edits)
-	}
-	applied := old.Clone()
-	if _, err := ir.ApplyEdits(applied, edits); err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	// A second diff against the target must be empty.
-	again, ok := ir.Diff(applied, new)
-	if !ok || len(again) != 0 {
-		t.Fatalf("roundtrip incomplete: ok=%v edits=%+v", ok, again)
-	}
-}
-
-func TestDiffAddFuncAndVar(t *testing.T) {
-	srcB := `
-	int a, b, c, d;
-	int *x, *y, *p, *q;
-	void fresh() {
-		q = &d;
-	}
-	void main() {
-		x = &a;
-		y = &b;
-		p = &c;
-		x = y;
-	}
-`
-	old := lower(t, editProgA)
-	new := lower(t, srcB)
-	edits, ok := ir.Diff(old, new)
-	if !ok {
-		t.Fatal("diff not expressible")
-	}
-	applied := old.Clone()
-	sum, err := ir.ApplyEdits(applied, edits)
-	if err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	if !sum.Structural {
-		t.Fatal("adding a function must be structural")
-	}
-	fid, ok2 := applied.FuncByName["fresh"]
-	if !ok2 {
-		t.Fatal("function not added")
-	}
-	f := applied.Func(fid)
-	if f.Entry == ir.NoLoc || f.Exit == ir.NoLoc {
-		t.Fatal("added function lacks entry/exit")
-	}
-	q, ok3 := applied.VarByName["q"]
-	if !ok3 {
-		t.Fatal("variable q not added")
-	}
-	found := false
-	for _, loc := range f.Nodes {
-		st := applied.Node(loc).Stmt
-		if st.Op == ir.OpAddr && st.Dst == q {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("added function body missing q = &d")
-	}
-}
-
-func TestDiffRemovedVarNotExpressible(t *testing.T) {
-	srcB := `
-	int a, b;
-	int *x, *y;
-	void main() {
-		x = &a;
-		y = &b;
-	}
-`
-	old := lower(t, editProgA)
-	new := lower(t, srcB)
-	if _, ok := ir.Diff(old, new); ok {
-		t.Fatal("diff with removed variables must not be expressible")
-	}
-}
-
-func TestRemoveFuncTombstonesCalls(t *testing.T) {
-	src := `
-		int a;
-		int *g;
-		void callee() { g = &a; }
-		void main() { callee(); }
-	`
-	p := lower(t, src).Clone()
-	sum, err := ir.ApplyEdits(p, []ir.Edit{{Kind: ir.EditRemoveFunc, Name: "callee"}})
-	if err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	if !sum.Structural {
-		t.Fatal("removefunc must be structural")
-	}
-	for _, n := range p.Nodes {
-		if n.Stmt.Op == ir.OpCall {
-			t.Fatalf("call to removed function survived at %d", n.Loc)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("program invalid after removefunc: %v", err)
 	}
 }

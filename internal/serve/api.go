@@ -184,8 +184,8 @@ type EditResponse struct {
 	Reused   int `json:"reused"`
 	Resolved int `json:"resolved"`
 	// FellBack reports the batch could not be mapped incrementally (e.g.
-	// it changed a function signature or the cluster cover) and a full
-	// warm reanalysis ran instead; Reason says why.
+	// it added, removed or rewrote a call, or changed the cluster cover)
+	// and a full warm reanalysis ran instead; Reason says why.
 	FellBack  bool   `json:"fell_back,omitempty"`
 	Reason    string `json:"reason,omitempty"`
 	ElapsedUS int64  `json:"elapsed_us"`
