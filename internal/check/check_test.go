@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -238,6 +239,98 @@ func TestSARIFShape(t *testing.T) {
 		if fps[check.FingerprintKey] == "" {
 			t.Error("missing partial fingerprint")
 		}
+	}
+}
+
+// sarifInvocation writes rep as SARIF and returns the log's one
+// invocation and the whole log.
+func sarifInvocation(t *testing.T, rep *check.Report) (map[string]any, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := check.WriteSARIF(&buf, rep); err != nil {
+		t.Fatalf("sarif: %v", err)
+	}
+	var log struct {
+		Runs []struct {
+			Invocations []map[string]any `json:"invocations"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if len(log.Runs) != 1 || len(log.Runs[0].Invocations) != 1 {
+		t.Fatalf("want one run with one invocation, got %s", buf.Bytes())
+	}
+	return log.Runs[0].Invocations[0], buf.Bytes()
+}
+
+// TestSARIFInvocation: the SARIF log says whether every pass completed.
+// A complete run is executionSuccessful with no notifications; under a
+// one-nanosecond pass deadline every pass is named by a warning, and a
+// failed pass by an error. ReadBaseline reads a log with the invocation
+// and one without alike.
+func TestSARIFInvocation(t *testing.T) {
+	src, _ := synth.LockHeavy(synth.LockHeavyWorkloads()[0].Cfg)
+	passes := check.All()
+	a := analyzeLazy(t, src, passes, core.Config{})
+
+	complete := check.Run(context.Background(), a, check.Options{Passes: passes})
+	inv, raw := sarifInvocation(t, complete)
+	if inv["executionSuccessful"] != true {
+		t.Errorf("complete run: executionSuccessful = %v, want true", inv["executionSuccessful"])
+	}
+	if n, ok := inv["toolExecutionNotifications"]; ok {
+		t.Errorf("complete run: notifications %v, want none", n)
+	}
+
+	// A log from before the invocation was written: the same log without it.
+	var old map[string]any
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	delete(old["runs"].([]any)[0].(map[string]any), "invocations")
+	oldRaw, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromNew, err := check.ReadBaseline(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("baseline (new log): %v", err)
+	}
+	fromOld, err := check.ReadBaseline(bytes.NewReader(oldRaw))
+	if err != nil {
+		t.Fatalf("baseline (old log): %v", err)
+	}
+	if len(fromNew) == 0 || !reflect.DeepEqual(fromNew, fromOld) {
+		t.Errorf("baselines differ: new log %d fingerprints, old log %d", len(fromNew), len(fromOld))
+	}
+
+	late := check.Run(context.Background(), a, check.Options{Passes: passes, PassTimeout: time.Nanosecond})
+	inv, _ = sarifInvocation(t, late)
+	if inv["executionSuccessful"] != false {
+		t.Errorf("out-deadlined run: executionSuccessful = %v, want false", inv["executionSuccessful"])
+	}
+	notes, _ := inv["toolExecutionNotifications"].([]any)
+	if len(notes) != len(late.Results) {
+		t.Fatalf("out-deadlined run: %d notifications, want one per pass (%d)", len(notes), len(late.Results))
+	}
+	for i, raw := range notes {
+		n := raw.(map[string]any)
+		pass := late.Results[i].Pass
+		if n["level"] != "warning" || n["properties"].(map[string]any)["pass"] != pass ||
+			!strings.Contains(n["message"].(map[string]any)["text"].(string), pass) {
+			t.Errorf("notification %d = %v, want a warning naming pass %s", i, n, pass)
+		}
+	}
+
+	failed := &check.Report{Results: []check.Result{complete.Results[0], {Pass: "broken", Err: errors.New("boom")}}}
+	inv, _ = sarifInvocation(t, failed)
+	notes, _ = inv["toolExecutionNotifications"].([]any)
+	if inv["executionSuccessful"] != false || len(notes) != 1 {
+		t.Fatalf("failed pass: invocation %v, want one notification", inv)
+	}
+	if n := notes[0].(map[string]any); n["level"] != "error" || n["properties"].(map[string]any)["pass"] != "broken" {
+		t.Errorf("failed pass: notification %v, want an error naming pass broken", n)
 	}
 }
 

@@ -1,7 +1,9 @@
 package check
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -13,7 +15,11 @@ import (
 // with one reportingDescriptor per (pass, rule), and one result per
 // diagnostic with physical location (line = IR Loc + 1), logical
 // location (enclosing function), partialFingerprints (the baseline
-// suppression key) and relatedLocations (witnesses).
+// suppression key) and relatedLocations (witnesses). The run's one
+// invocation says whether every pass completed: executionSuccessful is
+// false when some pass ran out of its deadline or failed, and each such
+// pass has a notification, so a consumer does not take a degraded
+// pass's findings for a complete run's.
 
 const (
 	sarifVersion = "2.1.0"
@@ -31,8 +37,22 @@ type sarifLog struct {
 }
 
 type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
+	Tool        sarifTool         `json:"tool"`
+	Results     []sarifResult     `json:"results"`
+	Invocations []sarifInvocation `json:"invocations,omitempty"`
+}
+
+type sarifInvocation struct {
+	ExecutionSuccessful        bool                `json:"executionSuccessful"`
+	ToolExecutionNotifications []sarifNotification `json:"toolExecutionNotifications,omitempty"`
+}
+
+// sarifNotification reports one pass that did not complete; its
+// property bag names the pass.
+type sarifNotification struct {
+	Level      string            `json:"level"`
+	Message    sarifMessage      `json:"message"`
+	Properties map[string]string `json:"properties"`
 }
 
 type sarifTool struct {
@@ -146,10 +166,35 @@ func WriteSARIF(w io.Writer, rep *Report) error {
 		}
 	}
 
+	// A pass that ran out of its deadline is incomplete, even when the
+	// deadline is also its error; any other error is a failure.
+	inv := sarifInvocation{ExecutionSuccessful: true}
+	for _, res := range rep.Results {
+		failed := res.Err != nil && !errors.Is(res.Err, context.DeadlineExceeded) && !errors.Is(res.Err, context.Canceled)
+		if !res.Incomplete && !failed {
+			continue
+		}
+		inv.ExecutionSuccessful = false
+		n := sarifNotification{
+			Level:      "warning",
+			Message:    sarifMessage{Text: fmt.Sprintf("pass %s incomplete: deadline expired", res.Pass)},
+			Properties: map[string]string{"pass": res.Pass},
+		}
+		if failed {
+			n.Level = "error"
+			n.Message.Text = fmt.Sprintf("pass %s failed: %v", res.Pass, res.Err)
+		}
+		inv.ToolExecutionNotifications = append(inv.ToolExecutionNotifications, n)
+	}
+
 	log := sarifLog{
 		Version: sarifVersion,
 		Schema:  sarifSchema,
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: driver}, Results: results}},
+		Runs: []sarifRun{{
+			Tool:        sarifTool{Driver: driver},
+			Results:     results,
+			Invocations: []sarifInvocation{inv},
+		}},
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -22,12 +22,15 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"bootstrap/internal/andersen"
+	"bootstrap/internal/intern"
 	"bootstrap/internal/ir"
 	"bootstrap/internal/obs"
 	"bootstrap/internal/steens"
@@ -201,31 +204,81 @@ func RelevantStatements(p *ir.Program, sa *steens.Analysis, P []ir.VarID) ([]ir.
 
 // RelevantStatements is Algorithm 1 over a prebuilt index.
 func (ix *Index) RelevantStatements(P []ir.VarID) ([]ir.VarID, []ir.Loc) {
+	vars, stmts, _ := ix.slice(P, false)
+	return vars, stmts
+}
+
+// sliceScratch is Algorithm 1's working storage: mark arrays by VarID,
+// store class, Loc and FuncID, each cleared through the list that
+// filled it.
+type sliceScratch struct {
+	inV   []bool // by VarID
+	class []bool // by content class of a stored-through pointer
+	stmt  []bool // by Loc
+	fn    []bool // by FuncID
+
+	work    []ir.VarID
+	vars    []ir.VarID  // marked in inV, in order of first reach
+	classes []int32     // marked in class
+	stmts   []ir.Loc    // marked in stmt
+	fns     []ir.FuncID // marked in fn
+}
+
+// slicePool holds idle Algorithm 1 scratch for every index in the
+// process: each slice takes one and returns it with its marks cleared,
+// so a scratch grows to the largest program sliced and an index sizes
+// none when it is built.
+var slicePool sync.Pool
+
+// sortedCopy returns s sorted in an allocation of its own, nil when s
+// is empty.
+func sortedCopy[T cmp.Ordered](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := slices.Clone(s)
+	slices.Sort(out)
+	return out
+}
+
+// slice runs Algorithm 1 for P, returning V_P and St_P and, when
+// withFuncs is set, the functions holding St_P, all sorted.
+func (ix *Index) slice(P []ir.VarID, withFuncs bool) (vars []ir.VarID, stmts []ir.Loc, funcs []ir.FuncID) {
 	p, sa := ix.prog, ix.sa
-	inV := make(map[ir.VarID]bool, len(P)*2)
-	var work, added []ir.VarID
+	s, _ := slicePool.Get().(*sliceScratch)
+	if s == nil {
+		s = &sliceScratch{}
+	}
+	nClasses := len(ix.stores.start) - 1
+	s.inV = intern.Grow(s.inV, p.NumVars())
+	s.class = intern.Grow(s.class, nClasses)
+	s.stmt = intern.Grow(s.stmt, len(p.Nodes))
+	s.fn = intern.Grow(s.fn, len(p.Funcs))
 
 	add := func(v ir.VarID) {
-		if v != ir.NoVar && !inV[v] {
-			inV[v] = true
-			work = append(work, v)
-			added = append(added, v)
+		if v != ir.NoVar && !s.inV[v] {
+			s.inV[v] = true
+			s.work = append(s.work, v)
+			s.vars = append(s.vars, v)
+		}
+	}
+	addStmt := func(loc ir.Loc) {
+		if !s.stmt[loc] {
+			s.stmt[loc] = true
+			s.stmts = append(s.stmts, loc)
 		}
 	}
 	for _, v := range P {
 		add(v)
 	}
 
-	activatedClasses := map[int]bool{}
-	stmtSet := map[ir.Loc]bool{}
-
 	fixpoint := func() {
-		for len(work) > 0 {
-			v := work[len(work)-1]
-			work = work[:len(work)-1]
+		for len(s.work) > 0 {
+			v := s.work[len(s.work)-1]
+			s.work = s.work[:len(s.work)-1]
 
 			for _, loc := range ix.byDst.row(int(v)) {
-				stmtSet[loc] = true
+				addStmt(loc)
 				st := p.Node(loc).Stmt
 				switch st.Op {
 				case ir.OpCopy:
@@ -240,14 +293,15 @@ func (ix *Index) RelevantStatements(P []ir.VarID) ([]ir.VarID, []ir.Loc) {
 				}
 			}
 			// Stores through pointers whose content class is v's location
-			// class may overwrite v.
-			lc := sa.LocClass(v)
-			if !activatedClasses[lc] {
-				activatedClasses[lc] = true
-				for _, s := range ix.stores.row(lc) {
-					stmtSet[s.loc] = true
-					add(s.q)
-					add(s.r)
+			// class may overwrite v. A class no store writes through has
+			// nothing to activate.
+			if lc := sa.LocClass(v); lc < nClasses && !s.class[lc] {
+				s.class[lc] = true
+				s.classes = append(s.classes, int32(lc))
+				for _, st := range ix.stores.row(lc) {
+					addStmt(st.loc)
+					add(st.q)
+					add(st.r)
 				}
 			}
 		}
@@ -256,64 +310,68 @@ func (ix *Index) RelevantStatements(P []ir.VarID) ([]ir.VarID, []ir.Loc) {
 	// Path sensitivity (Section 3): an assume node in a function the
 	// slice touches contributes points-to constraints whose guard
 	// pointers the per-cluster engine must be able to resolve — pull them
-	// (and, transitively, their value sources) into V_P.
-	if len(ix.assumes.items) > 0 {
-		doneFn := map[ir.FuncID]bool{}
-		for changed := true; changed; {
-			changed = false
-			fns := map[ir.FuncID]bool{}
-			for loc := range stmtSet {
-				fns[p.Node(loc).Fn] = true
-			}
-			for fn := range fns {
-				if doneFn[fn] {
+	// (and, transitively, their value sources) into V_P. Each function
+	// is reached once, through the first St_P statement it holds.
+	if withFuncs || len(ix.assumes.items) > 0 {
+		for next := 0; next < len(s.stmts); {
+			for ; next < len(s.stmts); next++ {
+				fn := p.Node(s.stmts[next]).Fn
+				if s.fn[fn] {
 					continue
 				}
-				doneFn[fn] = true
+				s.fn[fn] = true
+				s.fns = append(s.fns, fn)
 				for _, loc := range ix.assumes.row(int(fn)) {
 					st := p.Node(loc).Stmt
-					stmtSet[loc] = true
+					addStmt(loc)
 					add(st.Dst)
 					add(st.Src)
-					changed = true
 				}
 			}
 			fixpoint()
 		}
 	}
 
-	vars := added
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	stmts := make([]ir.Loc, 0, len(stmtSet))
-	for loc := range stmtSet {
-		stmts = append(stmts, loc)
+	vars = sortedCopy(s.vars)
+	stmts = make([]ir.Loc, len(s.stmts))
+	copy(stmts, s.stmts)
+	slices.Sort(stmts)
+	if withFuncs {
+		funcs = sortedCopy(s.fns)
 	}
-	sort.Slice(stmts, func(i, j int) bool { return stmts[i] < stmts[j] })
-	return vars, stmts
+
+	// Clear the marks through the lists that set them. A slice that
+	// panics never gets here, and its scratch is dropped.
+	for _, v := range s.vars {
+		s.inV[v] = false
+	}
+	for _, c := range s.classes {
+		s.class[c] = false
+	}
+	for _, loc := range s.stmts {
+		s.stmt[loc] = false
+	}
+	for _, f := range s.fns {
+		s.fn[f] = false
+	}
+	s.vars, s.classes, s.stmts, s.fns = s.vars[:0], s.classes[:0], s.stmts[:0], s.fns[:0]
+	slicePool.Put(s)
+	return vars, stmts, funcs
 }
 
 // newCluster assembles a Cluster, running Algorithm 1 for its slice.
 func newCluster(ix *Index, id int, kind Kind, pointers []ir.VarID) *Cluster {
-	p := ix.prog
 	sorted := append([]ir.VarID(nil), pointers...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	vars, stmts := ix.RelevantStatements(sorted)
-	c := &Cluster{
+	slices.Sort(sorted)
+	vars, stmts, funcs := ix.slice(sorted, true)
+	return &Cluster{
 		ID:       id,
 		Kind:     kind,
 		Pointers: sorted,
 		Vars:     vars,
 		Stmts:    stmts,
+		Funcs:    funcs,
 	}
-	fnSet := map[ir.FuncID]bool{}
-	for _, loc := range stmts {
-		fnSet[p.Node(loc).Fn] = true
-	}
-	for f := range fnSet {
-		c.Funcs = append(c.Funcs, f)
-	}
-	sort.Slice(c.Funcs, func(i, j int) bool { return c.Funcs[i] < c.Funcs[j] })
-	return c
 }
 
 // BuildWhole returns the no-clustering baseline: all pointers in one

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"bootstrap/internal/andersen"
@@ -164,9 +165,10 @@ type Engine struct {
 	// from it modifies none.
 	mods []modSet
 
-	// FSCI value-set cache: packed (v, loc) -> resolved sources.
-	ptsVR     map[uint64]*valueResult
-	ptsInProg map[uint64]bool
+	// FSCI value-set cache: packed (v, loc) -> resolved sources, or the
+	// inProgress marker while the set's own computation runs. Made on
+	// the first insert.
+	ptsVR map[uint64]*valueResult
 
 	// call is the working storage of the public call in progress (see
 	// callState); nil between calls.
@@ -193,8 +195,6 @@ func NewEngine(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *clus
 		cl:         cl,
 		maxCond:    8,
 		internMemo: true,
-		ptsVR:      map[uint64]*valueResult{},
-		ptsInProg:  map[uint64]bool{},
 	}
 	for _, o := range opts {
 		o(e)
@@ -323,6 +323,24 @@ func (e *Engine) charge() bool {
 	return true
 }
 
+// modScratch is computeModStar's working storage. idx numbers the
+// functions of the closure by FuncID (index + 1, 0 for none) and is
+// cleared through fns; every set is a window of arena.
+type modScratch struct {
+	idx    []int32
+	fns    []ir.FuncID
+	sets   [][]ir.VarID
+	pairs  []uint64
+	arena  []ir.VarID
+	sccIdx []int
+	buf    []ir.VarID
+}
+
+// modPool holds idle mod-set scratch for every engine in the process: an
+// engine takes one while it computes its mod-sets and returns it with
+// its marks cleared, so a scratch grows to the largest program met.
+var modPool sync.Pool
+
 // computeModStar computes, per function, the V_P variables the function
 // may modify directly or via callees. Only functions with a non-empty set
 // ever need summaries — the locality the paper exploits: "the need for
@@ -332,9 +350,13 @@ func (e *Engine) charge() bool {
 // function with a modifying slice statement can get a non-empty set, so
 // only those functions' call-graph SCCs are visited.
 func (e *Engine) computeModStar() {
+	s, _ := modPool.Get().(*modScratch)
+	if s == nil {
+		s = &modScratch{}
+	}
 	// Direct modifications as packed (function, variable) pairs: one sort
 	// groups them by function, each group's variables ascending.
-	pairs := make([]uint64, 0, len(e.cl.Stmts))
+	pairs := s.pairs[:0]
 	for _, loc := range e.cl.Stmts {
 		n := e.prog.Node(loc)
 		switch n.Stmt.Op {
@@ -351,7 +373,9 @@ func (e *Engine) computeModStar() {
 			}
 		}
 	}
+	s.pairs = pairs[:0]
 	if len(pairs) == 0 {
+		modPool.Put(s)
 		return
 	}
 	slices.Sort(pairs)
@@ -360,20 +384,20 @@ func (e *Engine) computeModStar() {
 	// Number the caller closure of the modifying functions: fns[i] has
 	// mod-set sets[i]. The modifying functions come first. Every set is a
 	// slice of arena, which only grows: a set that grows is appended anew.
-	idx := map[ir.FuncID]int32{}
-	var fns []ir.FuncID
-	var sets [][]ir.VarID
+	s.idx = intern.Grow(s.idx, len(e.prog.Funcs))
+	idx := s.idx
+	fns, sets := s.fns[:0], s.sets[:0]
 	number := func(f ir.FuncID) int32 {
-		i, ok := idx[f]
-		if !ok {
-			i = int32(len(fns))
-			idx[f] = i
+		i := idx[f]
+		if i == 0 {
 			fns = append(fns, f)
 			sets = append(sets, nil)
+			i = int32(len(fns))
+			idx[f] = i
 		}
-		return i
+		return i - 1
 	}
-	arena := make([]ir.VarID, len(pairs), 2*len(pairs))
+	arena := slices.Grow(s.arena[:0], 2*len(pairs))[:len(pairs)]
 	for i, pk := range pairs {
 		f, v := intern.Unpack2x32(pk)
 		arena[i] = ir.VarID(v)
@@ -381,7 +405,7 @@ func (e *Engine) computeModStar() {
 		n := len(sets[j]) + 1
 		sets[j] = arena[i+1-n : i+1 : i+1]
 	}
-	var sccIdx []int
+	sccIdx := s.sccIdx[:0]
 	for q := 0; q < len(fns); q++ {
 		f := fns[q]
 		sccIdx = append(sccIdx, e.cg.SCCOf(f))
@@ -394,20 +418,22 @@ func (e *Engine) computeModStar() {
 	// Close over callees, SCC by SCC in reverse topological order. A
 	// non-recursive single-function SCC needs one pass (its callees are
 	// final); any other SCC iterates to fixpoint. Sets only grow, so a
-	// merge longer than the old set is a change.
+	// merge longer than the old set is a change. Every member of a
+	// visited SCC is numbered: it is a transitive caller of the member
+	// that was.
 	sccs := e.cg.SCCs()
-	var buf []ir.VarID
+	buf := s.buf[:0]
 	for _, i := range sccIdx {
 		scc := sccs[i]
 		once := len(scc) == 1 && !e.cg.Recursive(scc[0])
 		for changed := true; changed; {
 			changed = false
 			for _, f := range scc {
-				fi := idx[f]
+				fi := idx[f] - 1
 				buf = append(buf[:0], sets[fi]...)
 				for _, g := range e.cg.Callees(f) {
-					if gi, ok := idx[g]; ok {
-						buf = append(buf, sets[gi]...)
+					if gi := idx[g]; gi > 0 {
+						buf = append(buf, sets[gi-1]...)
 					}
 				}
 				if len(buf) == len(sets[fi]) {
@@ -448,6 +474,15 @@ func (e *Engine) computeModStar() {
 			e.sums[at+j].key = sumKey{f: m.f, ptr: v}
 		}
 	}
+
+	// Clear the marks through the list that set them. An engine that
+	// panics here never gets this far, and its scratch is dropped.
+	for _, f := range fns {
+		idx[f] = 0
+	}
+	clear(sets)
+	s.fns, s.sets, s.arena, s.sccIdx, s.buf = fns[:0], sets[:0], arena[:0], sccIdx[:0], buf[:0]
+	modPool.Put(s)
 }
 
 // modSetOf returns f's mod-set; nil when f modifies no V_P variable.

@@ -26,7 +26,9 @@ func (vr *valueResult) finish() *valueResult {
 }
 
 // inProgress is the conservative answer for a value set whose own
-// computation asked for it (a cyclic dependency). Shared and read-only.
+// computation asked for it (a cyclic dependency), and the value-set
+// cache's entry for it meanwhile: an entry that is never exported and
+// never a final set. Shared and read-only.
 var inProgress = &valueResult{unknown: true}
 
 // collectValues computes the flow-sensitive context-insensitive value set
@@ -169,20 +171,20 @@ func intersects(a, b []ir.VarID) bool {
 }
 
 // valuesAt returns the cached flow-sensitive context-insensitive value set
-// of v at loc. While the set is being computed (a cyclic dependency) it
-// returns a conservative unknown result. The cache is keyed by the packed
-// (v, loc) pair — one map probe on an integer, no struct hashing.
+// of v at loc. While the set is being computed (a cyclic dependency) its
+// entry is the inProgress marker, a conservative unknown result. The
+// cache is keyed by the packed (v, loc) pair — one map probe on an
+// integer, no struct hashing.
 func (e *Engine) valuesAt(v ir.VarID, loc ir.Loc) *valueResult {
 	k := intern.Pack2x32(int32(v), int32(loc))
 	if vr, ok := e.ptsVR[k]; ok {
 		return vr
 	}
-	if e.ptsInProg[k] {
-		return inProgress
+	if e.ptsVR == nil {
+		e.ptsVR = map[uint64]*valueResult{}
 	}
-	e.ptsInProg[k] = true
+	e.ptsVR[k] = inProgress
 	vr := e.collectValues(v, loc)
-	delete(e.ptsInProg, k)
 	e.ptsVR[k] = vr
 	return vr
 }

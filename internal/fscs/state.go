@@ -95,7 +95,10 @@ func (e *Engine) ExportState(cn *cache.Canon) ([]byte, bool) {
 		raw uint64
 	}
 	var vrs []vrRec
-	for raw := range e.ptsVR {
+	for raw, vr := range e.ptsVR {
+		if vr == inProgress {
+			continue // not a result yet
+		}
 		v, loc := intern.Unpack2x32(raw)
 		vl, ok := cn.MapVar(ir.VarID(v))
 		if !ok {
@@ -323,6 +326,9 @@ func ImportEngine(p *ir.Program, cg *callgraph.Graph, sa *steens.Analysis, cl *c
 	}
 
 	nVR := r.count(4)
+	if nVR > 0 {
+		e.ptsVR = make(map[uint64]*valueResult, nVR)
+	}
 	for i := uint64(0); i < nVR && r.err == nil; i++ {
 		v, okv := cn.UnmapVar(int32(r.uvarint()))
 		loc, okl := cn.UnmapLoc(r.uvarint())

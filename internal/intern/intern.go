@@ -22,7 +22,8 @@ import (
 // order within one table.
 type ID = int32
 
-// Table interns comparable values to dense IDs.
+// Table interns comparable values to dense IDs. Its map is made on the
+// first insert: most per-cluster tables intern nothing.
 type Table[K comparable] struct {
 	ids  map[K]ID
 	vals []K
@@ -30,13 +31,16 @@ type Table[K comparable] struct {
 
 // NewTable returns an empty table; it grows on first use.
 func NewTable[K comparable]() *Table[K] {
-	return &Table[K]{ids: map[K]ID{}}
+	return &Table[K]{}
 }
 
 // ID interns v, assigning the next dense ID on first sight.
 func (t *Table[K]) ID(v K) ID {
 	if id, ok := t.ids[v]; ok {
 		return id
+	}
+	if t.ids == nil {
+		t.ids = map[K]ID{}
 	}
 	id := ID(len(t.vals))
 	t.ids[v] = id
@@ -57,16 +61,22 @@ func (t *Table[K]) Value(id ID) K { return t.vals[id] }
 func (t *Table[K]) Len() int { return len(t.vals) }
 
 // SeqTable interns int32 sequences (e.g. sorted atom-ID lists) to dense
-// IDs. The empty sequence always interns as ID 0.
+// IDs. The empty sequence always interns as ID 0. Its map and value list
+// are made on the first insert of a non-empty sequence.
 type SeqTable struct {
 	ids  map[string]ID
 	vals [][]ID
 }
 
+// onlyEmpty is the value list of every table that holds only the empty
+// sequence. Its capacity is its length, so a table's first insert
+// copies it out, and nothing writes it.
+var onlyEmpty = [][]ID{nil}
+
 // NewSeqTable returns a sequence table holding only the empty sequence,
 // pre-interned as ID 0; it grows on first use.
 func NewSeqTable() *SeqTable {
-	return &SeqTable{ids: map[string]ID{"": 0}, vals: [][]ID{nil}}
+	return &SeqTable{vals: onlyEmpty[:1:1]}
 }
 
 // seqKey encodes a sequence as a byte-string map key.
@@ -86,6 +96,9 @@ func (t *SeqTable) ID(seq []ID) ID {
 	k := seqKey(seq)
 	if id, ok := t.ids[k]; ok {
 		return id
+	}
+	if t.ids == nil {
+		t.ids = map[string]ID{}
 	}
 	id := ID(len(t.vals))
 	t.ids[k] = id
@@ -206,6 +219,16 @@ func Pack2x32(hi, lo int32) uint64 {
 // Unpack2x32 inverts Pack2x32.
 func Unpack2x32(k uint64) (hi, lo int32) {
 	return int32(uint32(k >> 32)), int32(uint32(k))
+}
+
+// Grow returns s with at least n elements, the added ones zero: the
+// mark arrays of a pooled scratch, indexed by a dense id, grow this way
+// to the largest program they meet.
+func Grow[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
 }
 
 // NextPow2 rounds n up to a power of two (minimum 1). Ring buffers use it

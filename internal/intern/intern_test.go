@@ -164,3 +164,29 @@ func TestNextPow2(t *testing.T) {
 		}
 	}
 }
+
+func TestGrow(t *testing.T) {
+	s := Grow([]int32{3, 0, 5}[:2], 4)
+	if len(s) != 4 || s[0] != 3 || s[2] != 0 || s[3] != 0 {
+		t.Errorf("Grow to 4 = %v, want [3 0 0 0]", s)
+	}
+	if g := Grow(s, 2); len(g) != 4 || &g[0] != &s[0] {
+		t.Errorf("Grow to fewer elements must return s unchanged, got %v", g)
+	}
+	if g := Grow([]bool(nil), 0); g != nil {
+		t.Errorf("Grow(nil, 0) = %v, want nil", g)
+	}
+}
+
+// TestSeqTablesShareNothing: tables start from one shared value list
+// holding the empty sequence; a table's first insert must copy it out.
+func TestSeqTablesShareNothing(t *testing.T) {
+	a, b := NewSeqTable(), NewSeqTable()
+	ia, ib := a.ID([]ID{1}), b.ID([]ID{2})
+	if ia != 1 || ib != 1 || a.Value(ia)[0] != 1 || b.Value(ib)[0] != 2 {
+		t.Fatalf("tables interfere: a[%d] = %v, b[%d] = %v", ia, a.Value(ia), ib, b.Value(ib))
+	}
+	if a.Value(0) != nil || b.Value(0) != nil || NewSeqTable().Len() != 1 {
+		t.Error("the empty sequence must stay ID 0 in every table")
+	}
+}

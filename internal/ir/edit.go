@@ -194,15 +194,18 @@ func (p *Program) Clone() *Program {
 
 // ApplyEdits applies the script to p in order, mutating p, and reports
 // what it touched. On error p may be partially edited and must be
-// discarded. The edited program is re-validated before returning.
+// discarded. The edited program is re-validated before returning: a
+// clone only where the batch wrote (see validateWritten), with
+// Validate's error texts.
 func ApplyEdits(p *Program, edits []Edit) (*EditSummary, error) {
+	vars := len(p.Vars)
 	sum := &EditSummary{}
 	for i, e := range edits {
 		if err := applyOne(p, e, sum); err != nil {
 			return nil, fmt.Errorf("edit %d (%s): %w", i, e.Kind, err)
 		}
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validateWritten(vars); err != nil {
 		return nil, fmt.Errorf("edited program invalid: %w", err)
 	}
 	sum.finish()

@@ -324,3 +324,72 @@ func TestCallEditIsStructural(t *testing.T) {
 		t.Fatal("deleting a call must be structural")
 	}
 }
+
+// TestApplyEditsValidatesWhatItWrote: ApplyEdits validates a clone only
+// where the batch wrote, and must report exactly what validating the
+// whole program reports. Each batch breaks one check; the texts are
+// Validate's, and a batch applied to a program that is not a clone
+// (validated whole) must read the same.
+func TestApplyEditsValidatesWhatItWrote(t *testing.T) {
+	base := lower(t, editProgA)
+	copyXY := findStmt(t, base, ir.OpCopy, "x") // x = y
+	x, y := base.Node(copyXY).Stmt.Dst, base.Node(copyXY).Stmt.Src
+	anchor := findStmt(t, base, ir.OpAddr, base.VarName(y))
+	bad := ir.VarID(base.NumVars() + 7)
+	next := ir.Loc(len(base.Nodes)) // the first inserted node
+	neither := ir.Stmt{Op: ir.OpCall, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar}
+	cases := []struct {
+		name  string
+		batch []ir.Edit
+		want  string
+	}{
+		{"replace bad src", []ir.Edit{{Kind: ir.EditReplaceStmt, Loc: copyXY,
+			Stmt: ir.Stmt{Op: ir.OpCopy, Dst: x, Src: bad, Callee: ir.NoFunc, FPtr: ir.NoVar}}},
+			fmt.Sprintf("L%d: bad src var %d", copyXY, bad)},
+		{"replace missing dst", []ir.Edit{{Kind: ir.EditReplaceStmt, Loc: copyXY,
+			Stmt: ir.Stmt{Op: ir.OpCopy, Dst: ir.NoVar, Src: y, Callee: ir.NoFunc, FPtr: ir.NoVar}}},
+			fmt.Sprintf("L%d: missing dst operand", copyXY)},
+		{"replace nullify missing dst", []ir.Edit{{Kind: ir.EditReplaceStmt, Loc: copyXY,
+			Stmt: ir.Stmt{Op: ir.OpNullify, Dst: ir.NoVar, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar}}},
+			fmt.Sprintf("L%d: missing dst operand", copyXY)},
+		{"insert bad dst", []ir.Edit{{Kind: ir.EditInsertAfter, Loc: anchor,
+			Stmt: ir.Stmt{Op: ir.OpLoad, Dst: bad, Src: x, Callee: ir.NoFunc, FPtr: ir.NoVar}}},
+			fmt.Sprintf("L%d: bad dst var %d", next, bad)},
+		{"insert missing src", []ir.Edit{{Kind: ir.EditInsertAfter, Loc: anchor,
+			Stmt: ir.Stmt{Op: ir.OpStore, Dst: x, Src: ir.NoVar, Callee: ir.NoFunc, FPtr: ir.NoVar}}},
+			fmt.Sprintf("L%d: missing src operand", next)},
+		{"replace call with neither", []ir.Edit{{Kind: ir.EditReplaceStmt, Loc: copyXY, Stmt: neither}},
+			fmt.Sprintf("L%d: call with neither callee nor fptr", copyXY)},
+		{"insert call with neither", []ir.Edit{{Kind: ir.EditInsertAfter, Loc: anchor, Stmt: neither}},
+			fmt.Sprintf("L%d: call with neither callee nor fptr", next)},
+		{"first break wins", []ir.Edit{
+			{Kind: ir.EditInsertAfter, Loc: anchor, Stmt: neither},
+			{Kind: ir.EditReplaceStmt, Loc: copyXY,
+				Stmt: ir.Stmt{Op: ir.OpCopy, Dst: x, Src: bad, Callee: ir.NoFunc, FPtr: ir.NoVar}}},
+			fmt.Sprintf("L%d: bad src var %d", copyXY, bad)},
+		{"added var is in range", []ir.Edit{
+			{Kind: ir.EditAddVar, Name: "fresh", Var: ir.KindGlobal, Fn: ir.NoFunc},
+			{Kind: ir.EditInsertAfter, Loc: anchor,
+				Stmt: ir.Stmt{Op: ir.OpCopy, Dst: x, Src: ir.VarID(base.NumVars()), Callee: ir.NoFunc, FPtr: ir.NoVar}}},
+			""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ir.ApplyEdits(lower(t, editProgA).Clone(), tc.batch)
+			_, whole := ir.ApplyEdits(lower(t, editProgA), tc.batch)
+			if tc.want == "" {
+				if err != nil || whole != nil {
+					t.Fatalf("valid batch rejected: %v / %v", err, whole)
+				}
+				return
+			}
+			want := "edited program invalid: " + tc.want
+			if err == nil || err.Error() != want {
+				t.Fatalf("clone: err = %v, want %q", err, want)
+			}
+			if whole == nil || whole.Error() != want {
+				t.Fatalf("whole program: err = %v, want %q", whole, want)
+			}
+		})
+	}
+}

@@ -52,11 +52,12 @@ type Analysis struct {
 	// Derived, partition-level structures (built by finish), in arrays
 	// indexed by dense ids: a partition id is a VarID (the partition's
 	// smallest member), a location class an ECR id. Entries for ids that
-	// are not partition ids stay nil, -1, false or 0. Each member list
-	// and each location-class list is its own allocation: a caller may
-	// keep a single list (PartitionOf, Partitions) alive after the rest
-	// of the analysis is dropped, and a list carved from a shared array
-	// would pin the whole array of its generation.
+	// are not partition ids stay nil, -1, false or 0. The member lists
+	// are windows of one array and the location-class lists of another,
+	// each window's capacity ending where it does. A list a caller keeps
+	// (PartitionOf, Partitions) pins its whole array, so nothing carries
+	// one into the next program generation: a partition record holds its
+	// own generation's list, and a cluster copies its pointers.
 	rep       []int32      // var -> canonical partition id (smallest member var)
 	members   [][]ir.VarID // partition id -> members, increasing
 	locVars   [][]ir.VarID // location-class rep -> program vars unified as locations
@@ -304,7 +305,9 @@ func (a *Analysis) build() bool {
 			smallest[k] = int32(v)
 		}
 	}
-	// Size every list first, so each is one exact allocation.
+	// Size every list first, then carve each from its array: every
+	// variable is a member of one partition and a location of one class,
+	// so each array holds nv entries.
 	a.rep = make([]int32, nv)
 	size := make([]int32, nv+ne) // partition sizes, then location-class sizes
 	for v := 0; v < nv; v++ {
@@ -316,15 +319,20 @@ func (a *Analysis) build() bool {
 	a.members = make([][]ir.VarID, nv)
 	a.locVars = make([][]ir.VarID, ne)
 	a.partOrder = a.partOrder[:0]
+	memberArena, locArena := make([]ir.VarID, nv), make([]ir.VarID, nv)
+	off := 0
 	for c, n := range size[:nv] {
 		if n > 0 {
-			a.members[c] = make([]ir.VarID, 0, n)
+			a.members[c] = memberArena[off : off : off+int(n)]
+			off += int(n)
 			a.partOrder = append(a.partOrder, c)
 		}
 	}
+	off = 0
 	for e, n := range size[nv:] {
 		if n > 0 {
-			a.locVars[e] = make([]ir.VarID, 0, n)
+			a.locVars[e] = locArena[off : off : off+int(n)]
+			off += int(n)
 		}
 	}
 	for v := 0; v < nv; v++ {
