@@ -16,14 +16,14 @@ var update = flag.Bool("update", false, "rewrite testdata/report_golden.txt from
 
 const reportGoldenFile = "testdata/report_golden.txt"
 
-// goldenReports renders every pass's text report over driver.cpl, the
-// three lockheavy presets and nullderef.cpl (the examples/nullcheck
-// program), each under the checker-driver analysis.
+// goldenReports renders every pass's text report over driver.cpl,
+// nullderef.cpl (the examples/nullcheck program), recursive.cpl and the
+// three lockheavy presets, each under the checker-driver analysis.
 func goldenReports(t *testing.T) string {
 	t.Helper()
 	type subject struct{ name, src string }
 	var subjects []subject
-	for _, path := range []string{"../../testdata/driver.cpl", "testdata/nullderef.cpl"} {
+	for _, path := range []string{"../../testdata/driver.cpl", "testdata/nullderef.cpl", "testdata/recursive.cpl"} {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -38,6 +38,15 @@ func goldenReports(t *testing.T) string {
 	for _, s := range subjects {
 		passes := check.All()
 		a := analyzeLazy(t, s.src, passes, core.Config{})
+		if s.name == "testdata/recursive.cpl" {
+			// The subject pins the checkers' fixpoints where they loop:
+			// one self-recursive helper and a mutually recursive pair.
+			for _, name := range []string{"drain", "ping", "pong"} {
+				if !a.CallGraph.Recursive(a.Prog.FuncByName[name]) {
+					t.Fatalf("%s: %s is not recursive", s.name, name)
+				}
+			}
+		}
 		rep := check.Run(context.Background(), a, check.Options{Passes: passes})
 		b.WriteString("== " + s.name + "\n")
 		b.WriteString(check.FormatText(rep))
@@ -45,7 +54,7 @@ func goldenReports(t *testing.T) string {
 	return b.String()
 }
 
-// TestReportGolden pins every finding of every pass on five subjects:
+// TestReportGolden pins every finding of every pass on six subjects:
 // rule, severity, location, message, witnesses and fingerprint. A
 // changed fingerprint un-suppresses the finding for every saved
 // -baseline, so rewrite the file with -update only for a change meant
