@@ -11,7 +11,6 @@
 //	bootstrap -clusters prog.cpl              # the alias cover
 //	bootstrap -aliases p,q -at main prog.cpl  # FSCS alias sets
 //	bootstrap -pts x -at main prog.cpl        # FSCS points-to set
-//	bootstrap -races prog.cpl                 # lockset race detection
 //	bootstrap -mode none -stats prog.cpl      # unclustered baseline
 //	bootstrap -cache-dir .btscache prog.cpl   # persistent result cache;
 //	                                          # re-runs import unchanged clusters
@@ -25,6 +24,9 @@
 // halved precision knobs and finally demoted to the flow-insensitive
 // fallback — queries stay sound and the run never errors out. -stats
 // prints the per-cluster health summary.
+//
+// The checkers (races, deadlocks, null dereferences, use-after-free)
+// run in cmd/aliaslint.
 //
 // Observability: -trace writes a Chrome trace (load it in Perfetto or
 // chrome://tracing) with one span per cascade phase and per cluster
@@ -46,8 +48,6 @@ import (
 	"bootstrap/internal/core"
 	"bootstrap/internal/frontend"
 	"bootstrap/internal/ir"
-	"bootstrap/internal/lockset"
-	"bootstrap/internal/nullcheck"
 )
 
 var (
@@ -64,9 +64,6 @@ var (
 	aliasesOf = flag.String("aliases", "", "comma-separated pointers: print their alias sets")
 	ptsOf     = flag.String("pts", "", "comma-separated pointers: print their points-to sets")
 	atFunc    = flag.String("at", "", "query location: the exit of this function (default: entry function)")
-
-	races     = flag.Bool("races", false, "run lockset-based race detection")
-	nullDeref = flag.Bool("nullderef", false, "run the null/dangling-dereference checker")
 )
 
 func init() {
@@ -116,9 +113,6 @@ func run(path string) (err error) {
 	cfg.Metrics = sess.Metrics
 	if cfg.Cache != nil {
 		cfg.Cache.Register(sess.Metrics)
-	}
-	if *races {
-		cfg.Demand = lockset.LockDemand
 	}
 	a, err := core.AnalyzeSource(string(src), cfg)
 	if err != nil {
@@ -202,23 +196,9 @@ func run(path string) (err error) {
 		fmt.Printf("pts(%s) at L%d = {%s}%s\n", name, loc, varNames(a.Prog, objs), imprecision(precise))
 	}
 
-	if *races {
-		det := lockset.NewDetector(a)
-		found, accesses := det.Detect(ctx)
-		fmt.Printf("threads: %d, shared accesses: %d, races: %d\n",
-			len(det.Threads()), len(accesses), len(found))
-		for _, r := range found {
-			fmt.Println("  " + r.Format(a.Prog))
-		}
-	}
-	if *nullDeref {
-		warnings := nullcheck.Check(ctx, a)
-		fmt.Printf("suspicious dereferences: %d\n", len(warnings))
-		fmt.Print(nullcheck.FormatAll(a.Prog, warnings))
-	}
 	if *stats {
-		// The fallback solves on its first read, which the queries and
-		// checkers above may make; printing its passes must not be one.
+		// The fallback solves on its first read, which the queries above
+		// may make; printing its passes must not be one.
 		if a.Andersen.Solved() {
 			fmt.Printf("andersen solver: passes=%d\n", a.Andersen.SolverStats().Passes)
 		} else {

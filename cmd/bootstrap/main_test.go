@@ -48,7 +48,6 @@ func TestRunOnDriver(t *testing.T) {
 		{"partitions", "true"},
 		{"clusters", "true"},
 		{"stats", "true"},
-		{"races", "true"},
 		{"dump", "true"},
 	} {
 		resetFlags()
@@ -170,14 +169,6 @@ func TestRunTrace(t *testing.T) {
 	}
 	if names["fallback"] != 1 {
 		t.Errorf("starved trace: %d fallback spans after two widened queries, want 1", names["fallback"])
-	}
-}
-
-func TestRunNullDeref(t *testing.T) {
-	resetFlags()
-	_ = flag.Set("nullderef", "true")
-	if err := run("../../testdata/driver.cpl"); err != nil {
-		t.Fatalf("-nullderef run: %v", err)
 	}
 }
 

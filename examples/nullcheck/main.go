@@ -1,8 +1,8 @@
-// Nullcheck: a second client of the bootstrapped analysis — a
-// flow-sensitive null/dangling-dereference checker. It demonstrates what
-// flow sensitivity buys over Andersen's analysis: the same dereference is
-// safe or unsafe depending on statement order, which a flow-insensitive
-// points-to set cannot distinguish.
+// Nullcheck: a second client of the bootstrapped analysis — the
+// checker framework's flow-sensitive null/dangling-dereference pass. It
+// demonstrates what flow sensitivity buys over Andersen's analysis: the
+// same dereference is safe or unsafe depending on statement order,
+// which a flow-insensitive points-to set cannot distinguish.
 //
 //	go run ./examples/nullcheck
 package main
@@ -12,8 +12,9 @@ import (
 	"fmt"
 	"log"
 
+	"bootstrap/internal/check"
 	"bootstrap/internal/core"
-	"bootstrap/internal/nullcheck"
+	"bootstrap/internal/frontend"
 )
 
 const program = `
@@ -48,13 +49,29 @@ const program = `
 `
 
 func main() {
-	analysis, err := core.AnalyzeSource(program, core.Config{Mode: core.ModeAndersen})
+	prog, err := frontend.LowerSource(program)
 	if err != nil {
 		log.Fatal(err)
 	}
-	warnings := nullcheck.Check(context.Background(), analysis)
-	fmt.Printf("%d suspicious dereferences:\n", len(warnings))
-	fmt.Print(nullcheck.FormatAll(analysis.Prog, warnings))
+	// The pass's footprint is the dereferenced pointers: the lazy
+	// analysis solves only the clusters holding one.
+	passes, err := check.Select("nullcheck")
+	if err != nil {
+		log.Fatal(err)
+	}
+	analysis, err := core.AnalyzeProgram(prog, core.Config{
+		Mode:   core.ModeAndersen,
+		Lazy:   true,
+		Demand: check.DemandFor(prog, passes),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep := check.Run(context.Background(), analysis, check.Options{
+		Passes: passes,
+		Source: "examples/nullcheck",
+	})
+	fmt.Print(check.FormatText(rep))
 	fmt.Println("\nnote: the dereference of `ok` is NOT reported — the")
 	fmt.Println("flow-sensitive analysis sees the reassignment, which a")
 	fmt.Println("flow-insensitive points-to analysis cannot.")

@@ -15,6 +15,13 @@
 // fallback instead of blocking — the pass finishes and reports
 // `incomplete`, never stalling the other passes.
 //
+// Four passes ship: lockset (data races), deadlock (lock-order
+// inversions), nullcheck (null and uninitialized dereferences) and uaf
+// (use-after-free and double-free). They share one interprocedural
+// forward dataflow (forward, generic over its state: must-locksets
+// intersect, freed sets unite), one list of thread entries (threads)
+// and one rule for the pointer a statement dereferences (derefPtr).
+//
 // Every diagnostic carries a stable fingerprint — a hash of symbolic
 // content (rule, function, statement text, subject), never raw
 // locations — used for baseline suppression: a SARIF file from a
@@ -87,8 +94,8 @@ type Diagnostic struct {
 	Related []Related
 
 	// Fingerprint is the stable identity used for baseline suppression.
-	// Passes may preset it (nullcheck uses Warning.Fingerprint so batch
-	// and served output agree); Run computes it when empty.
+	// Passes may preset it (nullcheck keeps the hash inputs its findings
+	// have always had); Run computes it when empty.
 	Fingerprint string
 
 	// Snapshot is the serving snapshot that produced the finding
@@ -101,11 +108,17 @@ type Diagnostic struct {
 // text. Raw locations are excluded on purpose — fingerprints survive
 // renumbering, reruns and reloads of the same source.
 func (d *Diagnostic) fingerprint(prog *ir.Program) string {
-	h := fnv.New64a()
 	parts := []string{d.Pass, d.Rule, d.Func, prog.StmtString(d.Loc), d.Subject}
 	for _, r := range d.Related {
 		parts = append(parts, prog.StmtString(r.Loc))
 	}
+	return hashParts(parts...)
+}
+
+// hashParts is the fingerprint hash: FNV-1a (64-bit) over the parts,
+// each followed by a zero byte.
+func hashParts(parts ...string) string {
+	h := fnv.New64a()
 	for _, part := range parts {
 		h.Write([]byte(part))
 		h.Write([]byte{0})

@@ -4,14 +4,265 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 
 	"bootstrap/internal/core"
 	"bootstrap/internal/ir"
-	"bootstrap/internal/lockset"
 )
 
+// The lockset model is the usual one for driver-style code: the thread
+// entry functions run concurrently with each other and with themselves,
+// and locks are acquired and released through designated functions
+// that take the lock pointer as their first argument. A must-lockset
+// flows forward through each thread's code (intersection at joins and
+// at a callee's entry), and the held lock pointers resolve to lock
+// objects through the flow-sensitive must-alias analysis. The lockset
+// pass reads shared accesses from the converged locksets, the deadlock
+// pass lock-order edges.
+var (
+	acquireNames = []string{"acquire", "lock_acquire", "spin_lock"}
+	releaseNames = []string{"release", "lock_release", "spin_unlock"}
+)
+
+// lockFootprint is the demand predicate of the lockset and deadlock
+// passes: "for lockset computation used in data race detection, we need
+// to compute must-aliases only for lock pointers."
+func lockFootprint(v *ir.Var) bool { return v.IsLock }
+
+// lockSet is a must-set of lock objects; nil is ⊤ (everything held),
+// the state of a point not reached yet.
+type lockSet map[ir.VarID]bool
+
+func (s lockSet) clone() lockSet {
+	if s == nil {
+		return nil
+	}
+	c := make(lockSet, len(s))
+	for k := range s {
+		c[k] = true
+	}
+	return c
+}
+
+// sorted lists the held lock objects in id order (none for ⊤).
+func (s lockSet) sorted() []ir.VarID {
+	var out []ir.VarID
+	for l := range s {
+		out = append(out, l)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// joinLocks intersects in into cur (⊤ is the identity) and reports
+// whether cur changed.
+func joinLocks(cur, in lockSet) (lockSet, bool) {
+	var out lockSet
+	switch {
+	case cur == nil:
+		out = in.clone()
+	case in == nil:
+		out = cur.clone()
+	default:
+		out = lockSet{}
+		for k := range cur {
+			if in[k] {
+				out[k] = true
+			}
+		}
+	}
+	return out, !equalSets(cur, out)
+}
+
+func equalSets(s, t lockSet) bool {
+	if s == nil || t == nil {
+		return s == nil && t == nil
+	}
+	if len(s) != len(t) {
+		return false
+	}
+	for k := range s {
+		if !t[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// lockFlow is the must-lockset dataflow over one analysis. Lock
+// resolution and store targets are points-to queries under ctx. Once
+// ctx expires they answer from the flow-insensitive fallback, which
+// resolves no lock to a must-singleton: a guarded access then looks
+// unguarded, so the lockset pass can report races a full run does not.
+type lockFlow struct {
+	ctx              context.Context
+	a                *core.Analysis
+	acquire, release map[ir.FuncID]bool
+}
+
+func newLockFlow(ctx context.Context, a *core.Analysis) *lockFlow {
+	f := &lockFlow{ctx: ctx, a: a, acquire: map[ir.FuncID]bool{}, release: map[ir.FuncID]bool{}}
+	for _, name := range acquireNames {
+		if id, ok := a.Prog.FuncByName[name]; ok {
+			f.acquire[id] = true
+		}
+	}
+	for _, name := range releaseNames {
+		if id, ok := a.Prog.FuncByName[name]; ok {
+			f.release[id] = true
+		}
+	}
+	return f
+}
+
+// lockAt resolves the lock object that the call at loc passes as its
+// first argument; ok is false when it is not a must-singleton.
+func (f *lockFlow) lockAt(loc ir.Loc) (ir.VarID, bool) {
+	args := f.a.Prog.Node(loc).Stmt.Args
+	if len(args) == 0 || args[0] == ir.NoVar {
+		return ir.NoVar, false
+	}
+	objs, precise := f.a.PointsToContext(f.ctx, args[0], loc)
+	if !precise || len(objs) != 1 {
+		return ir.NoVar, false
+	}
+	return objs[0], true
+}
+
+// transfer applies the lock effect of the node at loc.
+func (f *lockFlow) transfer(loc ir.Loc, s lockSet) lockSet {
+	st := f.a.Prog.Node(loc).Stmt
+	if st.Op != ir.OpCall {
+		return s
+	}
+	switch {
+	case f.acquire[st.Callee]:
+		obj, ok := f.lockAt(loc)
+		if !ok {
+			return s // unknown lock: must-set unchanged (conservative)
+		}
+		out := s.clone()
+		if out == nil {
+			out = lockSet{}
+		}
+		out[obj] = true
+		return out
+	case f.release[st.Callee]:
+		obj, ok := f.lockAt(loc)
+		if !ok || s == nil {
+			// An unknown release may free any lock: drop everything.
+			return lockSet{}
+		}
+		out := s.clone()
+		delete(out, obj)
+		return out
+	}
+	return s
+}
+
+// run converges thread's must-locksets: the lockset on entry to every
+// node the thread reaches, and the functions it reaches. A call to a
+// lock function does not enter it.
+func (f *lockFlow) run(thread ir.FuncID) (map[ir.Loc]lockSet, []ir.FuncID) {
+	return forward(f.a.Prog, thread, lockSet{}, joinLocks, f.transfer,
+		func(c ir.FuncID) bool { return !f.acquire[c] && !f.release[c] })
+}
+
+// access is one shared-object access with the lock objects definitely
+// held.
+type access struct {
+	loc    ir.Loc
+	obj    ir.VarID
+	write  bool
+	thread ir.FuncID
+	locks  []ir.VarID
+}
+
+func (x access) format(p *ir.Program) string {
+	names := make([]string, len(x.locks))
+	for i, l := range x.locks {
+		names[i] = p.VarName(l)
+	}
+	return fmt.Sprintf("%s at L%d (thread %s, locks {%s})",
+		accessKind(x.write), x.loc, p.Func(x.thread).Name, strings.Join(names, ","))
+}
+
+func accessKind(write bool) string {
+	if write {
+		return "write"
+	}
+	return "read"
+}
+
+// lockAccesses lists every thread's shared-object accesses (globals and
+// heap objects, locks excluded) under its converged locksets, sorted by
+// location, then thread.
+func lockAccesses(ctx context.Context, a *core.Analysis) []access {
+	f := newLockFlow(ctx, a)
+	prog := a.Prog
+	shared := func(v ir.VarID) bool {
+		if v == ir.NoVar {
+			return false
+		}
+		vr := prog.Var(v)
+		return !vr.IsLock && (vr.Kind == ir.KindGlobal || vr.Kind == ir.KindHeap)
+	}
+	var out []access
+	for _, thread := range threads(prog) {
+		in, funcs := f.run(thread)
+		for _, fn := range funcs {
+			for _, loc := range prog.Func(fn).Nodes {
+				held, reached := in[loc]
+				if !reached {
+					continue
+				}
+				add := func(v ir.VarID, write bool) {
+					if shared(v) {
+						out = append(out, access{loc: loc, obj: v, write: write, thread: thread, locks: held.sorted()})
+					}
+				}
+				// writeTargets adds whatever the pointer p may reference
+				// as written.
+				writeTargets := func(p ir.VarID) {
+					objs, _ := a.PointsToContext(ctx, p, loc)
+					for _, o := range objs {
+						add(o, true)
+					}
+				}
+				st := prog.Node(loc).Stmt
+				switch st.Op {
+				case ir.OpCopy, ir.OpLoad, ir.OpNullify:
+					add(st.Dst, true)
+					if st.Op != ir.OpNullify {
+						add(st.Src, false)
+					}
+				case ir.OpAddr:
+					add(st.Dst, true)
+				case ir.OpStore:
+					writeTargets(st.Dst)
+					add(st.Src, false)
+				case ir.OpTouch:
+					add(st.Dst, true)
+					if st.Src != ir.NoVar {
+						writeTargets(st.Src)
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].loc != out[j].loc {
+			return out[i].loc < out[j].loc
+		}
+		return out[i].thread < out[j].thread
+	})
+	return out
+}
+
 // LocksetPass is the paper's motivating client — lockset-based data-race
-// detection — on the checker framework. Lock resolution rides the
+// detection — on the checker framework. Two accesses to one shared
+// object race when they come from concurrent threads, at least one
+// writes, and their locksets are disjoint. Lock resolution rides the
 // demand-driven cascade: clusters containing lock pointers solve on
 // first touch. An expired pass deadline degrades resolution to the
 // fallback, which is never a must-singleton, so a held lock goes
@@ -30,36 +281,109 @@ func (p *LocksetPass) Doc() string {
 // Footprint implements Pass: race detection needs must-aliases only for
 // lock pointers, so only clusters containing one are demanded.
 func (p *LocksetPass) Footprint(prog *ir.Program) func(*ir.Var) bool {
-	return lockset.LockDemand
+	return lockFootprint
 }
 
-// Run implements Pass.
+// Run implements Pass: one race per conflicting pair of accesses, by
+// object, locations and threads.
 func (p *LocksetPass) Run(ctx context.Context, a *core.Analysis) ([]Diagnostic, error) {
-	races, _ := lockset.NewDetector(a).Detect(ctx)
 	prog := a.Prog
-	out := make([]Diagnostic, 0, len(races))
-	for _, r := range races {
-		out = append(out, Diagnostic{
-			Rule:     "race",
-			Severity: SeverityWarning,
-			Loc:      r.A.Loc,
-			Subject:  prog.VarName(r.Var),
-			Message:  r.Format(prog),
-			Related: []Related{{
-				Loc: r.B.Loc,
-				Message: fmt.Sprintf("conflicting %s in thread %s",
-					accessKind(r.B.Write), prog.Func(r.B.Thread).Name),
-			}},
-		})
+	accs := lockAccesses(ctx, a)
+	var out []Diagnostic
+	seen := map[string]bool{}
+	for i, x := range accs {
+		for _, y := range accs[i:] {
+			if x.obj != y.obj || (!x.write && !y.write) || locksIntersect(x.locks, y.locks) {
+				continue
+			}
+			key := fmt.Sprintf("%d|%d|%d|%d|%d", x.obj, x.loc, y.loc, x.thread, y.thread)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			out = append(out, Diagnostic{
+				Rule:     "race",
+				Severity: SeverityWarning,
+				Loc:      x.loc,
+				Subject:  prog.VarName(x.obj),
+				Message:  fmt.Sprintf("race on %s: %s vs %s", prog.VarName(x.obj), x.format(prog), y.format(prog)),
+				Related: []Related{{
+					Loc:     y.loc,
+					Message: fmt.Sprintf("conflicting %s in thread %s", accessKind(y.write), prog.Func(y.thread).Name),
+				}},
+			})
+		}
 	}
 	return out, ctx.Err()
 }
 
-func accessKind(write bool) string {
-	if write {
-		return "write"
+func locksIntersect(a, b []ir.VarID) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x == y {
+				return true
+			}
+		}
 	}
-	return "read"
+	return false
+}
+
+// orderEdge is one observed lock-order fact: while held was definitely
+// held, thread acquired acquired at loc. A cycle of edges is a potential
+// deadlock, and each edge's loc is its acquisition witness.
+type orderEdge struct {
+	held, acquired ir.VarID
+	loc            ir.Loc
+	thread         ir.FuncID
+}
+
+// lockOrder lists every thread's lock-order edges, each once and sorted:
+// at every reached acquire site whose lock resolves to a must-singleton
+// object, each other definitely-held lock precedes the acquired one.
+// Edges are read from the converged locksets only: transient fixpoint
+// states are supersets of the final must-sets and would fabricate
+// spurious edges.
+func lockOrder(ctx context.Context, a *core.Analysis) []orderEdge {
+	f := newLockFlow(ctx, a)
+	prog := a.Prog
+	var out []orderEdge
+	seen := map[orderEdge]bool{}
+	for _, thread := range threads(prog) {
+		in, funcs := f.run(thread)
+		for _, fn := range funcs {
+			for _, loc := range prog.Func(fn).Nodes {
+				held := in[loc]
+				st := prog.Node(loc).Stmt
+				if len(held) == 0 || st.Op != ir.OpCall || !f.acquire[st.Callee] {
+					continue
+				}
+				obj, ok := f.lockAt(loc)
+				if !ok {
+					continue
+				}
+				for _, h := range held.sorted() {
+					if e := (orderEdge{h, obj, loc, thread}); h != obj && !seen[e] {
+						seen[e] = true
+						out = append(out, e)
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.held != b.held {
+			return a.held < b.held
+		}
+		if a.acquired != b.acquired {
+			return a.acquired < b.acquired
+		}
+		if a.loc != b.loc {
+			return a.loc < b.loc
+		}
+		return a.thread < b.thread
+	})
+	return out
 }
 
 // DeadlockPass detects potential deadlocks: it builds the lock-order
@@ -78,21 +402,19 @@ func (p *DeadlockPass) Doc() string {
 
 // Footprint implements Pass: like lockset, only lock-pointer clusters.
 func (p *DeadlockPass) Footprint(prog *ir.Program) func(*ir.Var) bool {
-	return lockset.LockDemand
+	return lockFootprint
 }
 
 // Run implements Pass.
 func (p *DeadlockPass) Run(ctx context.Context, a *core.Analysis) ([]Diagnostic, error) {
-	det := lockset.NewDetector(a)
-	det.Detect(ctx)
-	edges := det.Order()
+	edges := lockOrder(ctx, a)
 	prog := a.Prog
 
 	// First witness per (held, acquired) object pair; edges arrive in
 	// canonical order, so witnesses are deterministic.
-	witness := map[pair]lockset.OrderEdge{}
+	witness := map[pair]orderEdge{}
 	for _, e := range edges {
-		key := pair{e.Held, e.Acquired}
+		key := pair{e.held, e.acquired}
 		if _, ok := witness[key]; !ok {
 			witness[key] = e
 		}
@@ -114,25 +436,25 @@ func (p *DeadlockPass) Run(ctx context.Context, a *core.Analysis) ([]Diagnostic,
 		out = append(out, Diagnostic{
 			Rule:     "deadlock",
 			Severity: SeverityWarning,
-			Loc:      fwd.Loc,
+			Loc:      fwd.loc,
 			Subject:  prog.VarName(a) + "<->" + prog.VarName(b),
 			Message: fmt.Sprintf(
 				"lock-order inversion between %s and %s: %s acquired while holding %s at L%d (thread %s), but %s acquired while holding %s at L%d (thread %s)",
 				prog.VarName(a), prog.VarName(b),
-				prog.VarName(b), prog.VarName(a), fwd.Loc, prog.Func(fwd.Thread).Name,
-				prog.VarName(a), prog.VarName(b), rev.Loc, prog.Func(rev.Thread).Name),
+				prog.VarName(b), prog.VarName(a), fwd.loc, prog.Func(fwd.thread).Name,
+				prog.VarName(a), prog.VarName(b), rev.loc, prog.Func(rev.thread).Name),
 			Related: []Related{{
-				Loc: rev.Loc,
+				Loc: rev.loc,
 				Message: fmt.Sprintf("reverse acquisition: %s acquired while holding %s (thread %s)",
-					prog.VarName(a), prog.VarName(b), prog.Func(rev.Thread).Name),
+					prog.VarName(a), prog.VarName(b), prog.Func(rev.thread).Name),
 			}},
 		})
 	}
 
 	// Pairwise inversions: both h→a and a→h observed.
 	for _, e := range edges {
-		if _, ok := witness[pair{e.Acquired, e.Held}]; ok {
-			emit(e.Held, e.Acquired)
+		if _, ok := witness[pair{e.acquired, e.held}]; ok {
+			emit(e.held, e.acquired)
 		}
 	}
 
@@ -173,33 +495,22 @@ func (p *DeadlockPass) Run(ctx context.Context, a *core.Analysis) ([]Diagnostic,
 		d := Diagnostic{
 			Rule:     "deadlock",
 			Severity: SeverityWarning,
-			Loc:      first.Loc,
-			Subject:  joinStrings(names, "<->"),
+			Loc:      first.loc,
+			Subject:  strings.Join(names, "<->"),
 			Message: fmt.Sprintf("lock-order cycle over %d locks (%s)",
-				len(cyc), joinStrings(names, ", ")),
+				len(cyc), strings.Join(names, ", ")),
 		}
 		for i := range cyc {
 			e := witness[pair{cyc[i], cyc[(i+1)%len(cyc)]}]
 			d.Related = append(d.Related, Related{
-				Loc: e.Loc,
+				Loc: e.loc,
 				Message: fmt.Sprintf("%s acquired while holding %s (thread %s)",
-					prog.VarName(e.Acquired), prog.VarName(e.Held), prog.Func(e.Thread).Name),
+					prog.VarName(e.acquired), prog.VarName(e.held), prog.Func(e.thread).Name),
 			})
 		}
 		out = append(out, d)
 	}
 	return out, ctx.Err()
-}
-
-func joinStrings(ss []string, sep string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += sep
-		}
-		out += s
-	}
-	return out
 }
 
 // pair is a directed (held, acquired) lock-object pair — an edge key in
@@ -209,7 +520,7 @@ type pair struct{ a, b ir.VarID }
 // orderSCCs computes the strongly connected components of the lock-order
 // graph (Tarjan), each returned sorted by lock id, components sorted by
 // their smallest member.
-func orderSCCs(witness map[pair]lockset.OrderEdge) [][]ir.VarID {
+func orderSCCs(witness map[pair]orderEdge) [][]ir.VarID {
 	adj := map[ir.VarID][]ir.VarID{}
 	nodeSet := map[ir.VarID]bool{}
 	for key := range witness {
@@ -275,7 +586,7 @@ func orderSCCs(witness map[pair]lockset.OrderEdge) [][]ir.VarID {
 // cycleWithin finds one directed cycle confined to the SCC, starting
 // from its smallest member, returned as the node sequence (closing edge
 // implied from last back to first).
-func cycleWithin(scc []ir.VarID, witness map[pair]lockset.OrderEdge) []ir.VarID {
+func cycleWithin(scc []ir.VarID, witness map[pair]orderEdge) []ir.VarID {
 	in := map[ir.VarID]bool{}
 	for _, v := range scc {
 		in[v] = true

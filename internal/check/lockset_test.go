@@ -1,11 +1,10 @@
-package lockset
+package check
 
 import (
 	"context"
 	"testing"
 
 	"bootstrap/internal/core"
-	"bootstrap/internal/ir"
 )
 
 // driverSrc models a small driver: two entry points share counters, one
@@ -38,20 +37,31 @@ const driverSrc = `
 	}
 `
 
-func detect(t *testing.T, src string) (*core.Analysis, []Race, []Access) {
+// detect runs the lockset pass over an eager analysis of src and
+// returns its races with the shared accesses they pair.
+func detect(t *testing.T, src string) (*core.Analysis, []Diagnostic, []access) {
 	t.Helper()
 	a, err := core.AnalyzeSource(src, core.Config{Mode: core.ModeSteensgaard, Workers: 1})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	races, accesses := NewDetector(a).Detect(context.Background())
-	return a, races, accesses
+	return a, runLockset(t, a), lockAccesses(context.Background(), a)
 }
 
-func racesOn(a *core.Analysis, races []Race, name string) []Race {
-	var out []Race
+func runLockset(t *testing.T, a *core.Analysis) []Diagnostic {
+	t.Helper()
+	races, err := (&LocksetPass{}).Run(context.Background(), a)
+	if err != nil {
+		t.Fatalf("lockset pass: %v", err)
+	}
+	return races
+}
+
+// racesOn filters the races on the object named name.
+func racesOn(races []Diagnostic, name string) []Diagnostic {
+	var out []Diagnostic
 	for _, r := range races {
-		if a.Prog.VarName(r.Var) == name {
+		if r.Subject == name {
 			out = append(out, r)
 		}
 	}
@@ -59,14 +69,14 @@ func racesOn(a *core.Analysis, races []Race, name string) []Race {
 }
 
 func TestProtectedVsUnprotected(t *testing.T) {
-	a, races, accesses := detect(t, driverSrc)
+	_, races, accesses := detect(t, driverSrc)
 	if len(accesses) == 0 {
 		t.Fatal("no accesses collected")
 	}
-	if got := racesOn(a, races, "counter"); len(got) != 0 {
-		t.Errorf("counter is lock-protected; found races: %v", got[0].Format(a.Prog))
+	if got := racesOn(races, "counter"); len(got) != 0 {
+		t.Errorf("counter is lock-protected; found races: %v", got[0].Message)
 	}
-	if got := racesOn(a, races, "unprot"); len(got) == 0 {
+	if got := racesOn(races, "unprot"); len(got) == 0 {
 		t.Error("unprot is unprotected and written by two threads; expected a race")
 	}
 }
@@ -94,9 +104,9 @@ func TestLockResolutionThroughAlias(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src)
-	if got := racesOn(a, races, "shared"); len(got) != 0 {
-		t.Errorf("same lock through aliased pointers; got race: %s", got[0].Format(a.Prog))
+	_, races, _ := detect(t, src)
+	if got := racesOn(races, "shared"); len(got) != 0 {
+		t.Errorf("same lock through aliased pointers; got race: %s", got[0].Message)
 	}
 }
 
@@ -121,8 +131,8 @@ func TestDifferentLocksRace(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src)
-	if got := racesOn(a, races, "shared"); len(got) == 0 {
+	_, races, _ := detect(t, src)
+	if got := racesOn(races, "shared"); len(got) == 0 {
 		t.Error("different locks guard the accesses; expected a race")
 	}
 }
@@ -148,8 +158,8 @@ func TestBranchLosesLock(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src)
-	if got := racesOn(a, races, "shared"); len(got) == 0 {
+	_, races, _ := detect(t, src)
+	if got := racesOn(races, "shared"); len(got) == 0 {
 		t.Error("conditional acquire does not protect; expected a race")
 	}
 }
@@ -178,9 +188,9 @@ func TestInterproceduralLockset(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src)
-	if got := racesOn(a, races, "shared"); len(got) != 0 {
-		t.Errorf("helper runs under the lock; got race: %s", got[0].Format(a.Prog))
+	_, races, _ := detect(t, src)
+	if got := racesOn(races, "shared"); len(got) != 0 {
+		t.Errorf("helper runs under the lock; got race: %s", got[0].Message)
 	}
 }
 
@@ -190,8 +200,8 @@ func TestSelfParallelDefault(t *testing.T) {
 		void thread_a() { shared = 1; }
 		void main() { thread_a(); }
 	`
-	a, races, _ := detect(t, src)
-	if got := racesOn(a, races, "shared"); len(got) == 0 {
+	_, races, _ := detect(t, src)
+	if got := racesOn(races, "shared"); len(got) == 0 {
 		t.Error("a reentrant entry point races with itself")
 	}
 }
@@ -200,16 +210,16 @@ func TestDemandDrivenDetection(t *testing.T) {
 	// The demand-driven pipeline (lock clusters only) must reach the same
 	// verdicts as the full analysis.
 	a, err := core.AnalyzeSource(driverSrc, core.Config{
-		Mode: core.ModeSteensgaard, Workers: 1, Demand: LockDemand,
+		Mode: core.ModeSteensgaard, Workers: 1, Demand: lockFootprint,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	races, _ := NewDetector(a).Detect(context.Background())
-	if got := racesOn(a, races, "counter"); len(got) != 0 {
-		t.Errorf("demand-driven: counter protected, got race %s", got[0].Format(a.Prog))
+	races := runLockset(t, a)
+	if got := racesOn(races, "counter"); len(got) != 0 {
+		t.Errorf("demand-driven: counter protected, got race %s", got[0].Message)
 	}
-	if got := racesOn(a, races, "unprot"); len(got) == 0 {
+	if got := racesOn(races, "unprot"); len(got) == 0 {
 		t.Error("demand-driven: unprot should race")
 	}
 }
@@ -230,19 +240,17 @@ func TestHeapLockObjects(t *testing.T) {
 			thread_a();
 		}
 	`
-	a, races, _ := detect(t, src)
+	_, races, _ := detect(t, src)
 	// lp resolves to the single allocation site: a must-lock.
-	if got := racesOn(a, races, "shared"); len(got) != 0 {
-		t.Errorf("heap lock protects both instances; got race: %s", got[0].Format(a.Prog))
+	if got := racesOn(races, "shared"); len(got) != 0 {
+		t.Errorf("heap lock protects both instances; got race: %s", got[0].Message)
 	}
-	var _ ir.VarID
 }
 
 func TestRaceFormat(t *testing.T) {
-	a, races, _ := detect(t, driverSrc)
+	_, races, _ := detect(t, driverSrc)
 	for _, r := range races {
-		s := r.Format(a.Prog)
-		if s == "" {
+		if r.Message == "" {
 			t.Error("empty race format")
 		}
 	}
@@ -267,8 +275,8 @@ func TestUnknownReleaseClearsLockset(t *testing.T) {
 		void thread_b() { shared = 2; }
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src)
-	if got := racesOn(a, races, "shared"); len(got) == 0 {
+	_, races, _ := detect(t, src)
+	if got := racesOn(races, "shared"); len(got) == 0 {
 		t.Error("after an ambiguous release nothing is definitely held; expected a race")
 	}
 }
@@ -288,8 +296,8 @@ func TestUnknownAcquireDoesNotProtect(t *testing.T) {
 		void thread_b() { shared = 2; }
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src)
-	if got := racesOn(a, races, "shared"); len(got) == 0 {
+	_, races, _ := detect(t, src)
+	if got := racesOn(races, "shared"); len(got) == 0 {
 		t.Error("an ambiguous acquire must not count as protection")
 	}
 }
@@ -325,12 +333,12 @@ func TestNestedLocks(t *testing.T) {
 	`
 	a, races, accesses := detect(t, src)
 	if len(races) != 0 {
-		t.Errorf("all accesses protected; got races: %v", races[0].Format(a.Prog))
+		t.Errorf("all accesses protected; got races: %v", races[0].Message)
 	}
 	// The inner access must hold BOTH locks.
 	for _, acc := range accesses {
-		if a.Prog.VarName(acc.Var) == "inner" && len(acc.Locks) != 2 {
-			t.Errorf("inner access holds %d locks, want 2", len(acc.Locks))
+		if a.Prog.VarName(acc.obj) == "inner" && len(acc.locks) != 2 {
+			t.Errorf("inner access holds %d locks, want 2", len(acc.locks))
 		}
 	}
 }
@@ -358,9 +366,9 @@ func TestLoopLockset(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src)
-	if got := racesOn(a, races, "shared"); len(got) != 0 {
-		t.Errorf("loop body runs under the lock; got %s", got[0].Format(a.Prog))
+	_, races, _ := detect(t, src)
+	if got := racesOn(races, "shared"); len(got) != 0 {
+		t.Errorf("loop body runs under the lock; got %s", got[0].Message)
 	}
 }
 
@@ -388,9 +396,9 @@ func TestAcquireInLoopBody(t *testing.T) {
 		}
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src)
-	if got := racesOn(a, races, "shared"); len(got) != 0 {
-		t.Errorf("both accesses protected by m; got %s", got[0].Format(a.Prog))
+	_, races, _ := detect(t, src)
+	if got := racesOn(races, "shared"); len(got) != 0 {
+		t.Errorf("both accesses protected by m; got %s", got[0].Message)
 	}
 }
 
@@ -413,12 +421,12 @@ func TestReadsDoNotRaceWithReads(t *testing.T) {
 		void thread_b() { sink = shared; }
 		void main() { thread_a(); thread_b(); }
 	`
-	a, races, _ := detect(t, src)
-	if got := racesOn(a, races, "shared"); len(got) != 0 {
-		t.Errorf("read-read pairs never race; got %s", got[0].Format(a.Prog))
+	_, races, _ := detect(t, src)
+	if got := racesOn(races, "shared"); len(got) != 0 {
+		t.Errorf("read-read pairs never race; got %s", got[0].Message)
 	}
 	// sink is written by both: that IS a race.
-	if got := racesOn(a, races, "sink"); len(got) == 0 {
+	if got := racesOn(races, "sink"); len(got) == 0 {
 		t.Error("write-write on sink should race")
 	}
 }

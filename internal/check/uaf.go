@@ -3,12 +3,9 @@ package check
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"bootstrap/internal/core"
 	"bootstrap/internal/ir"
-	"bootstrap/internal/lockset"
 )
 
 // UAFPass detects use-after-free and double-free: free(p) lowers to a
@@ -27,7 +24,7 @@ import (
 // findings and flags the pass incomplete, it never fabricates them.
 //
 // The dataflow roots are the program entry and the thread entries of
-// the lockset model (lockset.ThreadPrefix).
+// the lockset model (threads).
 type UAFPass struct{}
 
 // Name implements Pass.
@@ -71,43 +68,26 @@ func (s *uafState) clone() *uafState {
 	return c
 }
 
-// join unions t into s (min witness loc for determinism), reporting
-// whether s changed.
-func (s *uafState) join(t *uafState) bool {
-	if t == nil {
-		return false
+// joinUAF unions in into cur in place (min witness loc for determinism)
+// and reports whether cur changed; a nil cur takes a copy of in.
+func joinUAF(cur, in *uafState) (*uafState, bool) {
+	if cur == nil {
+		return in.clone(), true
 	}
 	changed := false
-	for k, v := range t.ptrs {
-		if old, ok := s.ptrs[k]; !ok || v < old {
-			s.ptrs[k] = v
+	for k, v := range in.ptrs {
+		if old, ok := cur.ptrs[k]; !ok || v < old {
+			cur.ptrs[k] = v
 			changed = true
 		}
 	}
-	for k, v := range t.objs {
-		if old, ok := s.objs[k]; !ok || v < old {
-			s.objs[k] = v
+	for k, v := range in.objs {
+		if old, ok := cur.objs[k]; !ok || v < old {
+			cur.objs[k] = v
 			changed = true
 		}
 	}
-	return changed
-}
-
-func (s *uafState) equalKeys(t *uafState) bool {
-	if len(s.ptrs) != len(t.ptrs) || len(s.objs) != len(t.objs) {
-		return false
-	}
-	for k, v := range t.ptrs {
-		if old, ok := s.ptrs[k]; !ok || old != v {
-			return false
-		}
-	}
-	for k, v := range t.objs {
-		if old, ok := s.objs[k]; !ok || old != v {
-			return false
-		}
-	}
-	return true
+	return cur, changed
 }
 
 // uafRun carries one Run's dataflow state.
@@ -115,7 +95,9 @@ type uafRun struct {
 	ctx  context.Context
 	a    *core.Analysis
 	prog *ir.Program
-	in   map[ir.Loc]*uafState
+	// in is the converged state on entry to every node the current root
+	// reaches.
+	in map[ir.Loc]*uafState
 }
 
 // transfer applies the node at loc to a copy of s.
@@ -158,95 +140,21 @@ func (r *uafRun) transfer(loc ir.Loc, s *uafState) *uafState {
 	return s
 }
 
-// flowFunction propagates the state through one function from its entry
-// state, updating r.in, and returns the states observed at call sites.
-func (r *uafRun) flowFunction(f ir.FuncID, entry *uafState) map[ir.FuncID]*uafState {
-	fn := r.prog.Func(f)
-	callEntries := map[ir.FuncID]*uafState{}
-	if r.in[fn.Entry] == nil {
-		r.in[fn.Entry] = &uafState{ptrs: map[ir.VarID]ir.Loc{}, objs: map[ir.VarID]ir.Loc{}}
-	}
-	r.in[fn.Entry].join(entry)
-	work := []ir.Loc{fn.Entry}
-	for len(work) > 0 {
-		loc := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := r.transfer(loc, r.in[loc])
-		n := r.prog.Node(loc)
-		if n.Stmt.Op == ir.OpCall && n.Stmt.Callee != ir.NoFunc {
-			cur := callEntries[n.Stmt.Callee]
-			if cur == nil {
-				cur = &uafState{ptrs: map[ir.VarID]ir.Loc{}, objs: map[ir.VarID]ir.Loc{}}
-				callEntries[n.Stmt.Callee] = cur
-			}
-			cur.join(r.in[loc])
-		}
-		for _, succ := range n.Succs {
-			cur := r.in[succ]
-			if cur == nil {
-				cur = &uafState{ptrs: map[ir.VarID]ir.Loc{}, objs: map[ir.VarID]ir.Loc{}}
-				r.in[succ] = cur
-				cur.join(out)
-				work = append(work, succ)
-				continue
-			}
-			if !cur.equalKeys(out) && cur.join(out) {
-				work = append(work, succ)
-			}
-		}
-	}
-	return callEntries
-}
-
-// Run implements Pass.
+// Run implements Pass: the union of freed pointers and objects flows
+// into every callee (forward), from each root separately.
 func (p *UAFPass) Run(ctx context.Context, a *core.Analysis) ([]Diagnostic, error) {
 	prog := a.Prog
-	var roots []ir.FuncID
+	roots := threads(prog)
 	if prog.Entry != ir.NoFunc {
-		roots = append(roots, prog.Entry)
+		roots = append([]ir.FuncID{prog.Entry}, roots...)
 	}
-	for _, f := range prog.Funcs {
-		if strings.HasPrefix(f.Name, lockset.ThreadPrefix) {
-			roots = append(roots, f.ID)
-		}
-	}
-
+	r := &uafRun{ctx: ctx, a: a, prog: prog}
+	all := func(ir.FuncID) bool { return true }
 	var out []Diagnostic
 	seen := map[string]bool{}
 	for _, root := range roots {
-		r := &uafRun{ctx: ctx, a: a, prog: prog, in: map[ir.Loc]*uafState{}}
-		// Interprocedural fixpoint over entry states, mirroring the
-		// lockset propagation (union where lockset intersects).
-		entry := map[ir.FuncID]*uafState{
-			root: {ptrs: map[ir.VarID]ir.Loc{}, objs: map[ir.VarID]ir.Loc{}},
-		}
-		for changed := true; changed; {
-			changed = false
-			funcs := make([]ir.FuncID, 0, len(entry))
-			for f := range entry {
-				funcs = append(funcs, f)
-			}
-			sort.Slice(funcs, func(i, j int) bool { return funcs[i] < funcs[j] })
-			for _, f := range funcs {
-				for callee, st := range r.flowFunction(f, entry[f]) {
-					cur, ok := entry[callee]
-					if !ok {
-						cur = &uafState{ptrs: map[ir.VarID]ir.Loc{}, objs: map[ir.VarID]ir.Loc{}}
-						entry[callee] = cur
-						changed = true
-					}
-					if cur.join(st) {
-						changed = true
-					}
-				}
-			}
-		}
-		// Report against the converged states.
-		funcs := make([]ir.FuncID, 0, len(entry))
-		for f := range entry {
-			funcs = append(funcs, f)
-		}
-		sort.Slice(funcs, func(i, j int) bool { return funcs[i] < funcs[j] })
+		var funcs []ir.FuncID
+		r.in, funcs = forward(prog, root, &uafState{}, joinUAF, r.transfer, all)
 		for _, f := range funcs {
 			out = append(out, r.reportFunc(f, seen)...)
 		}
@@ -303,17 +211,7 @@ func (r *uafRun) reportFunc(f ir.FuncID, seen map[string]bool) []Diagnostic {
 			}
 			continue
 		}
-		var ptr ir.VarID = ir.NoVar
-		switch n.Stmt.Op {
-		case ir.OpLoad:
-			ptr = n.Stmt.Src
-		case ir.OpStore:
-			ptr = n.Stmt.Dst
-		case ir.OpTouch:
-			if n.Stmt.Src != ir.NoVar {
-				ptr = n.Stmt.Src
-			}
-		}
+		ptr := derefPtr(n.Stmt)
 		if ptr == ir.NoVar {
 			continue
 		}

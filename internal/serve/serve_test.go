@@ -13,7 +13,6 @@ import (
 
 	"bootstrap/internal/core"
 	"bootstrap/internal/ir"
-	"bootstrap/internal/lockset"
 	"bootstrap/internal/obs"
 	"bootstrap/internal/synth"
 )
@@ -494,7 +493,7 @@ func TestLocksetEndpoint(t *testing.T) {
 	sn := s.Snapshot()
 	locked := 0
 	for _, c := range sn.A.Clusters {
-		if slices.ContainsFunc(c.Pointers, func(p ir.VarID) bool { return lockset.LockDemand(sn.Prog.Var(p)) }) {
+		if slices.ContainsFunc(c.Pointers, func(p ir.VarID) bool { return sn.Prog.Var(p).IsLock }) {
 			locked++
 		}
 	}
