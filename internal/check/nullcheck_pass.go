@@ -106,7 +106,7 @@ func nullDeref(prog *ir.Program, loc ir.Loc, ptr ir.VarID, definite, uninit bool
 		Severity:    sev,
 		Loc:         loc,
 		Subject:     prog.VarName(ptr),
-		Message:     fmt.Sprintf("L%d (%s): %s dereference of possibly-%s pointer %s", loc, fn, degree, kind, prog.VarName(ptr)),
+		Message:     fmt.Sprintf("%s dereference of possibly-%s pointer %s", degree, kind, prog.VarName(ptr)),
 		Fingerprint: hashParts("null-deref", fn, prog.StmtString(loc), prog.VarName(ptr), degree, fmt.Sprint(uninit)),
 	}
 }
