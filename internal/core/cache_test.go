@@ -306,6 +306,46 @@ func TestReanalyzeWarmStart(t *testing.T) {
 	}
 }
 
+// TestReanalyzeExportsLazySolves: a lazy analysis solves its clusters at
+// query time, and without a Config.Cache the structural fallback warms
+// its fresh cache from those engines too, so reanalysing the unchanged
+// program and touching every cluster is all hits.
+func TestReanalyzeExportsLazySolves(t *testing.T) {
+	ctx := context.Background()
+	prev, err := AnalyzeSource(cacheProgA, Config{Mode: ModeAndersen, Workers: 1, Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prev.Clusters) < 2 {
+		t.Fatalf("%d clusters, want at least 2", len(prev.Clusters))
+	}
+	for _, c := range prev.Clusters {
+		if eng, _, ok := prev.EnsureCluster(ctx, c.ID); !ok || eng == nil {
+			t.Fatalf("cluster %d did not solve", c.ID)
+		}
+	}
+
+	same, err := frontend.LowerSource(cacheProgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := reanalyze(ctx, prev, same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := a2.cfg.Cache.Stats()
+	for _, c := range a2.Clusters {
+		a2.EnsureCluster(ctx, c.ID)
+	}
+	st := a2.cfg.Cache.Stats().Sub(before)
+	if st.Misses != 0 || st.Hits != int64(len(a2.Clusters)) {
+		t.Errorf("touching every cluster after the reanalysis: stats %+v, want %d hits and no misses", st, len(a2.Clusters))
+	}
+	if got, want := aliasDump(a2), aliasDump(prev); got != want {
+		t.Errorf("reanalysis of the unchanged program diverges\n--- prev\n%s--- got\n%s", want, got)
+	}
+}
+
 // warmStartEnv marks a re-exec'd test binary as the fresh process of
 // TestWarmStartFromDiskInFreshProcess. Its value is the parent's temp
 // directory: the shared cache lives under it in cache/, and the child

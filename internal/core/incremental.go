@@ -533,7 +533,8 @@ func reanalyze(ctx context.Context, prev *Analysis, newProg *ir.Program) (*Analy
 }
 
 // exportToCache stores the results of every healthy (HealthOK) cluster
-// engine into dst, keyed by the cluster's fingerprint. Engines that were
+// engine into dst, keyed by the cluster's fingerprint: the eager
+// scheduler's and the query-time solves' alike. Engines that were
 // retried, recovered or demoted are skipped: their state reflects
 // degraded knobs, not the fingerprinted configuration. The receiver is
 // usable afterwards; queries are unaffected.
@@ -544,6 +545,11 @@ func (a *Analysis) exportToCache(dst *cache.Cache) {
 	for _, h := range a.Health {
 		if h.Status == HealthOK {
 			healthy[h.ClusterID] = true
+		}
+	}
+	for id, h := range a.queryHealth {
+		if h != nil && h.Status == HealthOK {
+			healthy[id] = true
 		}
 	}
 	params := cache.Params{
