@@ -52,7 +52,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EditRequest
-	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeBody(w, r, maxBodyBytes, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}

@@ -111,6 +111,13 @@ func (k queryKind) String() string {
 	return "pointsto"
 }
 
+// Request body bounds: queries, checks and edits are small; a reload
+// body carries a whole program.
+const (
+	maxBodyBytes   = 1 << 20
+	maxReloadBytes = 64 << 20
+)
+
 // decodeBody reads one JSON body into v under the given size limit.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
@@ -161,7 +168,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, kind queryK
 		return
 	}
 	var req QueryRequest
-	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeBody(w, r, maxBodyBytes, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
@@ -292,7 +299,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, fixed strin
 	}
 	var req CheckRequest
 	if r.ContentLength != 0 {
-		if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		if err := decodeBody(w, r, maxBodyBytes, &req); err != nil {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 			return
 		}
@@ -343,7 +350,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReloadRequest
-	if err := decodeBody(w, r, 64<<20, &req); err != nil {
+	if err := decodeBody(w, r, maxReloadBytes, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
@@ -383,7 +390,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // AllowChaos).
 func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	var req ChaosRequest
-	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeBody(w, r, maxBodyBytes, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}

@@ -57,10 +57,6 @@ type Config struct {
 	// (default GOMAXPROCS). Warm queries are not counted.
 	MaxSolves int
 
-	// MaxBodyBytes bounds query request bodies (default 1 MiB). Reload
-	// bodies get 64 MiB — programs are big, queries are not.
-	MaxBodyBytes int64
-
 	// DrainTimeout bounds graceful shutdown (default 10s); exported so
 	// cmd/aliasd and tests share one knob.
 	DrainTimeout time.Duration
@@ -80,12 +76,9 @@ type Config struct {
 
 	// AllowChaos mounts POST /chaos, letting clients arm deterministic
 	// fault injection (solve faults, latency spikes, reload pauses) on a
-	// live server. Off by default: chaos is opt-in at boot.
+	// live server. Off by default: chaos is opt-in at boot, and without
+	// it injection is permanently off.
 	AllowChaos bool
-
-	// Injector receives the serve-side faults (nil: one is created when
-	// AllowChaos is set, otherwise injection is permanently off).
-	Injector *faults.ServeInjector
 
 	Metrics *obs.Metrics
 	Tracer  *obs.Tracer
@@ -101,8 +94,8 @@ type Server struct {
 	cfg  Config
 	acfg core.Config // the forced-lazy analysis config snapshots use
 
-	plan *faults.Plan // solve-time fault plan (shared with acfg.Faults)
-	inj  *faults.ServeInjector
+	plan *faults.Plan          // solve-time fault plan (shared with acfg.Faults)
+	inj  *faults.ServeInjector // serve-side faults; nil without AllowChaos
 
 	snap     atomic.Pointer[Snapshot]
 	reloadMu sync.Mutex // serializes swap() and edit application; queries never take it
@@ -165,9 +158,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxSolves <= 0 {
 		cfg.MaxSolves = runtime.GOMAXPROCS(0)
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
 	}
@@ -189,7 +179,7 @@ func New(cfg Config) *Server {
 		acfg.ClusterTimeout = 2 * cfg.QueryTimeout
 	}
 
-	s := &Server{cfg: cfg, inj: cfg.Injector, subs: map[*subscriber]struct{}{}}
+	s := &Server{cfg: cfg, subs: map[*subscriber]struct{}{}}
 	if cfg.AllowChaos {
 		// One mutable plan for the server's lifetime: /chaos re-arms it
 		// under live traffic. While nothing is armed, Plan.Active() is
@@ -200,9 +190,7 @@ func New(cfg Config) *Server {
 			s.plan = faults.NewPlan()
 			acfg.Faults = s.plan
 		}
-		if s.inj == nil {
-			s.inj = faults.NewServeInjector()
-		}
+		s.inj = faults.NewServeInjector()
 	}
 	s.acfg = acfg
 	s.solveSem = make(chan struct{}, cfg.MaxSolves)
