@@ -90,10 +90,10 @@ func equalSets(s, t lockSet) bool {
 }
 
 // lockFlow is the must-lockset dataflow over one analysis. Lock
-// resolution and store targets are points-to queries under ctx. Once
-// ctx expires they answer from the flow-insensitive fallback, which
-// resolves no lock to a must-singleton: a guarded access then looks
-// unguarded, so the lockset pass can report races a full run does not.
+// resolution is a points-to query under ctx. Once ctx expires it
+// answers from the flow-insensitive fallback, which resolves no lock to
+// a must-singleton: a guarded access then looks unguarded, so the
+// lockset pass can report races a full run does not.
 type lockFlow struct {
 	ctx              context.Context
 	a                *core.Analysis

@@ -90,14 +90,11 @@ func joinUAF(cur, in *uafState) (*uafState, bool) {
 	return cur, changed
 }
 
-// uafRun carries one Run's dataflow state.
+// uafRun carries what one Run's transfer and reports query.
 type uafRun struct {
 	ctx  context.Context
 	a    *core.Analysis
 	prog *ir.Program
-	// in is the converged state on entry to every node the current root
-	// reaches.
-	in map[ir.Loc]*uafState
 }
 
 // transfer applies the node at loc to a copy of s.
@@ -153,18 +150,17 @@ func (p *UAFPass) Run(ctx context.Context, a *core.Analysis) ([]Diagnostic, erro
 	var out []Diagnostic
 	seen := map[string]bool{}
 	for _, root := range roots {
-		var funcs []ir.FuncID
-		r.in, funcs = forward(prog, root, &uafState{}, joinUAF, r.transfer, all)
+		in, funcs := forward(prog, root, &uafState{}, joinUAF, r.transfer, all)
 		for _, f := range funcs {
-			out = append(out, r.reportFunc(f, seen)...)
+			out = append(out, r.reportFunc(f, in, seen)...)
 		}
 	}
 	return out, ctx.Err()
 }
 
 // reportFunc scans one function's reached nodes against the converged
-// states and emits deduplicated diagnostics.
-func (r *uafRun) reportFunc(f ir.FuncID, seen map[string]bool) []Diagnostic {
+// states in and emits deduplicated diagnostics.
+func (r *uafRun) reportFunc(f ir.FuncID, in map[ir.Loc]*uafState, seen map[string]bool) []Diagnostic {
 	prog := r.prog
 	fn := prog.Func(f)
 	var out []Diagnostic
@@ -177,7 +173,7 @@ func (r *uafRun) reportFunc(f ir.FuncID, seen map[string]bool) []Diagnostic {
 		out = append(out, d)
 	}
 	for _, loc := range fn.Nodes {
-		st := r.in[loc]
+		st := in[loc]
 		if st == nil {
 			continue
 		}
